@@ -25,7 +25,7 @@ from .matrix import (
     mat_sup,
 )
 from .model import ModelError, RteaModel, Transition, parse_model, serialize_model, to_matrix_rep
-from .omega import OmegaVal, act, eval_omega, omega_of, sup_omega
+from .omega import OmegaVal, act, omega_of
 from .rational import format_rational, parse_rational
 from .algebra import order_witness
 from .regions import RegionPiece, extract_regions, function_json, region_eval
@@ -51,7 +51,6 @@ __all__ = [
     "act",
     "atom",
     "buchi_behavior",
-    "eval_omega",
     "extract_regions",
     "finite_behavior",
     "format_rational",
@@ -69,6 +68,5 @@ __all__ = [
     "precedes",
     "region_eval",
     "serialize_model",
-    "sup_omega",
     "to_matrix_rep",
 ]

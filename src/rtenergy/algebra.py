@@ -16,6 +16,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterable, Optional
 
 from .linear2d import Constraint, feasible_point
+from .rational import parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,8 +116,8 @@ class Time:
     def of(x) -> "Time":
         if isinstance(x, Time):
             return x
-        if isinstance(x, str) and x.strip().lower() == "inf":
-            return TIME_INF
+        if isinstance(x, str):
+            return TIME_INF if x.strip().lower() == "inf" else Time(parse_rational(x))
         return Time(Fraction(x))
 
     @property

@@ -1,8 +1,9 @@
-"""Matrix layer: block star/omega recursions and automaton behaviors."""
+"""Matrix layer: block star recursion, lasso-form omega and automaton behaviors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .algebra import Rtef
 from .omega import OmegaVal, act, omega_of
@@ -117,36 +118,41 @@ def mat_star(m: RtefMatrix, split: str = "first") -> RtefMatrix:
     return _assemble(estar, tr, bl, br)
 
 
-def _mat_omega(m: RtefMatrix) -> tuple[OmegaVal, ...]:
-    """Entrywise infinite iteration, every state significant (block recursion
-    on the first row/column)."""
-    n = m.dim()
-    if n == 1:
-        return (omega_of(m.rows[0][0]),)
-    a, b, c, d = _blocks(m, 1)
-    a00 = a.rows[0][0]
-    dstar = mat_star(d)
-    bds = mat_mul(b, dstar)
-    f = a00.sup(mat_mul(bds, c).rows[0][0])
-    head = omega_of(f)
-    frow = mat_mul(RtefMatrix.of([[f.star()]]), bds)
-    for j, w in enumerate(_mat_omega(d)):
-        head = head.sup(act(frow.rows[0][j], w))
-    g = mat_sup(d, mat_mul(mat_mul(c, RtefMatrix.of([[a00.star()]])), b))
-    gomega = _mat_omega(g)
-    gcol = mat_mul(mat_star(g), c)
-    a_omega = omega_of(a00)
-    tail = tuple(
-        gomega[i].sup(act(gcol.rows[i][0], a_omega)) for i in range(n - 1)
-    )
-    return (head, *tail)
+def _lasso_omega(s: RtefMatrix) -> tuple[OmegaVal, ...]:
+    """Entrywise infinite iteration, every state significant: an endless run
+    visits some state j infinitely often, so it is a path to j followed by
+    endless loops j -> j."""
+    n = s.dim()
+    sstar = mat_star(s)
+    loops = []
+    for j in range(n):
+        loop = Rtef.bottom()
+        for l in range(n):
+            loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
+        loops.append(omega_of(loop))
+    return _act_rows(sstar, loops)
+
+
+def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:
+    """Entry i is the supremum over j of m[i][j] acting on vals[j]."""
+    out = []
+    for row in m.rows:
+        v = OmegaVal.false()
+        for f, w in zip(row, vals):
+            v = v.sup(act(f, w))
+        out.append(v)
+    return tuple(out)
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     """Per-state truth of visiting the first ``k`` states infinitely often.
 
-    The first k entries iterate the closure of the significant block through
-    excursions into the rest; the remaining entries first route into it.
+    With k < n the rest is eliminated first: the significant block is
+    S = a v b d* c, whose entries are paths between accepting states through
+    excursions into the rest.  On S the lasso form applies, one closure S*
+    plus one ``omega_of`` per accepting j:
+    S^omega[i] = sup_j S*[i][j] . ((S S*)[j][j])^omega.  The remaining
+    entries first route into S through d* c.
     """
     n = m.dim()
     if not 0 <= k <= n:
@@ -154,18 +160,11 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     if k == 0:
         return (OmegaVal.false(),) * n
     if k == n:
-        return _mat_omega(m)
+        return _lasso_omega(m)
     a, b, c, d = _blocks(m, k)
     dstar = mat_star(d)
-    head = _mat_omega(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
-    route = mat_mul(dstar, c)
-    tail = []
-    for i in range(n - k):
-        v = OmegaVal.false()
-        for j in range(k):
-            v = v.sup(act(route.rows[i][j], head[j]))
-        tail.append(v)
-    return (*head, *tail)
+    head = _lasso_omega(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
+    return (*head, *_act_rows(mat_mul(dstar, c), head))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .algebra import Atom, LinearRtef, Rtef
 from .matrix import AutomatonRep, RtefMatrix
-from .rational import format_rational
+from .rational import NUMBER, format_rational
 
 
 class ModelError(ValueError):
@@ -66,7 +66,7 @@ class RteaModel:
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
-      | (?P<num>[+-]?\d+(?:\.\d+)?(?:/\d+)?)
+      | (?P<num>""" + NUMBER + r""")
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<arrow>->)
       | (?P<punct>[{};])

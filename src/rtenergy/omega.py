@@ -61,14 +61,6 @@ class OmegaVal:
 _FALSE = OmegaVal(Rtef.bottom(), None)
 
 
-def sup_omega(a: OmegaVal, b: OmegaVal) -> OmegaVal:
-    return a.sup(b)
-
-
-def eval_omega(v: OmegaVal, x: Energy, t: Time) -> bool:
-    return v.eval(x, t)
-
-
 def omega_of(f: Rtef) -> OmegaVal:
     """Endless iteration of one function.
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Atom, BOTTOM, Energy, LinearRtef, Time
-from .matrix import RtefMatrix, mat_mul, mat_sup
+from .matrix import RtefMatrix, _blocks, mat_mul, mat_star, mat_sup
 from .model import RteaModel
+from .omega import OmegaVal, act, omega_of
 
 ZERO = Fraction(0)
 
@@ -223,3 +224,53 @@ def truncated_path_sum(m: RtefMatrix, max_length: int) -> RtefMatrix:
             break
         acc = grown
     return acc
+
+
+def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
+    """Per-state truth of visiting the first ``k`` states infinitely often,
+    by the first-row block recursion into both sub-blocks.
+
+    Makes 3 * 2^(k-1) - 2 ``omega_of`` calls; the reference the lasso form in
+    ``matrix.mat_omega_accepting`` is checked against.
+    """
+    n = m.dim()
+    if not 0 <= k <= n:
+        raise ValueError("accepting count out of range")
+    if k == 0:
+        return (OmegaVal.false(),) * n
+    if k == n:
+        return _omega_all_significant(m)
+    a, b, c, d = _blocks(m, k)
+    dstar = mat_star(d)
+    head = _omega_all_significant(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
+    route = mat_mul(dstar, c)
+    tail = []
+    for i in range(n - k):
+        v = OmegaVal.false()
+        for j in range(k):
+            v = v.sup(act(route.rows[i][j], head[j]))
+        tail.append(v)
+    return (*head, *tail)
+
+
+def _omega_all_significant(m: RtefMatrix) -> tuple[OmegaVal, ...]:
+    n = m.dim()
+    if n == 1:
+        return (omega_of(m.rows[0][0]),)
+    a, b, c, d = _blocks(m, 1)
+    a00 = a.rows[0][0]
+    dstar = mat_star(d)
+    bds = mat_mul(b, dstar)
+    f = a00.sup(mat_mul(bds, c).rows[0][0])
+    head = omega_of(f)
+    frow = mat_mul(RtefMatrix.of([[f.star()]]), bds)
+    for j, w in enumerate(_omega_all_significant(d)):
+        head = head.sup(act(frow.rows[0][j], w))
+    g = mat_sup(d, mat_mul(mat_mul(c, RtefMatrix.of([[a00.star()]])), b))
+    gomega = _omega_all_significant(g)
+    gcol = mat_mul(mat_star(g), c)
+    a_omega = omega_of(a00)
+    tail = tuple(
+        gomega[i].sup(act(gcol.rows[i][0], a_omega)) for i in range(n - 1)
+    )
+    return (head, *tail)

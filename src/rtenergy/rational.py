@@ -1,12 +1,25 @@
 """Parsing and canonical formatting of exact rational literals."""
 
+import re
 from fractions import Fraction
+
+# optionally signed decimal or ratio; shared with the .rtea tokenizer
+NUMBER = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"
+_NUMBER_RE = re.compile(NUMBER)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a decimal ("2.5", "-20") or ratio ("5/2") literal exactly."""
+    """Parse a decimal ("2.5", "-20") or ratio ("5/2") literal exactly.
+
+    Only the ``.rtea`` number grammar is accepted: exponents ("1e999999999")
+    and digit separators ("1_000") are rejected before any arithmetic, so
+    the cost stays linear in the length of the text.
+    """
+    text = text.strip()
+    if _NUMBER_RE.fullmatch(text) is None:
+        raise ValueError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 

@@ -94,7 +94,8 @@ def rand_model_text(rng: random.Random, n_states=3, accepting=None) -> str:
         if i in accepting:
             flags += " accepting"
         lines.append(f"  state {name} rate {rates[i]}{flags};")
-    n_edges = rng.randint(n_states - 1, 2 * n_states)
+    # capped at the n^2 distinct edges, or one state could never reach 2 edges
+    n_edges = min(rng.randint(n_states - 1, 2 * n_states), n_states * n_states)
     edges = set()
     # guarantee a path to the accepting state
     for i in range(n_states - 1):

@@ -175,6 +175,18 @@ class TestContract:
         code, _, err = run(capsys, "check", "reach", "--model", SAT, "--x0", "-5", "--time", "1")
         assert code == 2
 
+    def test_exponent_and_separator_literals_exit_2(self, capsys):
+        # Fraction would accept these; the first would build a billion-digit integer
+        for numbers in (
+            ("--x0", "5", "--time", "1e999999999"),
+            ("--x0", "1_000", "--time", "1"),
+            ("--x0", "5e0", "--time", "1"),
+        ):
+            code, out, err = run(capsys, "check", "reach", "--model", SAT, *numbers)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
     def test_exit_codes_over_corpus(self, capsys, tmp_path):
         broken = tmp_path / "broken.rtea"
         broken.write_text("rtea { state a rate 0; }")  # missing initial

@@ -19,9 +19,12 @@ from rtenergy import (
     mat_omega_accepting,
     mat_star,
     mat_sup,
+    omega_of,
+    parse_model,
     to_matrix_rep,
 )
-from rtenergy.oracles import DpConfig, dp_lower_bound, truncated_path_sum
+import rtenergy.matrix
+from rtenergy.oracles import DpConfig, dp_lower_bound, mat_omega_recursive, truncated_path_sum
 
 from helpers import (
     F1,
@@ -29,6 +32,7 @@ from helpers import (
     lin,
     load_model,
     rand_linear,
+    rand_model_text,
     rtef,
     sample_points,
 )
@@ -165,6 +169,39 @@ class TestMatOmega:
         vec = mat_omega_accepting(m, 1)
         assert vec[1].eval(Energy.of(5), Time.of(0)) is True
         assert vec[1].eval(Energy.of(4), Time.of(0)) is False
+
+
+class TestLassoOmega:
+    """The lasso form against the block recursion it replaced."""
+
+    def test_agrees_with_block_recursion(self):
+        # every third model has one, two or all states accepting
+        rng = random.Random(2024)
+        for i in range(150):
+            n = rng.randint(2, 6)
+            accepting = (None, rng.sample(range(n), 2), range(n))[i % 3]
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+            k = rep.accepting_count
+            got = mat_omega_accepting(rep.matrix, k)
+            want = mat_omega_recursive(rep.matrix, k)
+            assert len(got) == len(want) == n
+            for g, w in zip(got, want):
+                assert g.support.leq(w.support) and w.support.leq(g.support)
+                assert g.threshold == w.threshold
+
+    def test_one_omega_of_per_accepting_state(self, monkeypatch):
+        n = 10
+        calls = []
+
+        def counting(f):
+            calls.append(f)
+            return omega_of(f)
+
+        monkeypatch.setattr(rtenergy.matrix, "omega_of", counting)
+        rep = to_matrix_rep(parse_model(rand_model_text(random.Random(10), n, accepting=range(n))))
+        assert rep.accepting_count == n
+        mat_omega_accepting(rep.matrix, n)
+        assert len(calls) == n
 
 
 class TestBehaviors:

@@ -86,6 +86,14 @@ class TestParse:
             m = load_model(name)
             assert parse_model(serialize_model(m)) == m
 
+    def test_single_state_random_models_terminate(self):
+        # one state has a single possible edge, s0 -> s0, while seeds 1, 3,
+        # 5, ... draw an edge count of 2
+        for seed in range(32):
+            model = parse_model(rand_model_text(random.Random(seed), 1))
+            assert [name for name, _ in model.states] == ["s0"]
+            assert len(model.transitions) <= 1
+
 
 class TestToMatrixRep:
     def test_satellite_shape(self):

@@ -16,10 +16,8 @@ from rtenergy import (
     TIME_INF,
     Time,
     act,
-    eval_omega,
     normalize,
     omega_of,
-    sup_omega,
 )
 from rtenergy.oracles import exact_schedule_value
 
@@ -96,19 +94,19 @@ class TestAct:
 class TestSupOmega:
     def test_false_is_unit(self):
         v = omega_of(PUMP)
-        assert same_on_grid(sup_omega(v, OmegaVal.false()), v)
-        assert sup_omega(v, v) == v
+        assert same_on_grid(v.sup(OmegaVal.false()), v)
+        assert v.sup(v) == v
 
     def test_threshold_minimum(self):
         a = OmegaVal(Rtef.bottom(), Fraction(5))
         b = OmegaVal(Rtef.bottom(), Fraction(3))
-        assert sup_omega(a, b).threshold == 3
-        assert sup_omega(a, OmegaVal.false()).threshold == 5
+        assert a.sup(b).threshold == 3
+        assert a.sup(OmegaVal.false()).threshold == 5
 
 
 class TestEvalOmega:
     def test_bottom_input_false(self):
-        assert eval_omega(omega_of(PUMP), BOTTOM, Time.of(3)) is False
+        assert omega_of(PUMP).eval(BOTTOM, Time.of(3)) is False
 
     def test_monotone(self):
         rng = random.Random(31)
@@ -119,18 +117,18 @@ class TestEvalOmega:
                     if x1 > x2:
                         continue
                     for t1 in SAMPLE_TS:
-                        assert eval_omega(v, Energy.of(x1), Time(t1)) <= eval_omega(v, Energy.of(x2), TIME_INF)
+                        assert v.eval(Energy.of(x1), Time(t1)) <= v.eval(Energy.of(x2), TIME_INF)
 
     def test_threshold_upward_closed(self):
         rng = random.Random(32)
         for _ in range(40):
             v = omega_of(rand_rtef(rng))
-            hit = [x for x in SAMPLE_XS if eval_omega(v, Energy.of(x), TIME_INF)]
+            hit = [x for x in SAMPLE_XS if v.eval(Energy.of(x), TIME_INF)]
             if hit:
                 lo = min(hit)
                 for x in SAMPLE_XS:
                     if x >= lo:
-                        assert eval_omega(v, Energy.of(x), TIME_INF)
+                        assert v.eval(Energy.of(x), TIME_INF)
 
 
 rates = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)])
