@@ -12,7 +12,6 @@ from .algebra import (
     atom,
     leq_linear,
     normalize,
-    precedes,
 )
 from .matrix import (
     AutomatonRep,
@@ -65,7 +64,6 @@ __all__ = [
     "order_witness",
     "parse_model",
     "parse_rational",
-    "precedes",
     "region_eval",
     "serialize_model",
     "to_matrix_rep",

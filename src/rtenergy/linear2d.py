@@ -24,18 +24,12 @@ class Constraint:
     strict: bool = False
 
 
-def feasible(constraints: Iterable[Constraint]) -> bool:
-    """Whether some real point (x, t) satisfies every constraint.
+def feasible_point(constraints: Iterable[Constraint]) -> Optional[tuple[Fraction, Fraction]]:
+    """A real point (x, t) satisfying every constraint, or None.
 
     Fourier-Motzkin elimination of t followed by a one-dimensional interval
-    check on x.  Unbounded directions are allowed.
-    """
-    return feasible_point(constraints) is not None
-
-
-def feasible_point(constraints: Iterable[Constraint]) -> Optional[tuple[Fraction, Fraction]]:
-    """A concrete satisfying point, or None; used to turn negative order
-    decisions into directly checkable witnesses."""
+    check on x; unbounded directions are allowed.  The point turns negative
+    order decisions into directly checkable witnesses."""
     x_only, lows, highs = _eliminate_t(constraints)
     x = _interval_pick(x_only)
     if x is None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Atom, BOTTOM, Energy, LinearRtef, Time
+from .algebra import Atom, BOTTOM, Energy, LinearRtef, Rtef, Time, normalize
 from .matrix import RtefMatrix, _blocks, mat_mul, mat_star, mat_sup
 from .model import RteaModel
 from .omega import OmegaVal, act, omega_of
@@ -224,6 +224,24 @@ def truncated_path_sum(m: RtefMatrix, max_length: int) -> RtefMatrix:
             break
         acc = grown
     return acc
+
+
+def star_subsets(f: Rtef) -> Rtef:
+    """Closure of ``f`` as the supremum of the compositions of every
+    rate-ordered subset of its non-identity components.
+
+    Makes 2^k - 1 ``normalize`` calls for k components and prunes only once
+    at the end; the reference ``Rtef.star`` is checked against.
+    """
+    loops = sorted(
+        (c for c in f.components if c.atoms),
+        key=lambda c: c.atoms[-1].rate,
+    )
+    comps = [LinearRtef()]
+    for r in range(1, len(loops) + 1):
+        for pick in itertools.combinations(loops, r):
+            comps.append(normalize(tuple(a for c in pick for a in c.atoms)))
+    return Rtef.of(comps).prune()
 
 
 def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:

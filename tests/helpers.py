@@ -40,6 +40,13 @@ def load_model(name: str):
     return parse_model((MODELS / name).read_text(encoding="utf-8"))
 
 
+def precedes(lhs: LinearRtef, rhs: LinearRtef) -> bool:
+    """Scheduling preorder on nonempty components: by final rate."""
+    if lhs.is_identity or rhs.is_identity:
+        raise ValueError("the identity component has no final rate")
+    return lhs.atoms[-1].rate <= rhs.atoms[-1].rate
+
+
 # the two loop functions from the worked closure example
 F1 = lin((0, 0, 30), (4, -10, 30))
 F2 = lin((0, 0, 20), (1, 0, 40), (5, -50, 50))

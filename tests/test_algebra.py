@@ -12,11 +12,11 @@ from rtenergy import (
     TIME_INF,
     Time,
     normalize,
-    precedes,
 )
-from rtenergy.oracles import compose_split_oracle, exact_schedule_value
+from rtenergy import algebra
+from rtenergy.oracles import compose_split_oracle, exact_schedule_value, star_subsets
 
-from helpers import A, F1, F2, SAT_TOP_NF, SAT_TOP_RAW, ev, lin, rtef
+from helpers import A, F1, F2, SAT_TOP_NF, SAT_TOP_RAW, ev, lin, precedes, rand_linear, rtef
 
 
 class TestValues:
@@ -172,6 +172,46 @@ class TestStar:
             acc = acc.sup(powers)
         star = f.star()
         assert star.leq(acc) and acc.leq(star)
+
+
+class TestStarProduct:
+    """``Rtef.star`` as a product of (1 ∨ c) against the subset expansion."""
+
+    def test_against_subset_oracle(self):
+        rng = random.Random(2017)
+        for case in range(320):
+            k = 1 + case % 8
+            f = Rtef.of([rand_linear(rng) for _ in range(k)])
+            if case % 2:
+                f = f.prune()
+            star, want = f.star(), star_subsets(f)
+            # equal as functions, not always as representatives: a pointwise
+            # equal copy led by a no-op Atom(0, 0, 0) can survive in the oracle
+            assert star.leq(want) and want.leq(star), (case, f)
+
+    def test_normalize_calls_polynomial(self, monkeypatch):
+        k = 12
+        frontier = Rtef.of([lin((i, -i, i)) for i in range(1, k + 1)])
+        assert frontier.prune() == frontier
+        calls = 0
+
+        def counted(seq):
+            # fail at the first excess call: a 2^k expansion would go on to
+            # spend minutes pruning
+            nonlocal calls
+            calls += 1
+            assert calls <= k * k, "normalize called more than k^2 times"
+            return normalize(seq)
+
+        monkeypatch.setattr(algebra, "normalize", counted)
+        star = frontier.star()
+        assert frontier.leq(star) and Rtef.one().leq(star)
+
+
+class TestCacheBounds:
+    def test_memo_caches_are_bounded(self):
+        assert algebra.leq_linear.cache_info().maxsize is not None
+        assert algebra.component_cells.cache_info().maxsize is not None
 
 
 class TestPrecedes:

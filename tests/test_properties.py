@@ -9,9 +9,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rtenergy import Atom, BOTTOM, Energy, Rtef, TIME_INF, Time, normalize, precedes
+from rtenergy import Atom, BOTTOM, Energy, Rtef, TIME_INF, Time, normalize
 from rtenergy.algebra import leq_linear
 from rtenergy.oracles import exact_schedule_value
+
+from helpers import precedes
 
 rates = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 2)])
 atoms = st.builds(
