@@ -476,26 +476,43 @@ def _violation_point(
 ) -> Optional[tuple[Fraction, Fraction]]:
     """A point of the strip where f is defined and beats every g, or None.
 
+    Each g is undefined below its feasibility line t = wait_g(x).  The strip
+    is cut further where two of these lines cross; on each piece they are
+    totally ordered, so the cells defined at height t are a prefix of that
+    order.  One system per prefix length k then decides the piece: the first
+    k cells lie strictly below f and t stays below the (k+1)-th line, where
+    every later cell is still undefined.  That is O(m^2) pieces times m + 1
+    systems for m cells of g.
+
     The strip's right edge is excluded: a violation exactly there reappears
     in the next strip with that strip's (correct) cell data, while here the
-    edge may sit on a feasibility jump of some g.
+    edge may sit on a feasibility jump of some g.  Inner cuts are closed on
+    both sides, where the order of the lines still holds by continuity.
     """
-    base = [
-        Constraint(ONE, ZERO, -lo),
+    crossings = {
+        (b.wait_c - a.wait_c) / (a.wait_x - b.wait_x)
+        for a, b in itertools.combinations(gcells, 2)
+        if a.wait_x != b.wait_x
+    }
+    cuts = [lo, *sorted(x for x in crossings if lo < x and (hi is None or x < hi)), hi]
+    f_cons = [
         Constraint(ZERO, ONE, ZERO),
         Constraint(-fc.wait_x, ONE, -fc.wait_c),
     ]
-    if hi is not None:
-        base.append(Constraint(-ONE, ZERO, hi, strict=True))
-    for picks in itertools.product((False, True), repeat=len(gcells)):
-        cons = list(base)
-        for gc, too_early in zip(gcells, picks):
-            if too_early:
-                # below g's feasibility boundary: t < wait_g(x)
+    for a, b in zip(cuts, cuts[1:]):
+        piece = [Constraint(ONE, ZERO, -a)]
+        if b is not None:
+            piece.append(Constraint(-ONE, ZERO, b, strict=b == hi))
+        mid = a + 1 if b is None else (a + b) / 2
+        order = sorted(gcells, key=lambda gc: gc.wait_x * mid + gc.wait_c)
+        below = []  # g defined but strictly below f: value_g < value_f
+        for k in range(len(order) + 1):
+            cons = piece + f_cons + below
+            if k < len(order):
+                gc = order[k]
+                # t < wait_g(x): this cell and every later one undefined
                 cons.append(Constraint(gc.wait_x, -ONE, gc.wait_c, strict=True))
-            else:
-                # g defined but strictly below f: value_g < value_f
-                cons.append(
+                below.append(
                     Constraint(
                         fc.value_x - gc.value_x,
                         fc.value_t - gc.value_t,
@@ -503,9 +520,9 @@ def _violation_point(
                         strict=True,
                     )
                 )
-        point = feasible_point(cons)
-        if point is not None:
-            return point
+            point = feasible_point(cons)
+            if point is not None:
+                return point
     return None
 
 

@@ -95,23 +95,20 @@ def _assemble(tl: RtefMatrix, tr: RtefMatrix, bl: RtefMatrix, br: RtefMatrix) ->
     return RtefMatrix.of(top + bottom)
 
 
-def mat_star(m: RtefMatrix, split: str = "first") -> RtefMatrix:
-    """Reflexive-transitive closure by block recursion.
+def mat_star(m: RtefMatrix) -> RtefMatrix:
+    """Reflexive-transitive closure by block recursion on the first row.
 
     With e = (a v b d* c)*, the closure is [[e, e b d*], [d* c e, d* v
     d* c e b d*]]; the two forms of the lower-right block agree in any
     Kleene algebra, and tests pin the result to the path-sum oracle.
-    ``split`` picks the pivot block (first row or half) and must not change
-    the result.
     """
     n = m.dim()
     if n == 1:
         return RtefMatrix.of([[m.rows[0][0].star()]])
-    k = 1 if split == "first" else max(1, n // 2)
-    a, b, c, d = _blocks(m, k)
-    dstar = mat_star(d, split)
+    a, b, c, d = _blocks(m, 1)
+    dstar = mat_star(d)
     bds = mat_mul(b, dstar)
-    estar = mat_star(mat_sup(a, mat_mul(bds, c)), split)
+    estar = mat_star(mat_sup(a, mat_mul(bds, c)))
     tr = mat_mul(estar, bds)
     bl = mat_mul(mat_mul(dstar, c), estar)
     br = mat_sup(dstar, mat_mul(bl, bds))

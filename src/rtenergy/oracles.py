@@ -12,12 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Atom, BOTTOM, Energy, LinearRtef, Rtef, Time, normalize
+from .algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, normalize
+from .linear2d import Constraint, feasible_point
 from .matrix import RtefMatrix, _blocks, mat_mul, mat_star, mat_sup
 from .model import RteaModel
 from .omega import OmegaVal, act, omega_of
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,44 @@ def star_subsets(f: Rtef) -> Rtef:
         for pick in itertools.combinations(loops, r):
             comps.append(normalize(tuple(a for c in pick for a in c.atoms)))
     return Rtef.of(comps).prune()
+
+
+def violation_point_subsets(
+    fc: Cell, gcells: list[Cell], lo: Fraction, hi: Optional[Fraction]
+) -> Optional[tuple[Fraction, Fraction]]:
+    """A point of the strip [lo, hi) where f is defined and beats every g,
+    or None, by trying every subset of the g cells as the undefined ones.
+
+    Makes up to 2^m ``feasible_point`` calls for m cells; the reference the
+    line sweep in ``algebra._violation_point`` is checked against.
+    """
+    base = [
+        Constraint(ONE, ZERO, -lo),
+        Constraint(ZERO, ONE, ZERO),
+        Constraint(-fc.wait_x, ONE, -fc.wait_c),
+    ]
+    if hi is not None:
+        base.append(Constraint(-ONE, ZERO, hi, strict=True))
+    for picks in itertools.product((False, True), repeat=len(gcells)):
+        cons = list(base)
+        for gc, too_early in zip(gcells, picks):
+            if too_early:
+                # below g's feasibility boundary: t < wait_g(x)
+                cons.append(Constraint(gc.wait_x, -ONE, gc.wait_c, strict=True))
+            else:
+                # g defined but strictly below f: value_g < value_f
+                cons.append(
+                    Constraint(
+                        fc.value_x - gc.value_x,
+                        fc.value_t - gc.value_t,
+                        fc.value_c - gc.value_c,
+                        strict=True,
+                    )
+                )
+        point = feasible_point(cons)
+        if point is not None:
+            return point
+    return None
 
 
 def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:

@@ -16,6 +16,7 @@ from rtenergy import (
     normalize,
     parse_model,
 )
+from rtenergy.matrix import RtefMatrix, _assemble, _blocks, mat_mul, mat_sup
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -45,6 +46,22 @@ def precedes(lhs: LinearRtef, rhs: LinearRtef) -> bool:
     if lhs.is_identity or rhs.is_identity:
         raise ValueError("the identity component has no final rate")
     return lhs.atoms[-1].rate <= rhs.atoms[-1].rate
+
+
+def mat_star_half(m: RtefMatrix) -> RtefMatrix:
+    """The block closure of ``rtenergy.mat_star`` pivoting on the upper half
+    instead of the first row; the pivot must not change the result."""
+    n = m.dim()
+    if n == 1:
+        return RtefMatrix.of([[m.rows[0][0].star()]])
+    a, b, c, d = _blocks(m, max(1, n // 2))
+    dstar = mat_star_half(d)
+    bds = mat_mul(b, dstar)
+    estar = mat_star_half(mat_sup(a, mat_mul(bds, c)))
+    tr = mat_mul(estar, bds)
+    bl = mat_mul(mat_mul(dstar, c), estar)
+    br = mat_sup(dstar, mat_mul(bl, bds))
+    return _assemble(estar, tr, bl, br)
 
 
 # the two loop functions from the worked closure example

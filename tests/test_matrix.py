@@ -31,6 +31,7 @@ from helpers import (
     F2,
     lin,
     load_model,
+    mat_star_half,
     rand_linear,
     rand_model_text,
     rtef,
@@ -132,7 +133,7 @@ class TestMatStar:
         for n in (3, 4):
             for _ in range(8):
                 m = rand_matrix(rng, n, fill=0.5)
-                assert entries_equal(mat_star(m, "first"), mat_star(m, "half"))
+                assert entries_equal(mat_star(m), mat_star_half(m))
 
     def test_satellite_entry(self):
         rep = to_matrix_rep(load_model("satellite.rtea"))

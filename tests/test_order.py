@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from rtenergy import BOTTOM, Energy, Rtef
+import rtenergy.algebra
 from rtenergy.algebra import leq_linear, order_witness
+from rtenergy.oracles import violation_point_subsets
 
 from helpers import (
     A,
@@ -112,3 +116,90 @@ class TestSampledSoundness:
         g = rtef(lin((Fraction(1, 2), 0, 0)), lin((2, -100, 100)))
         x, t = order_witness(f, g)
         assert f.eval(x, t) > g.eval(x, t)
+
+
+def line_set(rng, n):
+    """n single-atom lines: rate p/q, price -P, bound P + slack."""
+    comps = []
+    for _ in range(n):
+        price = rng.randint(0, 20)
+        rate = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        comps.append(lin((rate, -price, price + rng.randint(0, 15))))
+    return Rtef.of(comps)
+
+
+def order_pair(rng, case):
+    """Three generators in turn; the line sets put crossings of feasibility
+    lines inside strips."""
+    kind = case % 3
+    if kind == 0:
+        return rand_rtef(rng), rand_rtef(rng)
+    if kind == 1:
+        return rtef(rand_linear(rng)), Rtef.of(rand_linear(rng) for _ in range(rng.randint(2, 7)))
+    return line_set(rng, 1), line_set(rng, rng.randint(2, 7))
+
+
+def tangent_family(m):
+    """g: m tangents (s, -s^2/2) of a parabola as lines defined where they
+    are non-negative, so every pair of feasibility lines crosses; f: a line
+    through the kink between two neighbouring tangents with a slope strictly
+    between theirs, so f <= g holds but no single tangent covers f."""
+
+    def line(rate, price):
+        return lin((rate, price, -price))
+
+    s = [Fraction(i) for i in range(1, m + 1)]
+    g = Rtef.of(line(si, -si * si / 2) for si in s)
+    i = m // 2
+    kink = (s[i] + s[i + 1]) / 2
+    rate = s[i] + (s[i + 1] - s[i]) * Fraction(3, 8)
+    price = s[i] * kink - s[i] * s[i] / 2 - rate * kink
+    return rtef(line(rate, price)), g
+
+
+class TestLineSweep:
+    """``_violation_point`` sweeps the ordered feasibility lines; the old
+    search over every subset of undefined cells is the oracle."""
+
+    def test_against_subset_oracle(self, monkeypatch):
+        rng = random.Random(41)
+        holding = 0
+        for case in range(600):
+            f, g = order_pair(rng, case)
+            for lhs, rhs in ((f, g), (g, f)):
+                w = order_witness(lhs, rhs)
+                with monkeypatch.context() as patch:
+                    patch.setattr(rtenergy.algebra, "_violation_point", violation_point_subsets)
+                    w_oracle = order_witness(lhs, rhs)
+                # witnesses may differ; both must be genuine
+                assert (w is None) == (w_oracle is None), (lhs, rhs, w, w_oracle)
+                for point in (w, w_oracle):
+                    if point is not None:
+                        assert lhs.eval(*point) > rhs.eval(*point)
+                holding += w is None
+        assert 0 < holding < 1200
+
+    def test_crossing_inside_strip(self):
+        f = rtef(lin((Fraction(11, 3), -14, 18)))
+        g = rtef(
+            lin((Fraction(9, 4), -5, 16)),
+            lin((Fraction(5, 2), -13, 27)),
+            lin((11, -20, 27)),
+        )
+        assert order_witness(f, g) is None
+
+    def test_feasible_point_calls_polynomial(self, monkeypatch):
+        m = 12
+        f, g = tangent_family(m)
+        calls = 0
+        solve = rtenergy.algebra.feasible_point
+
+        def counted(cons):
+            nonlocal calls
+            calls += 1
+            if calls > m**3:
+                pytest.fail(f"more than {m**3} feasible_point calls")
+            return solve(cons)
+
+        monkeypatch.setattr(rtenergy.algebra, "feasible_point", counted)
+        assert order_witness(f, g) is None
