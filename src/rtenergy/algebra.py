@@ -21,8 +21,9 @@ from .rational import parse_rational
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Entry bounds of the process-lifetime memo caches, above the largest working
-# sets one pass of the perfbench reach_random workload needs (~82k, ~10k).
+# Entry bounds of the process-lifetime memo caches, well above the largest
+# working sets one pass of a perfbench workload needs (15,711 and 2,711 on
+# buchi_random at seed 1; reach_random needs 5,305 and 1,417).
 LEQ_LINEAR_CACHE_SIZE = 2**17
 COMPONENT_CELLS_CACHE_SIZE = 2**14
 

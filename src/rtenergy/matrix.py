@@ -192,14 +192,44 @@ class AutomatonRep:
 
 
 def finite_behavior(rep: AutomatonRep) -> Rtef:
-    """Best finite run: supremum of closure entries from initial to accepting."""
-    star = mat_star(rep.matrix)
-    out = Rtef.bottom()
-    for i, init in enumerate(rep.alpha):
-        if not init:
+    """Best finite run alpha . M* . kappa, solved from the goal backwards.
+
+    The column y = M* kappa is the least solution of y = kappa v M y.  Each
+    non-initial state p is eliminated, in reverse index order, by Arden's
+    rule y_p = M[p][p]* (kappa_p v sup_j M[p][j] y_j), which folds
+    M[i][p] M[p][p]* into the rows of its live predecessors i.  Only the
+    initial block is left; it is closed with ``mat_star`` and read off
+    against y.  No full closure is built and nothing recurses per state.
+    """
+    m = [list(row) for row in rep.matrix.rows]
+    n = len(m)
+    initial = [i for i in range(n) if rep.alpha[i]]
+    if not initial or rep.accepting_count == 0:
+        return Rtef.bottom()
+    y = [Rtef.one() if j < rep.accepting_count else Rtef.bottom() for j in range(n)]
+    live = list(range(n))
+    for p in reversed(range(n)):
+        if rep.alpha[p]:
             continue
-        for j in range(rep.accepting_count):
-            out = out.sup(star.rows[i][j])
+        live.remove(p)
+        row, loop = m[p], m[p][p]
+        s = loop.star()
+        # without a self-loop s is the identity, and composing with it is a no-op
+        succ = [(j, row[j] if loop.is_empty else s.compose(row[j])) for j in live if not row[j].is_empty]
+        yp = y[p] if loop.is_empty else s.compose(y[p])
+        for i in live:
+            f = m[i][p]
+            if f.is_empty:
+                continue
+            for j, g in succ:
+                m[i][j] = m[i][j].sup(f.compose(g))
+            if not yp.is_empty:
+                y[i] = y[i].sup(f.compose(yp))
+    star = mat_star(RtefMatrix.of([[m[a][b] for b in initial] for a in initial]))
+    out = Rtef.bottom()
+    for srow in star.rows:
+        for f, b in zip(srow, initial):
+            out = out.sup(f.compose(y[b]))
     return out
 
 

@@ -253,10 +253,13 @@ def to_matrix_rep(model: RteaModel) -> AutomatonRep:
     names = list(model.state_names)
     order = [n for n in names if n in accepting] + [n for n in names if n not in accepting]
     index = {n: i for i, n in enumerate(order)}
-    buckets: list[list[list[LinearRtef]]] = [[[] for _ in order] for _ in order]
+    rate = dict(model.states)
+    buckets: dict[tuple[int, int], list[LinearRtef]] = {}
     for tr in model.transitions:
-        a = Atom(model.rate_of(tr.src), tr.price, tr.bound)
-        buckets[index[tr.src]][index[tr.dst]].append(LinearRtef((a,)))
-    rows = [[Rtef.of(cell).prune() for cell in row] for row in buckets]
+        a = Atom(rate[tr.src], tr.price, tr.bound)
+        buckets.setdefault((index[tr.src], index[tr.dst]), []).append(LinearRtef((a,)))
+    rows = [[Rtef.bottom()] * len(order) for _ in order]
+    for (i, j), cell in buckets.items():
+        rows[i][j] = Rtef.of(cell).prune()
     alpha = tuple(name == model.initial for name in order)
     return AutomatonRep(alpha, RtefMatrix.of(rows), len(accepting), tuple(order))

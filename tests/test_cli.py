@@ -1,6 +1,7 @@
 """Command-line surface: answers, exit codes, JSON determinism, exports."""
 
 import json
+from time import perf_counter
 
 from rtenergy.cli import main
 
@@ -88,6 +89,27 @@ class TestCheck:
         )
         report = json.loads(out)
         assert report["oracle"]["skipped"]
+
+
+class TestDeepModel:
+    def test_long_chain_reach(self, tmp_path, capsys):
+        # one state per step, so a solver recursing once per state would
+        # exceed Python's default recursion limit
+        n = 1200
+        lines = ["rtea {"]
+        for i in range(n):
+            flags = " initial" if i == 0 else " accepting" if i == n - 1 else ""
+            lines.append(f"  state s{i} rate 1{flags};")
+        lines += [f"  trans s{i} -> s{i + 1} price -1 bound 1;" for i in range(n - 1)]
+        path = tmp_path / "chain.rtea"
+        path.write_text("\n".join(lines + ["}"]))
+        t0 = perf_counter()
+        code, out, _ = run(capsys, "check", "reach", "--model", str(path), "--x0", "1199", "--time", "0")
+        assert perf_counter() - t0 < 30
+        assert code == 0
+        assert json.loads(out)["value"] == "0"
+        code, _, _ = run(capsys, "check", "reach", "--model", str(path), "--x0", "1198", "--time", "0")
+        assert code == 1
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 """Matrix closure, infinite iteration, and automaton behaviors."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -25,10 +26,12 @@ from rtenergy import (
 )
 import rtenergy.matrix
 from rtenergy.oracles import DpConfig, dp_lower_bound, mat_omega_recursive, truncated_path_sum
+from rtenergy.regions import function_json
 
 from helpers import (
     F1,
     F2,
+    MODELS,
     lin,
     load_model,
     mat_star_half,
@@ -266,6 +269,81 @@ class TestBehaviors:
         third = finite_behavior(AutomatonRep((False, False, True), m, 1))
         for x, t in sample_points():
             assert both.eval(x, t) == max(second.eval(x, t), third.eval(x, t))
+
+
+def closure_row(rep: AutomatonRep) -> Rtef:
+    """The closure reading of finite behavior: sup of mat_star(M)[i][j] over
+    initial i and accepting j."""
+    star = mat_star(rep.matrix)
+    out = Rtef.bottom()
+    for i, init in enumerate(rep.alpha):
+        if init:
+            for j in range(rep.accepting_count):
+                out = out.sup(star.rows[i][j])
+    return out
+
+
+class TestGoalReach:
+    """finite_behavior by state elimination against the full closure row."""
+
+    def test_agrees_with_closure_row(self):
+        # n = 1..8; accepting count 0, 1 (the last state), some, all in turn
+        rng = random.Random(2026)
+        equal = 0
+        for i in range(160):
+            n = rng.randint(1, 8)
+            accepting = ((), None, rng.sample(range(n), rng.randint(1, n)), range(n))[i % 4]
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+            got = finite_behavior(rep)
+            want = closure_row(rep)
+            assert got.leq(want) and want.leq(got)
+            equal += got == want
+        print(f"finite_behavior == closure row on {equal} of 160 models")
+        assert equal == 160
+
+    def test_several_initial_states(self):
+        rng = random.Random(2027)
+        for _ in range(30):
+            n = rng.randint(3, 4)
+            starts = rng.sample(range(n), rng.randint(2, 3))
+            alpha = tuple(i in starts for i in range(n))
+            rep = AutomatonRep(alpha, rand_matrix(rng, n, fill=0.4), rng.randint(1, n))
+            got = finite_behavior(rep)
+            want = closure_row(rep)
+            assert got.leq(want) and want.leq(got)
+
+    def test_degenerate_reps_are_bottom(self):
+        m = rand_matrix(random.Random(2028), 3)
+        assert finite_behavior(AutomatonRep((False,) * 3, m, 2)) == Rtef.bottom()
+        assert finite_behavior(AutomatonRep((True, False, False), m, 0)) == Rtef.bottom()
+
+    def test_bundled_models_export_identically(self):
+        for path in sorted(MODELS.glob("*.rtea")):
+            rep = to_matrix_rep(load_model(path.name))
+            got = json.dumps(function_json(finite_behavior(rep)))
+            assert got == json.dumps(function_json(closure_row(rep))), path.name
+
+    def test_closes_only_the_initial_block(self, monkeypatch):
+        n = 10
+        dims = []
+        composes = []
+        real_star = rtenergy.matrix.mat_star
+        real_compose = Rtef.compose
+
+        def counting_star(m):
+            dims.append(m.dim())
+            return real_star(m)
+
+        def counting_compose(f, g):
+            composes.append(1)
+            return real_compose(f, g)
+
+        rep = to_matrix_rep(parse_model(rand_model_text(random.Random(10), n)))
+        monkeypatch.setattr(rtenergy.matrix, "mat_star", counting_star)
+        monkeypatch.setattr(Rtef, "compose", counting_compose)
+        finite_behavior(rep)
+        assert dims and set(dims) == {sum(rep.alpha)}
+        assert len(composes) < n**3 / 2
 
 
 class TestBuchiStructuralCrossCheck:
