@@ -22,8 +22,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
-# working sets one pass of a perfbench workload needs (15,711 and 2,711 on
-# buchi_random at seed 1; reach_random needs 5,305 and 1,417).
+# working sets one pass of a perfbench workload needs (5,305 and 1,417 on
+# reach_random at seed 1; buchi_random needs 1,225 and 411).
 LEQ_LINEAR_CACHE_SIZE = 2**17
 COMPONENT_CELLS_CACHE_SIZE = 2**14
 

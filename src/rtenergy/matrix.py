@@ -1,4 +1,4 @@
-"""Matrix layer: block star recursion, lasso-form omega and automaton behaviors."""
+"""Matrix layer: closure and automaton behaviors by iterative state elimination."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from .omega import OmegaVal, act, omega_of
 
 @dataclass(frozen=True)
 class RtefMatrix:
-    """A matrix of energy functions; blocks taken during recursion may be
-    rectangular, automaton matrices are square."""
+    """A matrix of energy functions; products may be rectangular, automaton
+    matrices are square."""
 
     rows: tuple[tuple[Rtef, ...], ...]
 
@@ -75,93 +75,87 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(out)
 
 
-def _block(m: RtefMatrix, r0: int, r1: int, c0: int, c1: int) -> RtefMatrix:
-    return RtefMatrix.of([m.rows[i][c0:c1] for i in range(r0, r1)])
+def _eliminate(m: list[list[Rtef]], p: int, rows: Sequence[int], cols: Sequence[int]):
+    """One step of state elimination by Arden's rule, in place on ``m``.
 
-
-def _blocks(m: RtefMatrix, k: int):
-    n = m.dim()
-    return (
-        _block(m, 0, k, 0, k),
-        _block(m, 0, k, k, n),
-        _block(m, k, n, 0, k),
-        _block(m, k, n, k, n),
-    )
-
-
-def _assemble(tl: RtefMatrix, tr: RtefMatrix, bl: RtefMatrix, br: RtefMatrix) -> RtefMatrix:
-    top = [ra + rb for ra, rb in zip(tl.rows, tr.rows)]
-    bottom = [ra + rb for ra, rb in zip(bl.rows, br.rows)]
-    return RtefMatrix.of(top + bottom)
+    Stars the pivot, s = m[p][p]*, scales its row to s . m[p][j] for the
+    ``cols`` whose entry is not bottom, and folds m[i][p] . s . m[p][j] into
+    m[i][j] for the ``rows`` with m[i][p] not bottom.  Returns s, the scaled
+    row and those predecessors as (index, m[i][p]) pairs.  Without a
+    self-loop s is the identity, and composing with it is a no-op.
+    """
+    loop, row = m[p][p], m[p]
+    s = loop.star()
+    succ = [(j, row[j] if loop.is_empty else s.compose(row[j])) for j in cols if not row[j].is_empty]
+    preds = [(i, m[i][p]) for i in rows if not m[i][p].is_empty]
+    for i, f in preds:
+        mi = m[i]
+        for j, g in succ:
+            mi[j] = mi[j].sup(f.compose(g))
+    return s, succ, preds
 
 
 def mat_star(m: RtefMatrix) -> RtefMatrix:
-    """Reflexive-transitive closure by block recursion on the first row.
+    """Reflexive-transitive closure by in-place Gauss-Jordan elimination.
 
-    With e = (a v b d* c)*, the closure is [[e, e b d*], [d* c e, d* v
-    d* c e b d*]]; the two forms of the lower-right block agree in any
-    Kleene algebra, and tests pin the result to the path-sum oracle.
+    Pivot p replaces m[p][p] by s = m[p][p]*, its row by s . m[p][j] and its
+    column by m[i][p] . s, after folding m[i][p] . s . m[p][j] into every
+    other entry; afterwards m[i][j] holds the paths from i to j through the
+    pivots so far.  On a 1x1 matrix this is exactly the star of the entry.
     """
+    a = [list(row) for row in m.rows]
     n = m.dim()
-    if n == 1:
-        return RtefMatrix.of([[m.rows[0][0].star()]])
-    a, b, c, d = _blocks(m, 1)
-    dstar = mat_star(d)
-    bds = mat_mul(b, dstar)
-    estar = mat_star(mat_sup(a, mat_mul(bds, c)))
-    tr = mat_mul(estar, bds)
-    bl = mat_mul(mat_mul(dstar, c), estar)
-    br = mat_sup(dstar, mat_mul(bl, bds))
-    return _assemble(estar, tr, bl, br)
-
-
-def _lasso_omega(s: RtefMatrix) -> tuple[OmegaVal, ...]:
-    """Entrywise infinite iteration, every state significant: an endless run
-    visits some state j infinitely often, so it is a path to j followed by
-    endless loops j -> j."""
-    n = s.dim()
-    sstar = mat_star(s)
-    loops = []
-    for j in range(n):
-        loop = Rtef.bottom()
-        for l in range(n):
-            loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
-        loops.append(omega_of(loop))
-    return _act_rows(sstar, loops)
-
-
-def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:
-    """Entry i is the supremum over j of m[i][j] acting on vals[j]."""
-    out = []
-    for row in m.rows:
-        v = OmegaVal.false()
-        for f, w in zip(row, vals):
-            v = v.sup(act(f, w))
-        out.append(v)
-    return tuple(out)
+    for p in range(n):
+        others = [q for q in range(n) if q != p]
+        s, succ, preds = _eliminate(a, p, others, others)
+        for j, g in succ:
+            a[p][j] = g
+        if not a[p][p].is_empty:
+            for i, f in preds:
+                a[i][p] = f.compose(s)
+        a[p][p] = s
+    return RtefMatrix.of(a)
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     """Per-state truth of visiting the first ``k`` states infinitely often.
 
-    With k < n the rest is eliminated first: the significant block is
-    S = a v b d* c, whose entries are paths between accepting states through
-    excursions into the rest.  On S the lasso form applies, one closure S*
-    plus one ``omega_of`` per accepting j:
-    S^omega[i] = sup_j S*[i][j] . ((S S*)[j][j])^omega.  The remaining
-    entries first route into S through d* c.
+    One forward pass eliminates the non-accepting states, then the accepting
+    ones.  When p goes, m[p][p] holds its loops through the states gone
+    before it, and w[p] the endless runs that leave p into them for good, so
+    v_p = m[p][p]* . w[p], plus m[p][p]^omega when p accepts, covers every
+    endless run from p that stays among p and the earlier states; each live
+    predecessor i gains m[i][p] . v_p in w[i].  This misses no run: let j be
+    the last-eliminated accepting state it visits infinitely often; from
+    some point on it stays among j and the states gone before j.  A
+    backward pass then sets z_p = v_p v sup_j (s . m[p][j]) . z_j over the
+    states j still live when p went.  No closure is built and nothing
+    recurses per state.
     """
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
-    if k == n:
-        return _lasso_omega(m)
-    a, b, c, d = _blocks(m, k)
-    dstar = mat_star(d)
-    head = _lasso_omega(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
-    return (*head, *_act_rows(mat_mul(dstar, c), head))
+    a = [list(row) for row in m.rows]
+    w = [OmegaVal.false()] * n
+    order = [*range(k, n), *range(k)]
+    steps = []
+    for t, p in enumerate(order):
+        rest = order[t + 1:]
+        s, succ, preds = _eliminate(a, p, rest, rest)
+        v = act(s, w[p])
+        if p < k:
+            v = v.sup(omega_of(a[p][p]))
+        for i, f in preds:
+            w[i] = w[i].sup(act(f, v))
+        steps.append((p, v, succ))
+    z = [OmegaVal.false()] * n
+    for p, v, succ in reversed(steps):
+        for j, g in succ:
+            v = v.sup(act(g, z[j]))
+        z[p] = v
+    return tuple(z)
 
 
 @dataclass(frozen=True)
@@ -212,18 +206,10 @@ def finite_behavior(rep: AutomatonRep) -> Rtef:
         if rep.alpha[p]:
             continue
         live.remove(p)
-        row, loop = m[p], m[p][p]
-        s = loop.star()
-        # without a self-loop s is the identity, and composing with it is a no-op
-        succ = [(j, row[j] if loop.is_empty else s.compose(row[j])) for j in live if not row[j].is_empty]
-        yp = y[p] if loop.is_empty else s.compose(y[p])
-        for i in live:
-            f = m[i][p]
-            if f.is_empty:
-                continue
-            for j, g in succ:
-                m[i][j] = m[i][j].sup(f.compose(g))
-            if not yp.is_empty:
+        s, _, preds = _eliminate(m, p, live, live)
+        yp = y[p] if m[p][p].is_empty else s.compose(y[p])
+        if not yp.is_empty:
+            for i, f in preds:
                 y[i] = y[i].sup(f.compose(yp))
     star = mat_star(RtefMatrix.of([[m[a][b] for b in initial] for a in initial]))
     out = Rtef.bottom()

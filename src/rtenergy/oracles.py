@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, normalize
 from .linear2d import Constraint, feasible_point
-from .matrix import RtefMatrix, _blocks, mat_mul, mat_star, mat_sup
+from .matrix import RtefMatrix, mat_mul, mat_sup
 from .model import RteaModel
 from .omega import OmegaVal, act, omega_of
 
@@ -284,31 +284,102 @@ def violation_point_subsets(
     return None
 
 
-def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often,
-    by the first-row block recursion into both sub-blocks.
+def _blocks(m: RtefMatrix, k: int):
+    """The four blocks of ``m`` split after its first ``k`` rows and columns."""
+    return (
+        RtefMatrix.of([r[:k] for r in m.rows[:k]]),
+        RtefMatrix.of([r[k:] for r in m.rows[:k]]),
+        RtefMatrix.of([r[:k] for r in m.rows[k:]]),
+        RtefMatrix.of([r[k:] for r in m.rows[k:]]),
+    )
 
-    Makes 3 * 2^(k-1) - 2 ``omega_of`` calls; the reference the lasso form in
-    ``matrix.mat_omega_accepting`` is checked against.
+
+def _assemble(tl: RtefMatrix, tr: RtefMatrix, bl: RtefMatrix, br: RtefMatrix) -> RtefMatrix:
+    top = [ra + rb for ra, rb in zip(tl.rows, tr.rows)]
+    bottom = [ra + rb for ra, rb in zip(bl.rows, br.rows)]
+    return RtefMatrix.of(top + bottom)
+
+
+def mat_star_blocks(m: RtefMatrix) -> RtefMatrix:
+    """Reflexive-transitive closure by block recursion on the first row.
+
+    With e = (a v b d* c)*, the closure is [[e, e b d*], [d* c e, d* v
+    d* c e b d*]].  Recurses once per state; the reference the Gauss-Jordan
+    ``matrix.mat_star`` is checked against.
     """
+    n = m.dim()
+    if n == 1:
+        return RtefMatrix.of([[m.rows[0][0].star()]])
+    a, b, c, d = _blocks(m, 1)
+    dstar = mat_star_blocks(d)
+    bds = mat_mul(b, dstar)
+    estar = mat_star_blocks(mat_sup(a, mat_mul(bds, c)))
+    tr = mat_mul(estar, bds)
+    bl = mat_mul(mat_mul(dstar, c), estar)
+    br = mat_sup(dstar, mat_mul(bl, bds))
+    return _assemble(estar, tr, bl, br)
+
+
+def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:
+    """Entry i is the supremum over j of m[i][j] acting on vals[j]."""
+    out = []
+    for row in m.rows:
+        v = OmegaVal.false()
+        for f, w in zip(row, vals):
+            v = v.sup(act(f, w))
+        out.append(v)
+    return tuple(out)
+
+
+def _significant(m: RtefMatrix, k: int, omega_all) -> tuple[OmegaVal, ...]:
+    """Eliminate the states after the first ``k`` into the significant block
+    S = a v b d* c, take ``omega_all`` of S, and route the rest into it
+    through d* c."""
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
     if k == n:
-        return _omega_all_significant(m)
+        return omega_all(m)
     a, b, c, d = _blocks(m, k)
-    dstar = mat_star(d)
-    head = _omega_all_significant(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
-    route = mat_mul(dstar, c)
-    tail = []
-    for i in range(n - k):
-        v = OmegaVal.false()
-        for j in range(k):
-            v = v.sup(act(route.rows[i][j], head[j]))
-        tail.append(v)
-    return (*head, *tail)
+    dstar = mat_star_blocks(d)
+    head = omega_all(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
+    return (*head, *_act_rows(mat_mul(dstar, c), head))
+
+
+def mat_omega_lasso(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
+    """Per-state truth of visiting the first ``k`` states infinitely often,
+    by the lasso form on the significant block S: one closure S* plus one
+    ``omega_of`` per accepting j, S^omega[i] = sup_j S*[i][j] .
+    ((S S*)[j][j])^omega.  A reference for ``matrix.mat_omega_accepting``.
+    """
+    return _significant(m, k, _lasso_all_significant)
+
+
+def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
+    # an endless run visits some state j infinitely often, so it is a path
+    # to j followed by endless loops j -> j
+    n = s.dim()
+    sstar = mat_star_blocks(s)
+    loops = []
+    for j in range(n):
+        loop = Rtef.bottom()
+        for l in range(n):
+            loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
+        loops.append(omega_of(loop))
+    return _act_rows(sstar, loops)
+
+
+def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
+    """Per-state truth of visiting the first ``k`` states infinitely often,
+    by the first-row block recursion into both sub-blocks of the significant
+    block.
+
+    Makes 3 * 2^(k-1) - 2 ``omega_of`` calls; a reference for
+    ``matrix.mat_omega_accepting``.
+    """
+    return _significant(m, k, _omega_all_significant)
 
 
 def _omega_all_significant(m: RtefMatrix) -> tuple[OmegaVal, ...]:
@@ -317,7 +388,7 @@ def _omega_all_significant(m: RtefMatrix) -> tuple[OmegaVal, ...]:
         return (omega_of(m.rows[0][0]),)
     a, b, c, d = _blocks(m, 1)
     a00 = a.rows[0][0]
-    dstar = mat_star(d)
+    dstar = mat_star_blocks(d)
     bds = mat_mul(b, dstar)
     f = a00.sup(mat_mul(bds, c).rows[0][0])
     head = omega_of(f)
@@ -326,7 +397,7 @@ def _omega_all_significant(m: RtefMatrix) -> tuple[OmegaVal, ...]:
         head = head.sup(act(frow.rows[0][j], w))
     g = mat_sup(d, mat_mul(mat_mul(c, RtefMatrix.of([[a00.star()]])), b))
     gomega = _omega_all_significant(g)
-    gcol = mat_mul(mat_star(g), c)
+    gcol = mat_mul(mat_star_blocks(g), c)
     a_omega = omega_of(a00)
     tail = tuple(
         gomega[i].sup(act(gcol.rows[i][0], a_omega)) for i in range(n - 1)

@@ -16,7 +16,8 @@ from rtenergy import (
     normalize,
     parse_model,
 )
-from rtenergy.matrix import RtefMatrix, _assemble, _blocks, mat_mul, mat_sup
+from rtenergy.matrix import RtefMatrix, mat_mul, mat_sup
+from rtenergy.oracles import _assemble, _blocks
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -49,8 +50,9 @@ def precedes(lhs: LinearRtef, rhs: LinearRtef) -> bool:
 
 
 def mat_star_half(m: RtefMatrix) -> RtefMatrix:
-    """The block closure of ``rtenergy.mat_star`` pivoting on the upper half
-    instead of the first row; the pivot must not change the result."""
+    """The block closure of ``rtenergy.oracles.mat_star_blocks`` pivoting on
+    the upper half instead of the first row; the pivot must not change the
+    result."""
     n = m.dim()
     if n == 1:
         return RtefMatrix.of([[m.rows[0][0].star()]])

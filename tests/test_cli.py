@@ -3,7 +3,10 @@
 import json
 from time import perf_counter
 
+from rtenergy import Rtef, parse_model, to_matrix_rep
 from rtenergy.cli import main
+from rtenergy.oracles import mat_star_blocks
+from rtenergy.regions import function_json
 
 from helpers import MODELS
 
@@ -91,18 +94,23 @@ class TestCheck:
         assert report["oracle"]["skipped"]
 
 
+def write_chain(tmp_path, *extra: str) -> str:
+    """A 1,200-state chain, one state per step, so a solver recursing once
+    per state would exceed Python's default recursion limit."""
+    n = 1200
+    lines = ["rtea {"]
+    for i in range(n):
+        flags = " initial" if i == 0 else " accepting" if i == n - 1 else ""
+        lines.append(f"  state s{i} rate 1{flags};")
+    lines += [f"  trans s{i} -> s{i + 1} price -1 bound 1;" for i in range(n - 1)]
+    path = tmp_path / "chain.rtea"
+    path.write_text("\n".join([*lines, *extra, "}"]))
+    return str(path)
+
+
 class TestDeepModel:
     def test_long_chain_reach(self, tmp_path, capsys):
-        # one state per step, so a solver recursing once per state would
-        # exceed Python's default recursion limit
-        n = 1200
-        lines = ["rtea {"]
-        for i in range(n):
-            flags = " initial" if i == 0 else " accepting" if i == n - 1 else ""
-            lines.append(f"  state s{i} rate 1{flags};")
-        lines += [f"  trans s{i} -> s{i + 1} price -1 bound 1;" for i in range(n - 1)]
-        path = tmp_path / "chain.rtea"
-        path.write_text("\n".join(lines + ["}"]))
+        path = write_chain(tmp_path)
         t0 = perf_counter()
         code, out, _ = run(capsys, "check", "reach", "--model", str(path), "--x0", "1199", "--time", "0")
         assert perf_counter() - t0 < 30
@@ -110,6 +118,18 @@ class TestDeepModel:
         assert json.loads(out)["value"] == "0"
         code, _, _ = run(capsys, "check", "reach", "--model", str(path), "--x0", "1198", "--time", "0")
         assert code == 1
+
+    def test_long_chain_buchi(self, tmp_path, capsys):
+        # a free self-loop on the last state: an endless run needs exactly
+        # the 1,199 units the chain consumes at time 0
+        path = write_chain(tmp_path, "  trans s1199 -> s1199 price 0 bound 0;")
+        t0 = perf_counter()
+        code, out, _ = run(capsys, "check", "buchi", "--model", path, "--x0", "1199", "--time", "0")
+        assert code == 0
+        assert json.loads(out)["answer"] is True
+        code, _, _ = run(capsys, "check", "buchi", "--model", path, "--x0", "1198", "--time", "0")
+        assert code == 1
+        assert perf_counter() - t0 < 30
 
 
 class TestEval:
@@ -146,6 +166,24 @@ class TestDump:
         report = json.loads(out)
         hub = report["states"].index("hub")
         assert len(report["entries"][hub][hub]["components"]) == 4
+
+    def test_bytes_match_block_closure(self, capsys):
+        # the closure and the closure-row reading of behavior, both from the
+        # block recursion, give the exact bytes of both exports
+        for path in sorted(MODELS.glob("*.rtea")):
+            rep = to_matrix_rep(parse_model(path.read_text(encoding="utf-8")))
+            star = mat_star_blocks(rep.matrix)
+            entries = [[function_json(f) for f in row] for row in star.rows]
+            want_star = json.dumps({"states": list(rep.state_names), "entries": entries})
+            behavior = Rtef.bottom()
+            for i, init in enumerate(rep.alpha):
+                for j in range(rep.accepting_count if init else 0):
+                    behavior = behavior.sup(star.rows[i][j])
+            want_behavior = json.dumps(function_json(behavior))
+            _, out, _ = run(capsys, "dump", "--model", str(path), "--what", "star")
+            assert out == want_star + "\n", path.name
+            _, out, _ = run(capsys, "dump", "--model", str(path), "--what", "behavior")
+            assert out == want_behavior + "\n", path.name
 
 
 class TestNormalize:

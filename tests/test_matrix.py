@@ -10,6 +10,7 @@ from rtenergy import (
     AutomatonRep,
     BOTTOM,
     Energy,
+    OmegaVal,
     Rtef,
     RtefMatrix,
     TIME_INF,
@@ -25,7 +26,14 @@ from rtenergy import (
     to_matrix_rep,
 )
 import rtenergy.matrix
-from rtenergy.oracles import DpConfig, dp_lower_bound, mat_omega_recursive, truncated_path_sum
+from rtenergy.oracles import (
+    DpConfig,
+    dp_lower_bound,
+    mat_omega_lasso,
+    mat_omega_recursive,
+    mat_star_blocks,
+    truncated_path_sum,
+)
 from rtenergy.regions import function_json
 
 from helpers import (
@@ -138,6 +146,14 @@ class TestMatStar:
                 m = rand_matrix(rng, n, fill=0.5)
                 assert entries_equal(mat_star(m), mat_star_half(m))
 
+    def test_gauss_jordan_equals_block_recursion(self):
+        # the six bundled models, then n = 1..8 random models
+        reps = [to_matrix_rep(load_model(p.name)) for p in sorted(MODELS.glob("*.rtea"))]
+        rng = random.Random(99)
+        reps += [to_matrix_rep(parse_model(rand_model_text(rng, rng.randint(1, 8)))) for _ in range(120)]
+        for rep in reps:
+            assert mat_star(rep.matrix) == mat_star_blocks(rep.matrix)
+
     def test_satellite_entry(self):
         rep = to_matrix_rep(load_model("satellite.rtea"))
         star = mat_star(rep.matrix)
@@ -176,7 +192,8 @@ class TestMatOmega:
 
 
 class TestLassoOmega:
-    """The lasso form against the block recursion it replaced."""
+    """mat_omega_accepting against the block recursion, and one omega_of
+    per accepting state."""
 
     def test_agrees_with_block_recursion(self):
         # every third model has one, two or all states accepting
@@ -206,6 +223,87 @@ class TestLassoOmega:
         assert rep.accepting_count == n
         mat_omega_accepting(rep.matrix, n)
         assert len(calls) == n
+
+
+def omega_agree(got, want) -> bool:
+    return got.support.leq(want.support) and want.support.leq(got.support) and got.threshold == want.threshold
+
+
+class TestBuchiElimination:
+    """mat_omega_accepting by one elimination pass against both omega oracles."""
+
+    def test_agrees_with_both_oracles(self):
+        # n = 2..7; no, one, two or all states accepting in turn
+        rng = random.Random(2029)
+        for i in range(160):
+            n = rng.randint(2, 7)
+            accepting = ((), None, rng.sample(range(n), 2), range(n))[i % 4]
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+            k = rep.accepting_count
+            got = mat_omega_accepting(rep.matrix, k)
+            for oracle in (mat_omega_recursive, mat_omega_lasso):
+                want = oracle(rep.matrix, k)
+                assert len(got) == len(want) == n
+                assert all(omega_agree(g, w) for g, w in zip(got, want))
+
+    def test_several_initial_states(self):
+        rng = random.Random(2030)
+        for _ in range(30):
+            n = rng.randint(3, 4)
+            starts = rng.sample(range(n), rng.randint(2, 3))
+            alpha = tuple(i in starts for i in range(n))
+            rep = AutomatonRep(alpha, rand_matrix(rng, n, fill=0.4), rng.randint(1, n))
+            vec = mat_omega_lasso(rep.matrix, rep.accepting_count)
+            want = OmegaVal.false()
+            for i in starts:
+                want = want.sup(vec[i])
+            assert omega_agree(buchi_behavior(rep), want)
+
+    def test_loops_before_leaving_for_good(self):
+        # the run from p gains energy on loops p -> q -> p, then leaves for
+        # the free loop at a, which is eliminated before p
+        rep = to_matrix_rep(parse_model("""rtea {
+          state a rate 0 accepting;
+          state p rate 0 initial accepting;
+          state q rate 1;
+          trans a -> a price 0 bound 0;
+          trans p -> a price 0 bound 5;
+          trans p -> q price 0 bound 0;
+          trans q -> p price -1 bound 1;
+        }"""))
+        v = buchi_behavior(rep)
+        assert v.eval(Energy.of(0), Time.of(6)) is True
+        assert v.eval(Energy.of(0), Time.of(5)) is False
+        want = mat_omega_recursive(rep.matrix, rep.accepting_count)[rep.alpha.index(True)]
+        assert omega_agree(v, want)
+
+    def test_degenerate_reps_are_false(self):
+        m = rand_matrix(random.Random(2031), 3)
+        assert buchi_behavior(AutomatonRep((False,) * 3, m, 2)) == OmegaVal.false()
+        assert buchi_behavior(AutomatonRep((True, False, False), m, 0)) == OmegaVal.false()
+
+    def test_one_pass_without_closure(self, monkeypatch):
+        n = 10
+        omegas, stars, composes = [], [], []
+        real_compose = Rtef.compose
+
+        def counting_omega(f):
+            omegas.append(1)
+            return omega_of(f)
+
+        def counting_compose(f, g):
+            composes.append(1)
+            return real_compose(f, g)
+
+        rep = to_matrix_rep(parse_model(rand_model_text(random.Random(10), n, accepting=range(n))))
+        monkeypatch.setattr(rtenergy.matrix, "omega_of", counting_omega)
+        monkeypatch.setattr(rtenergy.matrix, "mat_star", lambda m: stars.append(m))
+        monkeypatch.setattr(Rtef, "compose", counting_compose)
+        buchi_behavior(rep)
+        print(f"buchi_behavior at n = {n}: {len(composes)} compose calls")
+        assert len(omegas) == n
+        assert stars == []
+        assert len(composes) <= n**3
 
 
 class TestBehaviors:
