@@ -12,6 +12,7 @@ from .algebra import (
     atom,
     leq_linear,
     normalize,
+    order_witness,
 )
 from .matrix import (
     AutomatonRep,
@@ -26,8 +27,7 @@ from .matrix import (
 from .model import ModelError, RteaModel, Transition, parse_model, serialize_model, to_matrix_rep
 from .omega import OmegaVal, act, omega_of
 from .rational import format_rational, parse_rational
-from .algebra import order_witness
-from .regions import RegionPiece, extract_regions, function_json, region_eval
+from .regions import extract_regions, function_json, region_eval
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "LinearRtef",
     "ModelError",
     "OmegaVal",
-    "RegionPiece",
     "Rtef",
     "RtefMatrix",
     "RteaModel",

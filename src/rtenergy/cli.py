@@ -9,44 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
-from .algebra import Energy, Time
+from .algebra import Atom, Energy, Time, normalize
 from .matrix import buchi_behavior, finite_behavior, mat_star
 from .model import ModelError, RteaModel, parse_model, to_matrix_rep
 from .oracles import DpConfig, buchi_unroll, dp_lower_bound
 from .rational import format_rational, parse_rational
-from .regions import component_json, function_json
-
-
-@dataclass(frozen=True)
-class Query:
-    """One decoded command-line question against one model file."""
-
-    kind: str  # reach | cover | buchi | eval | dump | normalize
-    model_path: str
-    x0: Optional[Fraction] = None
-    time: Optional[Time] = None
-    target: Optional[Fraction] = None
-    what: str = "behavior"
-    verify: bool = False
-
-    def __post_init__(self):
-        if self.kind == "cover" and self.target is None:
-            raise ValueError("cover requires --target")
-
-    def echo(self) -> dict:
-        out = {"kind": self.kind, "model": self.model_path}
-        if self.x0 is not None:
-            out["x0"] = format_rational(self.x0)
-        if self.time is not None:
-            out["time"] = self.time.text()
-        if self.target is not None:
-            out["target"] = format_rational(self.target)
-        return out
+from .regions import atoms_json, component_json, function_json
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,41 +70,41 @@ def _load(path: str) -> RteaModel:
 
 def _dispatch(args) -> int:
     if args.command == "dump":
-        return _run_dump(Query("dump", args.model, what=args.what))
+        return _run_dump(args.model, args.what)
     if args.command == "normalize":
-        return _run_normalize(Query("normalize", args.model))
+        return _run_normalize(args.model)
+    return _run_check(args)
+
+
+def _run_check(args) -> int:
     kind = args.kind if args.command == "check" else "eval"
-    query = Query(
-        kind,
-        args.model,
-        x0=parse_rational(args.x0),
-        time=Time.of(args.time),
-        target=parse_rational(args.target) if args.target is not None else None,
-        verify=args.verify,
-    )
-    return _run_check(query)
-
-
-def _run_check(q: Query) -> int:
-    model = _load(q.model_path)
+    x0 = parse_rational(args.x0)
+    horizon = Time.of(args.time)
+    target = parse_rational(args.target) if args.target is not None else None
+    if kind == "cover" and target is None:
+        raise ValueError("cover requires --target")
+    model = _load(args.model)
     rep = to_matrix_rep(model)
     report: dict = {}
-    if q.kind == "buchi":
-        answer = buchi_behavior(rep).eval(Energy.of(q.x0), q.time)
+    if kind == "buchi":
+        answer = buchi_behavior(rep).eval(Energy.of(x0), horizon)
         report["answer"] = answer
-        if not q.time.is_infinite:
+        if not horizon.is_infinite:
             report["note"] = "zeno: finite-horizon query asks for infinitely many jumps in bounded time"
     else:
-        value = finite_behavior(rep).eval(Energy.of(q.x0), q.time)
-        if q.kind == "cover":
-            answer = value.is_infinite or (value.is_finite and value.value >= q.target)
+        value = finite_behavior(rep).eval(Energy.of(x0), horizon)
+        if kind == "cover":
+            answer = value.is_infinite or (value.is_finite and value.value >= target)
         else:
             answer = not value.is_bottom
         report["answer"] = answer
         report["value"] = value.text()
-    if q.verify:
-        report["oracle"] = _oracle_report(q.kind, model, q.x0, q.time)
-    report["query"] = q.echo()
+    if args.verify:
+        report["oracle"] = _oracle_report(kind, model, x0, horizon)
+    query = {"kind": kind, "model": args.model, "x0": format_rational(x0), "time": horizon.text()}
+    if target is not None:
+        query["target"] = format_rational(target)
+    report["query"] = query
     print(json.dumps(report))
     return 0 if report["answer"] else 1
 
@@ -156,10 +127,9 @@ def _oracle_report(kind: str, model: RteaModel, x0: Fraction, horizon: Time) -> 
     return {"method": method, "delta": format_rational(cfg.delta), "value": value.text()}
 
 
-def _run_dump(q: Query) -> int:
-    model = _load(q.model_path)
-    rep = to_matrix_rep(model)
-    if q.what == "behavior":
+def _run_dump(path: str, what: str) -> int:
+    rep = to_matrix_rep(_load(path))
+    if what == "behavior":
         print(json.dumps(function_json(finite_behavior(rep))))
         return 0
     star = mat_star(rep.matrix)
@@ -171,29 +141,15 @@ def _run_dump(q: Query) -> int:
     return 0
 
 
-def _run_normalize(q: Query) -> int:
-    model = _load(q.model_path)
-    atoms = _chain_atoms(model)
-    from .algebra import normalize  # local import keeps cli deps obvious
-
-    normal = normalize(atoms)
-    out = {
-        "input": {
-            "atoms": [
-                [format_rational(a.rate), format_rational(a.price), format_rational(a.bound)]
-                for a in atoms
-            ]
-        },
-        "normalized": component_json(normal),
-    }
+def _run_normalize(path: str) -> int:
+    atoms = _chain_atoms(_load(path))
+    out = {"input": {"atoms": atoms_json(atoms)}, "normalized": component_json(normalize(atoms))}
     print(json.dumps(out))
     return 0
 
 
 def _chain_atoms(model: RteaModel):
     """Atoms along the unique path of a linear model, initial to accepting."""
-    from .algebra import Atom
-
     outgoing: dict[str, list] = {}
     for tr in model.transitions:
         outgoing.setdefault(tr.src, []).append(tr)

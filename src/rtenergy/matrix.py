@@ -43,9 +43,6 @@ class RtefMatrix:
     def n_cols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int) -> Rtef:
-        return self.rows[i][j]
-
     def dim(self) -> int:
         if self.n_rows != self.n_cols:
             raise ValueError("square matrix required")

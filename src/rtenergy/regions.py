@@ -1,124 +1,82 @@
 """Piecewise-affine descriptions of staircase components, for export.
 
-Each component splits the energy axis into strips; on a strip the component
-is defined above an affine feasibility boundary t = W(x) and evaluates to an
-affine form there.  The exporter emits exact rational coefficients so
-downstream consumers can plot or re-check behaviors without this library.
+Each component splits the energy axis into strips, the `algebra.Cell`s of
+`component_cells`; on a strip the component is defined above an affine
+feasibility boundary t = wait_x*x + wait_c and evaluates to an affine form
+there.  The exporter emits exact rational coefficients so downstream
+consumers can plot or re-check behaviors without this library.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from dataclasses import replace
 
-from .algebra import BOTTOM, INFINITY, Energy, LinearRtef, Rtef, Time, component_cells
+from .algebra import BOTTOM, INFINITY, Atom, Cell, Energy, LinearRtef, Rtef, Time, _active_cell, component_cells
 from .rational import format_rational
 
-ZERO = Fraction(0)
 
-
-@dataclass(frozen=True)
-class RegionPiece:
-    """One energy strip [x_low, x_high) with boundary t = W(x) and the affine
-    value coef_t*t + coef_x*x + const that applies where t >= max(0, W(x))."""
-
-    x_low: Fraction
-    x_high: Optional[Fraction]  # None = unbounded
-    feasible: bool
-    wait_slope: Fraction = ZERO
-    wait_at_low: Fraction = ZERO
-    coef_t: Fraction = ZERO
-    coef_x: Fraction = ZERO
-    const: Fraction = ZERO
-
-    def wait_at(self, x: Fraction) -> Fraction:
-        return max(ZERO, self.wait_at_low + self.wait_slope * (x - self.x_low))
-
-    def value_at(self, x: Fraction, t: Fraction) -> Fraction:
-        return self.coef_t * t + self.coef_x * x + self.const
-
-
-def extract_regions(l: LinearRtef) -> tuple[RegionPiece, ...]:
+def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
     """Strip decomposition of one component.
 
     The final two strips always share one affine value (the coefficient of x
     flattens to 1 past the second-to-last threshold), so they are emitted
     merged; the boundary of the merged strip clamps at zero.
     """
-    pieces = [_piece(c) for c in component_cells(l)]
-    if len(pieces) >= 2:
-        a, b = pieces[-2], pieces[-1]
-        if a.feasible and b.feasible and (a.coef_t, a.coef_x, a.const) == (b.coef_t, b.coef_x, b.const):
-            pieces[-2:] = [
-                RegionPiece(a.x_low, None, True, a.wait_slope, a.wait_at_low, a.coef_t, a.coef_x, a.const)
-            ]
-    return tuple(pieces)
+    cells = component_cells(l)
+    if len(cells) >= 2:
+        a, b = cells[-2:]
+        if a.feasible and b.feasible and (a.value_t, a.value_x, a.value_c) == (b.value_t, b.value_x, b.value_c):
+            return cells[:-2] + (replace(a, hi=None),)
+    return cells
 
 
-def _piece(cell) -> RegionPiece:
-    if not cell.feasible:
-        return RegionPiece(cell.lo, cell.hi, False)
-    return RegionPiece(
-        cell.lo,
-        cell.hi,
-        True,
-        cell.wait_x,
-        cell.wait_x * cell.lo + cell.wait_c,
-        cell.value_t,
-        cell.value_x,
-        cell.value_c,
-    )
-
-
-def region_eval(pieces: tuple[RegionPiece, ...], x: Energy, t: Time) -> Energy:
-    """Evaluate through the exported piece table; must agree with the greedy
+def region_eval(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:
+    """Evaluate through the exported strip table; must agree with the greedy
     evaluator everywhere (tested, not assumed)."""
     if x.is_bottom:
         return BOTTOM
     if x.is_infinite:
         return INFINITY
-    piece = next(
-        p for p in pieces if p.x_low <= x.value and (p.x_high is None or x.value < p.x_high)
-    )
-    if not piece.feasible:
+    c = _active_cell(cells, x.value)
+    if not c.feasible:
         return BOTTOM
     if t.is_infinite:
-        if piece.coef_t > 0:
+        if c.value_t > 0:
             return INFINITY
-        return Energy.of(piece.value_at(x.value, ZERO))
-    if t.value < piece.wait_at(x.value):
+        return Energy.of(c.value_x * x.value + c.value_c)
+    if t.value < c.wait_x * x.value + c.wait_c:
         return BOTTOM
-    return Energy.of(piece.value_at(x.value, t.value))
+    return Energy.of(c.value_t * t.value + c.value_x * x.value + c.value_c)
 
 
-def piece_json(p: RegionPiece) -> dict:
+def piece_json(c: Cell) -> dict:
     out = {
-        "x_low": format_rational(p.x_low),
-        "x_high": "inf" if p.x_high is None else format_rational(p.x_high),
+        "x_low": format_rational(c.lo),
+        "x_high": "inf" if c.hi is None else format_rational(c.hi),
     }
-    if not p.feasible:
+    if not c.feasible:
         out["infeasible"] = True
         return out
     out["boundary"] = {
-        "slope": format_rational(p.wait_slope),
-        "t_at_x_low": format_rational(p.wait_at_low),
+        "slope": format_rational(c.wait_x),
+        "t_at_x_low": format_rational(c.wait_x * c.lo + c.wait_c),
     }
     out["value"] = {
-        "t": format_rational(p.coef_t),
-        "x": format_rational(p.coef_x),
-        "c": format_rational(p.const),
+        "t": format_rational(c.value_t),
+        "x": format_rational(c.value_x),
+        "c": format_rational(c.value_c),
     }
     return out
 
 
+def atoms_json(atoms: tuple[Atom, ...]) -> list:
+    return [[format_rational(a.rate), format_rational(a.price), format_rational(a.bound)] for a in atoms]
+
+
 def component_json(l: LinearRtef) -> dict:
     return {
-        "atoms": [
-            [format_rational(a.rate), format_rational(a.price), format_rational(a.bound)]
-            for a in l.atoms
-        ],
-        "pieces": [piece_json(p) for p in extract_regions(l)],
+        "atoms": atoms_json(l.atoms),
+        "pieces": [piece_json(c) for c in extract_regions(l)],
     }
 
 

@@ -78,7 +78,7 @@ def test_criterion_3_star_golden():
     comp = normalize(F1.atoms + F2.atoms)
     assert comp == lin((0, 0, 30), (4, 0, 50), (5, -60, 60))
     pieces = [p for p in extract_regions(comp) if p.feasible]
-    assert [(p.coef_t, p.coef_x, p.const) for p in pieces] == [
+    assert [(p.value_t, p.value_x, p.value_c) for p in pieces] == [
         (Fraction(5), Fraction(5, 4), Fraction(-145, 2)),
         (Fraction(5), Fraction(1), Fraction(-60)),
     ]

@@ -277,3 +277,94 @@ class TestContract:
             assert run(capsys, *args)[0] == 1, args
         for args in error:
             assert run(capsys, *args)[0] == 2, args
+
+
+# Exact stdout bytes and exit codes; model paths are relative to models/ so
+# the `query` echo does not depend on where the repository lives.
+GOLDEN = [
+    (
+        ("check", "reach", "--model", "satellite.rtea", "--x0", "50", "--time", "0"),
+        0,
+        '{"answer": true, "value": "0", "query": {"kind": "reach", "model": "satellite.rtea", "x0": "50", "time": "0"}}\n',
+    ),
+    (
+        ("check", "reach", "--model", "satellite.rtea", "--x0", "81/2", "--time", "1.5"),
+        1,
+        '{"answer": false, "value": "bot", "query": {"kind": "reach", "model": "satellite.rtea", "x0": "81/2", "time": "3/2"}}\n',
+    ),
+    (
+        ("check", "cover", "--model", "satellite.rtea", "--x0", "50", "--time", "2", "--target", "10"),
+        0,
+        '{"answer": true, "value": "10", "query": {"kind": "cover", "model": "satellite.rtea", "x0": "50", "time": "2", "target": "10"}}\n',
+    ),
+    (
+        ("check", "cover", "--model", "satellite.rtea", "--x0", "50", "--time", "2", "--target", "21/2"),
+        1,
+        '{"answer": false, "value": "10", "query": {"kind": "cover", "model": "satellite.rtea", "x0": "50", "time": "2", "target": "21/2"}}\n',
+    ),
+    (
+        ("check", "cover", "--model", "satellite.rtea", "--x0", "50", "--time", "2"),
+        2,
+        "",
+    ),
+    (
+        ("check", "buchi", "--model", "pump.rtea", "--x0", "3", "--time", "inf"),
+        0,
+        '{"answer": true, "query": {"kind": "buchi", "model": "pump.rtea", "x0": "3", "time": "inf"}}\n',
+    ),
+    (
+        ("check", "buchi", "--model", "pump.rtea", "--x0", "3", "--time", "5", "--verify"),
+        0,
+        '{"answer": true, "note": "zeno: finite-horizon query asks for infinitely many jumps in bounded time", '
+        '"oracle": {"method": "buchi_unroll", "repetitions": 32, "value": true}, '
+        '"query": {"kind": "buchi", "model": "pump.rtea", "x0": "3", "time": "5"}}\n',
+    ),
+    (
+        ("check", "reach", "--model", "satellite.rtea", "--x0", "40", "--time", "2", "--verify"),
+        0,
+        '{"answer": true, "value": "0", "oracle": {"method": "dp_lower_bound", "delta": "1/8", "value": "0"}, '
+        '"query": {"kind": "reach", "model": "satellite.rtea", "x0": "40", "time": "2"}}\n',
+    ),
+    (
+        ("eval", "--model", "satellite.rtea", "--x0", "20", "--time", "39/4"),
+        1,
+        '{"answer": false, "value": "bot", "query": {"kind": "eval", "model": "satellite.rtea", "x0": "20", "time": "39/4"}}\n',
+    ),
+    (
+        ("eval", "--model", "two_loops.rtea", "--x0", "60", "--time", "3", "--target", "7/2"),
+        0,
+        '{"answer": true, "value": "62", "query": {"kind": "eval", "model": "two_loops.rtea", "x0": "60", "time": "3", "target": "7/2"}}\n',
+    ),
+    (
+        ("normalize", "--model", "satellite_top_path.rtea"),
+        0,
+        '{"input": {"atoms": [["0", "-20", "20"], ["2", "-20", "20"], ["5", "-10", "10"]]}, '
+        '"normalized": {"atoms": [["0", "0", "20"], ["2", "0", "40"], ["5", "-50", "50"]], "pieces": ['
+        '{"x_low": "0", "x_high": "20", "infeasible": true}, '
+        '{"x_low": "20", "x_high": "40", "boundary": {"slope": "-1/2", "t_at_x_low": "12"}, '
+        '"value": {"t": "5", "x": "5/2", "c": "-110"}}, '
+        '{"x_low": "40", "x_high": "inf", "boundary": {"slope": "-1/5", "t_at_x_low": "2"}, '
+        '"value": {"t": "5", "x": "1", "c": "-50"}}]}}\n',
+    ),
+    (
+        ("normalize", "--model", "satellite.rtea"),
+        2,
+        "",
+    ),
+]
+
+
+class TestGoldenOutput:
+    def test_stdout_bytes_and_exit_codes(self, capsys, monkeypatch):
+        monkeypatch.chdir(MODELS)
+        for argv, want_code, want_out in GOLDEN:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (want_code, want_out), argv
+            assert (err == "") == (code != 2), argv
+
+    def test_error_messages(self, capsys, monkeypatch):
+        monkeypatch.chdir(MODELS)
+        _, _, err = run(capsys, "check", "cover", "--model", "satellite.rtea", "--x0", "50", "--time", "2")
+        assert err == "error: cover requires --target\n"
+        _, _, err = run(capsys, "normalize", "--model", "satellite.rtea")
+        assert err == "error: model is not a single chain: state 'closed' has 2 outgoing transitions\n"

@@ -123,34 +123,34 @@ class TestToMatrixRep:
 class TestRegions:
     def test_satellite_path_pieces(self):
         pieces = extract_regions(SAT_TOP_NF)
-        assert [(p.x_low, p.x_high, p.feasible) for p in pieces] == [
+        assert [(p.lo, p.hi, p.feasible) for p in pieces] == [
             (Fraction(0), Fraction(20), False),
             (Fraction(20), Fraction(40), True),
             (Fraction(40), None, True),
         ]
         mid, outer = pieces[1], pieces[2]
-        assert (mid.coef_t, mid.coef_x, mid.const) == (5, Fraction(5, 2), -110)
-        assert (mid.wait_slope, mid.wait_at_low) == (Fraction(-1, 2), 12)
-        assert (outer.coef_t, outer.coef_x, outer.const) == (5, 1, -50)
-        assert outer.wait_slope == Fraction(-1, 5)
+        assert (mid.value_t, mid.value_x, mid.value_c) == (5, Fraction(5, 2), -110)
+        assert (mid.wait_x, mid.wait_x * mid.lo + mid.wait_c) == (Fraction(-1, 2), 12)
+        assert (outer.value_t, outer.value_x, outer.value_c) == (5, 1, -50)
+        assert outer.wait_x == Fraction(-1, 5)
 
     def test_composed_loop_pieces(self):
         comp = lin((0, 0, 30), (4, 0, 50), (5, -60, 60))
         pieces = extract_regions(comp)
-        inner = next(p for p in pieces if p.x_low == 30)
-        assert (inner.coef_t, inner.coef_x, inner.const) == (5, Fraction(5, 4), Fraction(-145, 2))
-        outer = next(p for p in pieces if p.x_high is None)
-        assert outer.x_low == 50
-        assert (outer.coef_t, outer.coef_x, outer.const) == (5, 1, -60)
+        inner = next(p for p in pieces if p.lo == 30)
+        assert (inner.value_t, inner.value_x, inner.value_c) == (5, Fraction(5, 4), Fraction(-145, 2))
+        outer = next(p for p in pieces if p.hi is None)
+        assert outer.lo == 50
+        assert (outer.value_t, outer.value_x, outer.value_c) == (5, 1, -60)
 
     def test_single_atom_piece(self):
         pieces = extract_regions(lin((3, -1, 1)))
         assert len(pieces) == 1
         (p,) = pieces
-        assert (p.x_low, p.x_high) == (0, None)
-        assert (p.coef_t, p.coef_x, p.const) == (3, 1, -1)
-        assert p.wait_at(Fraction(0)) == Fraction(1, 3)
-        assert p.wait_at(Fraction(10)) == 0
+        assert (p.lo, p.hi) == (0, None)
+        assert (p.value_t, p.value_x, p.value_c) == (3, 1, -1)
+        assert max(0, p.wait_x * Fraction(0) + p.wait_c) == Fraction(1, 3)
+        assert max(0, p.wait_x * Fraction(10) + p.wait_c) == 0
 
     def test_coef_t_is_final_rate(self):
         rng = random.Random(17)
@@ -160,7 +160,7 @@ class TestRegions:
             l = rand_linear(rng, allow_identity=False)
             for p in extract_regions(l):
                 if p.feasible:
-                    assert p.coef_t == l.atoms[-1].rate
+                    assert p.value_t == l.atoms[-1].rate
 
     def test_region_eval_matches_greedy_at_random_points(self):
         rep = to_matrix_rep(load_model("satellite.rtea"))
