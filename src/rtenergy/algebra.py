@@ -22,8 +22,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
-# working sets one pass of a perfbench workload needs (5,305 and 1,417 on
-# reach_random at seed 1; buchi_random needs 1,225 and 411).
+# working sets one pass of a perfbench workload needs (1,454 and 1,278 on
+# reach_random at seed 1; flower_closure needs 1,174 and 651).
 LEQ_LINEAR_CACHE_SIZE = 2**17
 COMPONENT_CELLS_CACHE_SIZE = 2**14
 
@@ -170,6 +170,14 @@ class Atom:
     def key(self):
         return (self.rate, self.price, self.bound)
 
+    def __hash__(self):
+        # computed once: Fraction hashing dominates cache lookups otherwise
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.key()))
+            return self._hash
+
     def __repr__(self):
         return f"Atom({self.rate}, {self.price}, {self.bound})"
 
@@ -202,6 +210,13 @@ class LinearRtef:
 
     def sort_key(self):
         return tuple(a.key() for a in self.atoms)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.atoms))
+            return self._hash
 
     def eval(self, x: Energy, t: Time) -> Energy:
         """Best reachable level from ``x`` within time ``t``.
@@ -273,7 +288,7 @@ class Rtef:
 
     def __post_init__(self):
         keys = [c.sort_key() for c in self.components]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        if not all(a < b for a, b in zip(keys, keys[1:])):
             raise ValueError("components must be sorted and unique; use Rtef.of()")
 
     @staticmethod
@@ -310,22 +325,36 @@ class Rtef:
         return Rtef.of(comps).prune()
 
     def sup(self, other: "Rtef") -> "Rtef":
-        return Rtef.of(self.components + other.components).prune()
+        """Pointwise maximum, merged rather than pruned from scratch.
+
+        A pruned operand (every result of ``compose``, ``sup``, ``prune`` and
+        ``star`` is one) has no component dominated by another of its own, so
+        only pairs across the operands are compared, and a component common
+        to both always stays.  For pruned operands the result is ``==`` to
+        ``Rtef.of(self.components + other.components).prune()``, tie rule
+        included.  With an unpruned operand it is still the pointwise
+        maximum, but components dominated within that operand may remain.
+        """
+        if not self.components:
+            return other
+        if not other.components:
+            return self
+        left, right = set(self.components), set(other.components)
+        comps = sorted(left | right, key=LinearRtef.sort_key)
+        side = [(c in left) | (c in right) << 1 for c in comps]
+        return Rtef(_undominated(comps, side))
 
     def prune(self) -> "Rtef":
-        """Drop components pointwise dominated by another retained one."""
-        comps = self.components
-        if len(comps) <= 1:
+        """Drop every component pointwise dominated by another.
+
+        Component c goes when some other d has c <= d and either d comes
+        first in sort order or d <= c fails; of mutually equivalent
+        components the first in sort order stays.  The result has no
+        component below another, which is what ``sup`` relies on.
+        """
+        if len(self.components) <= 1:
             return self
-        keep = []
-        for i, c in enumerate(comps):
-            dominated = any(
-                j != i and leq_linear(c, d) and (j < i or not leq_linear(d, c))
-                for j, d in enumerate(comps)
-            )
-            if not dominated:
-                keep.append(c)
-        return Rtef(tuple(keep))
+        return Rtef(_undominated(self.components))
 
     def star(self) -> "Rtef":
         """Least fixpoint of iteration: the product of (1 ∨ c) over the
@@ -355,6 +384,43 @@ class Rtef:
 
 _BOTTOM_RTEF = Rtef()
 _ONE_RTEF = Rtef((LinearRtef(),))
+
+
+def _tail(c: LinearRtef) -> tuple[Fraction, Fraction]:
+    """Final rate and price; the identity counts as (0, 0)."""
+    if not c.atoms:
+        return ZERO, ZERO
+    last = c.atoms[-1]
+    return last.rate, last.price
+
+
+def _leq(c: LinearRtef, d: LinearRtef) -> bool:
+    """``leq_linear(c, d)``, first rejected in O(1) by the tails.
+
+    Above every bound and at t = 0, c is x + price; as t grows it gains
+    rate per unit.  So c <= d needs c's final rate and price to be at most
+    d's, a test that rejects most pairs without the cached comparison.
+    """
+    rc, pc = _tail(c)
+    rd, pd = _tail(d)
+    return rc <= rd and pc <= pd and leq_linear(c, d)
+
+
+def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
+    """The components of the sorted, duplicate-free ``comps`` that survive
+    ``Rtef.prune``'s rule.  ``side`` restricts the comparisons to pairs
+    whose bit masks are disjoint (``sup``: 1 left only, 2 right only, 3
+    both); without it every pair is compared."""
+    keep = []
+    for i, c in enumerate(comps):
+        for j, d in enumerate(comps):
+            if j == i or (side and side[i] & side[j]):
+                continue
+            if _leq(c, d) and (j < i or not _leq(d, c)):
+                break
+        else:
+            keep.append(c)
+    return tuple(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import fractions
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from rtenergy import (
 from rtenergy import algebra
 from rtenergy.oracles import compose_split_oracle, exact_schedule_value, star_subsets
 
-from helpers import A, F1, F2, SAT_TOP_NF, SAT_TOP_RAW, ev, lin, precedes, rand_linear, rtef
+from helpers import A, F1, F2, SAT_TOP_NF, SAT_TOP_RAW, ev, lin, precedes, rand_linear, rand_rtef, rtef
 
 
 class TestValues:
@@ -48,6 +49,38 @@ class TestValues:
             LinearRtef((A(0, 0, 5), A(1, 0, 3)))
         with pytest.raises(ValueError):
             LinearRtef((A(0, -1, 1), A(1, 0, 1)))
+
+    def test_rtef_sorted_unique_enforced(self):
+        first, second = Rtef.of([F1, F2]).components
+        assert Rtef((first, second)).components == (first, second)
+        with pytest.raises(ValueError):
+            Rtef((second, first))
+        with pytest.raises(ValueError):
+            Rtef((first, first))
+        with pytest.raises(ValueError):
+            Rtef((first, second, second))
+        with pytest.raises(ValueError):
+            Rtef((LinearRtef(), LinearRtef()))
+
+    def test_hash_computed_once(self, monkeypatch):
+        calls = 0
+        fraction_hash = Fraction.__hash__
+
+        def counted(q):
+            nonlocal calls
+            calls += 1
+            return fraction_hash(q)
+
+        monkeypatch.setattr(fractions.Fraction, "__hash__", counted)
+        c = lin((1, 0, 2), (3, -1, 4))
+        h = hash(c)
+        assert calls == 6  # three fields of each of the two atoms
+        assert hash(c) == h and hash(c.atoms[0]) == hash(c.atoms[0])
+        assert calls == 6
+        # equality is still field equality, cached hash or not
+        twin = lin((1, 0, 2), (3, -1, 4))
+        assert twin == c and hash(twin) == h
+        assert lin((1, 0, 2), (3, -1, 5)) != c
 
 
 class TestNormalize:
@@ -135,6 +168,117 @@ class TestSup:
         assert ev(f, 35, 10) == Energy.of(65)
         assert ev(rtef(F1), 35, 10) == Energy.of(65)
         assert ev(rtef(F2), 35, 10) == Energy.of(15)
+
+
+def _free_led(c: LinearRtef) -> LinearRtef:
+    """A pointwise-equal copy of ``c`` led by the no-op step Atom(0, 0, 0);
+    it sorts before ``c``."""
+    assert c.is_identity or c.atoms[0].rate > 0
+    return LinearRtef((A(0, 0, 0),) + c.atoms)
+
+
+class TestMergeSup:
+    """``Rtef.sup`` merges two pruned operands, comparing only across them."""
+
+    @staticmethod
+    def _pairs(seed, count):
+        rng = random.Random(seed)
+        for case in range(count):
+            a = rand_rtef(rng, max_comps=5).prune()
+            b = rand_rtef(rng, max_comps=5)
+            if case % 3 == 1 and a.components:
+                # share components of a, and a distinct pointwise-equal copy
+                shared = rng.sample(a.components, rng.randint(1, len(a.components)))
+                extra = [_free_led(c) for c in a.components if c.is_identity or c.atoms[0].rate > 0]
+                b = Rtef.of(b.components + tuple(shared) + tuple(extra[:1]))
+            elif case % 3 == 2:
+                a = Rtef.of(a.components + (LinearRtef(),)).prune()
+                b = Rtef.of(b.components + (_free_led(LinearRtef()),))
+            yield a, b.prune()
+
+    def test_equals_prune_of_union(self):
+        shared = ties = 0
+        for a, b in self._pairs(2031, 600):
+            want = Rtef.of(a.components + b.components).prune()
+            assert a.sup(b) == want, (a, b)
+            assert b.sup(a) == want, (a, b)
+            union = set(a.components) | set(b.components)
+            shared += bool(set(a.components) & set(b.components))
+            ties += any(
+                _free_led(c) in union for c in union if c.is_identity or c.atoms[0].rate > 0
+            )
+        assert shared > 100 and ties > 100
+
+    def test_free_led_copy_wins_the_tie(self):
+        one, free = LinearRtef(), _free_led(LinearRtef())
+        c = lin((2, -1, 3))
+        assert Rtef((one,)).sup(Rtef((free,))) == Rtef((one,))
+        assert Rtef((c,)).sup(Rtef((_free_led(c),))) == Rtef((_free_led(c),))
+
+    def test_unpruned_operands_pointwise_equal(self):
+        rng = random.Random(2032)
+        for _ in range(150):
+            a, b = rand_rtef(rng, max_comps=5), rand_rtef(rng, max_comps=5)
+            got = a.sup(b)
+            want = Rtef.of(a.components + b.components)
+            assert got.leq(want) and want.leq(got), (a, b)
+            assert set(got.components) <= set(want.components)
+
+    def test_compares_only_across_operands(self, monkeypatch):
+        asked = []
+        cached = algebra.leq_linear
+
+        def counted(lhs, rhs):
+            asked.append((lhs, rhs))
+            return cached(lhs, rhs)
+
+        monkeypatch.setattr(algebra, "leq_linear", counted)
+        total = 0
+        for a, b in self._pairs(2033, 200):
+            left, right = set(a.components), set(b.components)
+            asked.clear()
+            a.sup(b)
+            total += len(asked)
+            for lhs, rhs in asked:
+                assert not {lhs, rhs} <= left and not {lhs, rhs} <= right, (a, b, lhs, rhs)
+        assert total > 100
+
+
+class TestTailRejection:
+    """``algebra._leq``: the O(1) tail test in front of ``leq_linear``."""
+
+    def test_never_rejects_a_pair_that_holds(self):
+        rng = random.Random(2035)
+        holds = rate_gap = price_gap = rejected = 0
+        for _ in range(1500):
+            c, d = rand_linear(rng), rand_linear(rng)
+            want = algebra.leq_linear(c, d)
+            assert algebra._leq(c, d) == want, (c, d)
+            (rc, pc), (rd, pd) = algebra._tail(c), algebra._tail(d)
+            if want:
+                assert rc <= rd and pc <= pd, (c, d)
+                holds += 1
+                rate_gap += rc < rd
+                price_gap += pc < pd
+            else:
+                rejected += not (rc <= rd and pc <= pd)
+        # the corpus exercises both comparisons on pairs that hold
+        assert holds > 100 and rate_gap > 50 and price_gap > 50 and rejected > 100
+
+    def test_identity_and_lone_zero_rate_step(self, monkeypatch):
+        one, leak = LinearRtef(), lin((0, -1, 1))
+        assert algebra._tail(one) == (0, 0)
+        assert algebra._tail(leak) == (0, -1)
+        assert algebra._leq(leak, one) and algebra.leq_linear(leak, one)
+        assert not algebra.leq_linear(one, leak)
+
+        def refuse(lhs, rhs):
+            raise AssertionError("the tail should have decided")
+
+        monkeypatch.setattr(algebra, "leq_linear", refuse)
+        assert not algebra._leq(one, leak)  # price 0 above -1
+        assert not algebra._leq(lin((2, 0, 0)), one)  # rate 2 above 0
+        assert not algebra._leq(lin((2, -1, 1)), lin((1, 0, 0)))
 
 
 class TestPrune:
