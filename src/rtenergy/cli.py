@@ -153,6 +153,7 @@ def _chain_atoms(model: RteaModel):
     outgoing: dict[str, list] = {}
     for tr in model.transitions:
         outgoing.setdefault(tr.src, []).append(tr)
+    rates = dict(model.states)
     atoms = []
     current = model.initial
     visited = {current}
@@ -161,7 +162,7 @@ def _chain_atoms(model: RteaModel):
         if len(nexts) != 1:
             raise ValueError(f"model is not a single chain: state {current!r} has {len(nexts)} outgoing transitions")
         tr = nexts[0]
-        atoms.append(Atom(model.rate_of(tr.src), tr.price, tr.bound))
+        atoms.append(Atom(rates[tr.src], tr.price, tr.bound))
         current = tr.dst
         if current in visited:
             raise ValueError("model is not a single chain: cycle detected")

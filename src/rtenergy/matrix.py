@@ -1,4 +1,5 @@
-"""Matrix layer: closure and automaton behaviors by iterative state elimination."""
+"""Matrix layer: the Gauss-Jordan closure, and reach and Buchi behaviors
+from one state-elimination solver of z = M* . w v M^omega."""
 
 from __future__ import annotations
 
@@ -72,19 +73,19 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(out)
 
 
-def _eliminate(m: list[list[Rtef]], p: int, rows: Sequence[int], cols: Sequence[int]):
+def _eliminate(m: list[list[Rtef]], p: int, live: Sequence[int]):
     """One step of state elimination by Arden's rule, in place on ``m``.
 
     Stars the pivot, s = m[p][p]*, scales its row to s . m[p][j] for the
-    ``cols`` whose entry is not bottom, and folds m[i][p] . s . m[p][j] into
-    m[i][j] for the ``rows`` with m[i][p] not bottom.  Returns s, the scaled
-    row and those predecessors as (index, m[i][p]) pairs.  Without a
+    ``live`` j whose entry is not bottom, and folds m[i][p] . s . m[p][j]
+    into m[i][j] for the ``live`` i with m[i][p] not bottom.  Returns s, the
+    scaled row and those predecessors as (index, m[i][p]) pairs.  Without a
     self-loop s is the identity, and composing with it is a no-op.
     """
     loop, row = m[p][p], m[p]
     s = loop.star()
-    succ = [(j, row[j] if loop.is_empty else s.compose(row[j])) for j in cols if not row[j].is_empty]
-    preds = [(i, m[i][p]) for i in rows if not m[i][p].is_empty]
+    succ = [(j, row[j] if loop.is_empty else s.compose(row[j])) for j in live if not row[j].is_empty]
+    preds = [(i, m[i][p]) for i in live if not m[i][p].is_empty]
     for i, f in preds:
         mi = m[i]
         for j, g in succ:
@@ -103,8 +104,7 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
     a = [list(row) for row in m.rows]
     n = m.dim()
     for p in range(n):
-        others = [q for q in range(n) if q != p]
-        s, succ, preds = _eliminate(a, p, others, others)
+        s, succ, preds = _eliminate(a, p, [q for q in range(n) if q != p])
         for j, g in succ:
             a[p][j] = g
         if not a[p][p].is_empty:
@@ -114,45 +114,54 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(a)
 
 
-def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often.
+def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want: Sequence[int]):
+    """z = M* . w v M^omega, the omega part through the first ``k`` states,
+    by one elimination pass in ``order``; exact at the ``want`` states.
 
-    One forward pass eliminates the non-accepting states, then the accepting
-    ones.  When p goes, m[p][p] holds its loops through the states gone
-    before it, and w[p] the endless runs that leave p into them for good, so
-    v_p = m[p][p]* . w[p], plus m[p][p]^omega when p accepts, covers every
-    endless run from p that stays among p and the earlier states; each live
-    predecessor i gains m[i][p] . v_p in w[i].  This misses no run: let j be
-    the last-eliminated accepting state it visits infinitely often; from
-    some point on it stays among j and the states gone before j.  A
-    backward pass then sets z_p = v_p v sup_j (s . m[p][j]) . z_j over the
-    states j still live when p went.  No closure is built and nothing
-    recurses per state.
+    When p goes, m[p][p] holds its loops through the states gone before it,
+    and w[p] the runs that leave p into them for good, so v_p = m[p][p]* .
+    w[p], plus m[p][p]^omega when p < k, covers every run from p that stays
+    among p and the earlier states; each live predecessor i gains
+    m[i][p] . v_p in w[i].  A backward pass sets z_p = v_p v sup_j
+    (s . m[p][j]) . z_j over the successors j still live when p went, for
+    the ``want`` states and the states they reach that way.  M* . w is
+    exact in any order; M^omega misses no run when the states p >= k go
+    first: let j be the last-eliminated state below k that a run visits
+    infinitely often; from some point on the run stays among j and the
+    states gone before j.  No closure is built and nothing recurses.
     """
+    a, w, steps = [list(row) for row in m.rows], list(w), []
+    for t, p in enumerate(order):
+        s, succ, preds = _eliminate(a, p, order[t + 1:])
+        v = w[p] if a[p][p].is_empty else act(s, w[p])
+        if p < k:
+            v = v.sup(omega_of(a[p][p]))
+        if v != OmegaVal.false():
+            for i, f in preds:
+                w[i] = w[i].sup(act(f, v))
+        steps.append((p, v, succ))
+    needed = set(want)
+    for p, _, succ in steps:
+        if p in needed:
+            needed.update(j for j, _ in succ)
+    z = [OmegaVal.false()] * len(a)
+    for p, v, succ in reversed(steps):
+        if p in needed:
+            for j, g in succ:
+                v = v.sup(act(g, z[j]))
+            z[p] = v
+    return z
+
+
+def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
+    """Per-state truth of visiting the first ``k`` states infinitely often;
+    the non-accepting states go first, then the accepting ones."""
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
-    a = [list(row) for row in m.rows]
-    w = [OmegaVal.false()] * n
-    order = [*range(k, n), *range(k)]
-    steps = []
-    for t, p in enumerate(order):
-        rest = order[t + 1:]
-        s, succ, preds = _eliminate(a, p, rest, rest)
-        v = act(s, w[p])
-        if p < k:
-            v = v.sup(omega_of(a[p][p]))
-        for i, f in preds:
-            w[i] = w[i].sup(act(f, v))
-        steps.append((p, v, succ))
-    z = [OmegaVal.false()] * n
-    for p, v, succ in reversed(steps):
-        for j, g in succ:
-            v = v.sup(act(g, z[j]))
-        z[p] = v
-    return tuple(z)
+    return tuple(_solve(m, [*range(k, n), *range(k)], [OmegaVal.false()] * n, k, range(n)))
 
 
 @dataclass(frozen=True)
@@ -185,34 +194,23 @@ class AutomatonRep:
 def finite_behavior(rep: AutomatonRep) -> Rtef:
     """Best finite run alpha . M* . kappa, solved from the goal backwards.
 
-    The column y = M* kappa is the least solution of y = kappa v M y.  Each
-    non-initial state p is eliminated, in reverse index order, by Arden's
-    rule y_p = M[p][p]* (kappa_p v sup_j M[p][j] y_j), which folds
-    M[i][p] M[p][p]* into the rows of its live predecessors i.  Only the
-    initial block is left; it is closed with ``mat_star`` and read off
-    against y.  No full closure is built and nothing recurses per state.
+    The column y = M* kappa is ``_solve`` with w = kappa and no omega part:
+    without a threshold, ``act`` and ``OmegaVal.sup`` are ``compose`` and
+    ``sup`` on the support.  The non-initial states go first, in reverse
+    index order, then the initial ones, and only the initial states are
+    back-substituted.
     """
-    m = [list(row) for row in rep.matrix.rows]
-    n = len(m)
+    n = rep.matrix.dim()
     initial = [i for i in range(n) if rep.alpha[i]]
     if not initial or rep.accepting_count == 0:
         return Rtef.bottom()
-    y = [Rtef.one() if j < rep.accepting_count else Rtef.bottom() for j in range(n)]
-    live = list(range(n))
-    for p in reversed(range(n)):
-        if rep.alpha[p]:
-            continue
-        live.remove(p)
-        s, _, preds = _eliminate(m, p, live, live)
-        yp = y[p] if m[p][p].is_empty else s.compose(y[p])
-        if not yp.is_empty:
-            for i, f in preds:
-                y[i] = y[i].sup(f.compose(yp))
-    star = mat_star(RtefMatrix.of([[m[a][b] for b in initial] for a in initial]))
+    goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
+    w = [goal if j < rep.accepting_count else false for j in range(n)]
+    order = [p for p in reversed(range(n)) if not rep.alpha[p]] + initial
+    z = _solve(rep.matrix, order, w, 0, initial)
     out = Rtef.bottom()
-    for srow in star.rows:
-        for f, b in zip(srow, initial):
-            out = out.sup(f.compose(y[b]))
+    for i in initial:
+        out = out.sup(z[i].support)
     return out
 
 

@@ -131,6 +131,12 @@ class TestDeepModel:
         assert code == 1
         assert perf_counter() - t0 < 30
 
+    def test_long_chain_normalize(self, tmp_path, capsys):
+        # equal rates merge into one step paying the whole chain
+        code, out, _ = run(capsys, "normalize", "--model", write_chain(tmp_path))
+        assert code == 0
+        assert json.loads(out)["normalized"]["atoms"] == [["1", "-1199", "1199"]]
+
 
 class TestEval:
     def test_eval_reports_value(self, capsys):
