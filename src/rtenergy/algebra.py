@@ -376,7 +376,7 @@ class Rtef:
 
     def leq(self, other: "Rtef") -> bool:
         """Exact pointwise comparison over every energy/time pair."""
-        return _order_violation(self.components, other.components) is None
+        return order_witness(self, other) is None
 
     def __repr__(self):
         return "Rtef{" + ", ".join(repr(c) for c in self.components) + "}"
@@ -482,15 +482,26 @@ def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
     raise AssertionError("cells cover [0, inf)")
 
 
-def _cuts(fcomps, gcomps) -> list[Fraction]:
+def _strips(fcomps, gcomps):
+    """Every strip where a component of ``fcomps`` is defined, as
+    (f cell, feasible g cells, lo, hi), one component of f after another.
+
+    The strips cut [0, inf) at every bound of both sides, so each component
+    of either side is one affine cell on each of them.
+    """
     cuts = {ZERO}
     for l in (*fcomps, *gcomps):
         cuts.update(a.bound for a in l.atoms)
-    return sorted(cuts)
-
-
-def _spans(cuts: list[Fraction]):
-    return list(zip(cuts, cuts[1:])) + [(cuts[-1], None)]
+    cuts = sorted(cuts)
+    spans = [*zip(cuts, cuts[1:]), (cuts[-1], None)]
+    gcells = [component_cells(g) for g in gcomps]
+    for f in fcomps:
+        fcells = component_cells(f)
+        for lo, hi in spans:
+            fc = _active_cell(fcells, lo)
+            if fc.feasible:
+                active = [c for c in (_active_cell(cells, lo) for cells in gcells) if c.feasible]
+                yield fc, active, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +509,13 @@ def _spans(cuts: list[Fraction]):
 # is defined and beats every component of g; within one x-strip everything is
 # affine, so emptiness of the violation set is an exact two-variable linear
 # satisfiability question.
+#
+# Only finite points need searching.  At x = bot both sides are bot, and at
+# x = inf every component is inf, so only an empty g loses there, and it loses
+# at every finite x where f is defined as well.  At t = inf a component takes
+# the supremum of its values over finite t (``LinearRtef.eval``), and a
+# supremum over components commutes with one over t; so f(x, inf) > g(x, inf)
+# means f(x, t) exceeds g(x, inf) >= g(x, t) at some finite t.
 
 def _covers(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
     """Whether g alone dominates f on this whole strip (exact for affine
@@ -521,21 +539,12 @@ def _covers(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
 
 @lru_cache(maxsize=LEQ_LINEAR_CACHE_SIZE)
 def leq_linear(lhs: LinearRtef, rhs: LinearRtef) -> bool:
-    """Pointwise comparison of two single components."""
-    if lhs == rhs:
-        return True
-    spans = _spans(_cuts((lhs,), (rhs,)))
-    if _limit_slice_witness((lhs,), (rhs,), spans) is not None:
-        return False
-    lcells = component_cells(lhs)
-    rcells = component_cells(rhs)
-    for lo, hi in spans:
-        fc = _active_cell(lcells, lo)
-        if not fc.feasible:
-            continue
-        if not _covers(_active_cell(rcells, lo), fc, lo, hi):
-            return False
-    return True
+    """Pointwise comparison of two single components: a lone g cell that
+    does not cover f on a strip loses to it somewhere there."""
+    return lhs == rhs or all(
+        any(_covers(gc, fc, lo, hi) for gc in gcs)
+        for fc, gcs, lo, hi in _strips((lhs,), (rhs,))
+    )
 
 
 def _violation_point(
@@ -593,71 +602,22 @@ def _violation_point(
     return None
 
 
-def _limit_profile(comps, x_lo: Fraction):
-    """Behavior at infinite time on the strip starting at ``x_lo``:
-    (reaches infinity, best finite offset c meaning x + c, or None)."""
-    best: Optional[Fraction] = None
-    unbounded = False
-    for l in comps:
-        if not l.atoms:
-            best = ZERO if best is None else max(best, ZERO)
-            continue
-        first, last = l.atoms[0], l.atoms[-1]
-        if first.rate == 0 and x_lo < first.bound:
-            continue
-        if last.rate > 0:
-            unbounded = True
-        else:
-            best = last.price if best is None else max(best, last.price)
-    return unbounded, best
-
-
-def _limit_slice_witness(fcomps, gcomps, spans) -> Optional[Fraction]:
-    for lo, _hi in spans:
-        f_unb, f_best = _limit_profile(fcomps, lo)
-        g_unb, g_best = _limit_profile(gcomps, lo)
-        if f_unb and not g_unb:
-            return lo
-        if f_best is not None and not g_unb and (g_best is None or g_best < f_best):
-            return lo
-    return None
-
-
-def _order_violation(
-    fcomps: tuple[LinearRtef, ...], gcomps: tuple[LinearRtef, ...]
-) -> Optional[tuple[Energy, Time]]:
-    """A point where the supremum of ``fcomps`` strictly exceeds that of
-    ``gcomps``, or None when none exists anywhere (including infinities)."""
-    if fcomps == gcomps or not fcomps:
-        return None
-    if not gcomps:
-        return (INFINITY, Time(ZERO))
-    gset = set(gcomps)
-    fcomps = tuple(f for f in fcomps if f not in gset)
-    if not fcomps:
-        return None
-    spans = _spans(_cuts(fcomps, gcomps))
-    at_infinity = _limit_slice_witness(fcomps, gcomps, spans)
-    if at_infinity is not None:
-        return (Energy.of(at_infinity), TIME_INF)
-    gcells_all = [component_cells(g) for g in gcomps]
-    for lf in fcomps:
-        fcells = component_cells(lf)
-        for lo, hi in spans:
-            fc = _active_cell(fcells, lo)
-            if not fc.feasible:
-                continue
-            active = [c for c in (_active_cell(cells, lo) for cells in gcells_all) if c.feasible]
-            if any(_covers(gc, fc, lo, hi) for gc in active):
-                continue
-            point = _violation_point(fc, active, lo, hi)
-            if point is not None:
-                return (Energy.of(point[0]), Time(point[1]))
-    return None
-
-
 def order_witness(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:
     """A concrete (energy, time) pair where ``f`` beats ``g``, or None when
     f <= g holds everywhere; negative order answers are thereby directly
-    checkable by evaluation."""
-    return _order_violation(f.components, g.components)
+    checkable by evaluation.
+
+    The witness time is always finite: by the supremum argument above, a
+    violation at t = inf has one at a finite t too.  Components shared with
+    g never beat it and are skipped; each strip that no single g cell
+    covers goes to ``_violation_point``.
+    """
+    shared = set(g.components)
+    fcomps = [c for c in f.components if c not in shared]
+    for fc, gcs, lo, hi in _strips(fcomps, g.components):
+        if any(_covers(gc, fc, lo, hi) for gc in gcs):
+            continue
+        point = _violation_point(fc, gcs, lo, hi)
+        if point is not None:
+            return (Energy.of(point[0]), Time(point[1]))
+    return None

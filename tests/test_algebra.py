@@ -17,7 +17,21 @@ from rtenergy import (
 from rtenergy import algebra
 from rtenergy.oracles import compose_split_oracle, exact_schedule_value, star_subsets
 
-from helpers import A, F1, F2, SAT_TOP_NF, SAT_TOP_RAW, ev, lin, precedes, rand_linear, rand_rtef, rtef
+from helpers import (
+    A,
+    F1,
+    F2,
+    SAMPLE_TS,
+    SAMPLE_XS,
+    SAT_TOP_NF,
+    SAT_TOP_RAW,
+    ev,
+    lin,
+    precedes,
+    rand_linear,
+    rand_rtef,
+    rtef,
+)
 
 
 class TestValues:
@@ -137,6 +151,26 @@ class TestEvalLinear:
         for x in (Energy.of(0), Energy.of(3)):
             for t in (Time.of(0), Time.of(2), TIME_INF):
                 assert free.eval(x, t) == x
+
+    def test_infinite_time_is_the_supremum(self):
+        # the order decision searches finite times only and relies on this
+        rng = random.Random(31)
+        level = Energy.of(1000)
+        for _ in range(300):
+            c = rand_linear(rng)
+            for xv in SAMPLE_XS:
+                x = Energy.of(xv)
+                limit = c.eval(x, TIME_INF)
+                if limit.is_finite:
+                    assert c.eval(x, Time(0)) == limit, (c, x)
+                    assert all(c.eval(x, Time(t)) <= limit for t in SAMPLE_TS)
+                elif limit.is_infinite:
+                    t = Fraction(1)
+                    while not c.eval(x, Time(t)) > level:
+                        t *= 2
+                        assert t < 2**40, (c, x)
+                else:
+                    assert all(c.eval(x, Time(t)) == BOTTOM for t in SAMPLE_TS), (c, x)
 
 
 class TestCompose:

@@ -58,6 +58,10 @@ class TestExactness:
         f = rtef(F1)
         assert Rtef.bottom().leq(f)
         assert not f.leq(Rtef.bottom())
+        # the witness is a finite point where f is defined
+        x, t = order_witness(f, Rtef.bottom())
+        assert x.is_finite and not t.is_infinite
+        assert f.eval(x, t) > BOTTOM
 
     def test_rate_direction(self):
         slow = rtef(lin((1, 0, 0)))
@@ -73,6 +77,11 @@ class TestExactness:
         assert not keeper.leq(leak)
         assert keeper.leq(pump)
         assert not pump.leq(keeper)
+        # both failures already show at a finite time
+        for lhs, rhs in ((keeper, leak), (pump, keeper)):
+            x, t = order_witness(lhs, rhs)
+            assert not t.is_infinite
+            assert lhs.eval(x, t) > rhs.eval(x, t)
 
     def test_leq_linear_matches_general_decision(self):
         rng = random.Random(23)
@@ -108,6 +117,7 @@ class TestSampledSoundness:
             if w is not None:
                 negatives += 1
                 x, t = w
+                assert not t.is_infinite
                 assert f.eval(x, t) > g.eval(x, t)
         assert negatives > 0
 
@@ -115,6 +125,7 @@ class TestSampledSoundness:
         f = rtef(lin((1, -10, 10)))
         g = rtef(lin((Fraction(1, 2), 0, 0)), lin((2, -100, 100)))
         x, t = order_witness(f, g)
+        assert not t.is_infinite
         assert f.eval(x, t) > g.eval(x, t)
 
 
