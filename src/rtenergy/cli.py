@@ -65,7 +65,7 @@ def main(argv=None) -> int:
 
 
 def _load(path: str) -> RteaModel:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    return parse_model(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _dispatch(args) -> int:

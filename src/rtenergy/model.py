@@ -1,11 +1,17 @@
 """Automaton text format: parsing, validation, serialization, matrix form.
 
-Grammar (whitespace-insensitive, ``#`` starts a line comment)::
+Grammar::
 
     model := "rtea" "{" item* "}"
     item  := "state" IDENT "rate" NUM ("initial")? ("accepting")? ";"
            | "trans" IDENT "->" IDENT "price" NUM "bound" NUM ";"
-    NUM   := optionally signed decimal ("2.5", "-20") or ratio ("5/2")
+    IDENT := [A-Za-z_][A-Za-z0-9_]*   (keywords included: "state state" is fine)
+    NUM   := optionally signed decimal ("2.5", "-20") or ratio ("5/2"), no exponent
+
+Whitespace may stand between any two tokens, and ``#`` starts a comment that
+runs to the end of the line.  Each token is the first of NUM, IDENT, "->" and
+"{", "}", ";" that matches where the last one ended, so a number may be
+directly followed by a word ("rate 5initial") while "rate5" is one IDENT.
 
 Semantic rules: states are unique, exactly one is initial, rates are
 non-negative, prices non-positive, and every bound covers its price.
@@ -53,10 +59,7 @@ class RteaModel:
     transitions: tuple[Transition, ...]
 
     def rate_of(self, name: str) -> Fraction:
-        for n, r in self.states:
-            if n == name:
-                return r
-        raise KeyError(name)
+        return dict(self.states)[name]
 
     @property
     def state_names(self) -> tuple[str, ...]:
@@ -64,157 +67,116 @@ class RteaModel:
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<num>""" + NUMBER + r""")
+    r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every token
+    (?: (?P<num>""" + NUMBER + r""")
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<arrow>->)
-      | (?P<punct>[{};])
-    """,
+      | (?P<punct>->|[{};])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # word | num | arrow | punct | eof
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ModelError("syntax", f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _position(text: str, off: int) -> tuple[int, int]:
+    """Line and column, both from 1, of offset ``off``; only errors need it."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
 class _Parser:
+    """Recursive descent over ``(kind, text, offset)`` tokens."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
         self.pos = 0
+        # the whole text is tokenized first, so a bad character is reported
+        # ahead of any grammar error in front of it; the parser stops at the
+        # first "eof" (finditer repeats it after trailing whitespace)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+        bad = next((tok for tok in self.tokens if tok[0] == "bad"), None)
+        if bad is not None:
+            raise self.error("syntax", f"unexpected character {bad[1]!r}", bad[2])
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, code: str, message: str, off: int) -> ModelError:
+        return ModelError(code, message, *_position(self.text, off))
 
-    def take(self) -> _Token:
+    def take(self, kind: Optional[str] = None, text: Optional[str] = None) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
+        if text is not None and tok[1] != text:
+            raise self.error("syntax", f"expected {text!r}, found {tok[1]!r}", tok[2])
+        if kind is not None and tok[0] != kind:
+            what = "a name" if kind == "word" else "a number"
+            raise self.error("syntax", f"expected {what}, found {tok[1]!r}", tok[2])
         return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ModelError("syntax", message, tok.line, tok.column)
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos][1] != text:
+            return False
+        self.pos += 1
+        return True
 
-    def expect_word(self, word: str):
-        tok = self.take()
-        if tok.kind != "word" or tok.text != word:
-            raise ModelError("syntax", f"expected {word!r}, found {tok.text!r}", tok.line, tok.column)
-
-    def expect_punct(self, punct: str):
-        tok = self.take()
-        if tok.text != punct:
-            raise ModelError("syntax", f"expected {punct!r}, found {tok.text!r}", tok.line, tok.column)
-
-    def ident(self) -> _Token:
-        tok = self.take()
-        if tok.kind != "word":
-            raise ModelError("syntax", f"expected a name, found {tok.text!r}", tok.line, tok.column)
-        return tok
-
-    def number(self) -> tuple[Fraction, _Token]:
-        tok = self.take()
-        if tok.kind != "num":
-            raise ModelError("syntax", f"expected a number, found {tok.text!r}", tok.line, tok.column)
+    def number(self) -> tuple[Fraction, int]:
+        _, text, off = self.take("num")
         try:
-            return Fraction(tok.text), tok
+            return Fraction(text), off
         except (ValueError, ZeroDivisionError):
-            raise ModelError("syntax", f"bad number literal {tok.text!r}", tok.line, tok.column) from None
+            raise self.error("syntax", f"bad number literal {text!r}", off) from None
 
     def parse(self) -> RteaModel:
-        self.expect_word("rtea")
-        self.expect_punct("{")
+        self.take(text="rtea")
+        self.take(text="{")
         states: list[tuple[str, Fraction]] = []
         seen: set[str] = set()
         initial: Optional[str] = None
         accepting: list[str] = []
-        transitions: list[tuple[Transition, _Token]] = []
-        while True:
-            tok = self.peek()
-            if tok.text == "}":
-                self.take()
-                break
-            if tok.kind != "word":
-                self.fail(f"expected 'state', 'trans' or '}}', found {tok.text!r}")
-            if tok.text == "state":
-                self.take()
-                name = self.ident()
-                if name.text in seen:
-                    raise ModelError("duplicate-state", f"state {name.text!r} declared twice", name.line, name.column)
-                seen.add(name.text)
-                self.expect_word("rate")
-                rate, rate_tok = self.number()
+        transitions: list[tuple[Transition, int]] = []  # with the source's offset
+        while not self.accept("}"):
+            kind, word, off = self.take()
+            if word == "state":
+                _, name, name_off = self.take("word")
+                if name in seen:
+                    raise self.error("duplicate-state", f"state {name!r} declared twice", name_off)
+                seen.add(name)
+                self.take(text="rate")
+                rate, rate_off = self.number()
                 if rate < 0:
-                    raise ModelError("negative-rate", f"state {name.text!r} has rate {rate}", rate_tok.line, rate_tok.column)
-                if self.peek().text == "initial":
-                    self.take()
+                    raise self.error("negative-rate", f"state {name!r} has rate {rate}", rate_off)
+                if self.accept("initial"):
                     if initial is not None:
-                        raise ModelError("multiple-initial", f"second initial state {name.text!r}", name.line, name.column)
-                    initial = name.text
-                if self.peek().text == "accepting":
-                    self.take()
-                    accepting.append(name.text)
-                self.expect_punct(";")
-                states.append((name.text, rate))
-            elif tok.text == "trans":
-                self.take()
-                src = self.ident()
-                arrow = self.take()
-                if arrow.kind != "arrow":
-                    raise ModelError("syntax", f"expected '->', found {arrow.text!r}", arrow.line, arrow.column)
-                dst = self.ident()
-                self.expect_word("price")
-                price, price_tok = self.number()
+                        raise self.error("multiple-initial", f"second initial state {name!r}", name_off)
+                    initial = name
+                if self.accept("accepting"):
+                    accepting.append(name)
+                self.take(text=";")
+                states.append((name, rate))
+            elif word == "trans":
+                _, src, src_off = self.take("word")
+                self.take(text="->")
+                dst = self.take("word")[1]
+                self.take(text="price")
+                price, price_off = self.number()
                 if price > 0:
-                    raise ModelError("positive-price", f"transition price {price} is positive", price_tok.line, price_tok.column)
-                self.expect_word("bound")
-                bound, bound_tok = self.number()
+                    raise self.error("positive-price", f"transition price {price} is positive", price_off)
+                self.take(text="bound")
+                bound, bound_off = self.number()
                 if bound < -price:
-                    raise ModelError(
-                        "bound-below-price",
-                        f"bound {bound} cannot cover price {price}",
-                        bound_tok.line,
-                        bound_tok.column,
-                    )
-                self.expect_punct(";")
-                transitions.append((Transition(src.text, price, bound, dst.text), src))
+                    raise self.error("bound-below-price", f"bound {bound} cannot cover price {price}", bound_off)
+                self.take(text=";")
+                transitions.append((Transition(src, price, bound, dst), src_off))
+            elif kind == "word":
+                raise self.error("syntax", f"expected 'state' or 'trans', found {word!r}", off)
             else:
-                self.fail(f"expected 'state' or 'trans', found {tok.text!r}")
-        tok = self.take()
-        if tok.kind != "eof":
-            raise ModelError("syntax", f"trailing input {tok.text!r}", tok.line, tok.column)
+                raise self.error("syntax", f"expected 'state', 'trans' or '}}', found {word!r}", off)
+        kind, text, off = self.take()
+        if kind != "eof":
+            raise self.error("syntax", f"trailing input {text!r}", off)
         if initial is None:
             raise ModelError("missing-initial", "no state is marked initial")
-        for tr, tok in transitions:
+        for tr, off in transitions:
             for endpoint in (tr.src, tr.dst):
                 if endpoint not in seen:
-                    raise ModelError("undeclared-state", f"transition endpoint {endpoint!r} not declared", tok.line, tok.column)
+                    raise self.error("undeclared-state", f"transition endpoint {endpoint!r} not declared", off)
         return RteaModel(tuple(states), initial, tuple(accepting), tuple(tr for tr, _ in transitions))
 
 
@@ -254,12 +216,9 @@ def to_matrix_rep(model: RteaModel) -> AutomatonRep:
     order = [n for n in names if n in accepting] + [n for n in names if n not in accepting]
     index = {n: i for i, n in enumerate(order)}
     rate = dict(model.states)
-    buckets: dict[tuple[int, int], list[LinearRtef]] = {}
-    for tr in model.transitions:
-        a = Atom(rate[tr.src], tr.price, tr.bound)
-        buckets.setdefault((index[tr.src], index[tr.dst]), []).append(LinearRtef((a,)))
     rows = [[Rtef.bottom()] * len(order) for _ in order]
-    for (i, j), cell in buckets.items():
-        rows[i][j] = Rtef.of(cell).prune()
+    for tr in model.transitions:
+        i, j = index[tr.src], index[tr.dst]
+        rows[i][j] = rows[i][j].sup(Rtef((LinearRtef((Atom(rate[tr.src], tr.price, tr.bound),)),)))
     alpha = tuple(name == model.initial for name in order)
     return AutomatonRep(alpha, RtefMatrix.of(rows), len(accepting), tuple(order))

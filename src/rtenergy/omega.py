@@ -81,14 +81,13 @@ def omega_of(f: Rtef) -> OmegaVal:
 
 
 def _self_sustain_threshold(c: LinearRtef) -> Optional[Fraction]:
-    if not c.atoms:
-        return ZERO
-    first, last = c.atoms[0], c.atoms[-1]
-    if last.rate > 0:
-        # the value grows without bound once the first threshold is passable
-        return first.bound if first.rate == 0 else ZERO
-    # lone zero-rate step: output is x + price, never again above x unless free
-    return first.bound if last.price == 0 else None
+    # One pass must return at least its input.  A lone zero-rate step returns
+    # x + price, so it does only when free; any other component does wherever
+    # it is defined.  Either way that is the level that reaches goal 0, since
+    # for the free step max(bound, 0 - price) is its bound.
+    if c.atoms and c.atoms[-1].rate == 0 and c.atoms[-1].price != 0:
+        return None
+    return _reach_threshold(c, ZERO)
 
 
 def act(f: Rtef, v: OmegaVal) -> OmegaVal:

@@ -227,6 +227,19 @@ class TestContract:
         assert out == ""
         assert "negative-rate" in err
 
+    def test_byte_order_mark_is_skipped(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "satellite.rtea").write_bytes(b"\xef\xbb\xbf" + (MODELS / "satellite.rtea").read_bytes())
+        for argv in (
+            ("check", "reach", "--model", "satellite.rtea", "--x0", "50", "--time", "0"),
+            ("check", "reach", "--model", "satellite.rtea", "--x0", "0", "--time", "inf"),
+            ("dump", "--model", "satellite.rtea", "--what", "behavior"),
+        ):
+            monkeypatch.chdir(MODELS)
+            want = run(capsys, *argv)
+            monkeypatch.chdir(tmp_path)
+            assert run(capsys, *argv) == want, argv
+            assert want[0] in (0, 1), argv
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "check", "reach", "--model", "nope.rtea", "--x0", "1", "--time", "1")
         assert code == 2

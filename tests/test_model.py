@@ -30,6 +30,54 @@ def err_code(text: str) -> str:
     return info.value.code
 
 
+def summary(m) -> tuple:
+    return (
+        tuple((n, str(r)) for n, r in m.states),
+        m.initial,
+        m.accepting,
+        tuple((t.src, t.dst, str(t.price), str(t.bound)) for t in m.transitions),
+    )
+
+
+# Each input with its parse summary or (code, str(error), line, column),
+# recorded from the parser that tracked line and column per token.
+DIAGNOSTICS = [
+    ('', ('syntax', "syntax: expected 'rtea', found '' at 1:1", 1, 1)),
+    ('rtea {', ('syntax', "syntax: expected 'state', 'trans' or '}', found '' at 1:7", 1, 7)),
+    ('rtea { state a rate5 initial; }', ('syntax', "syntax: expected 'rate', found 'rate5' at 1:16", 1, 16)),
+    ('rtea { state a rate 5initial accepting; }', ((('a', '5'),), 'a', ('a',), ())),
+    ('rtea { state a rate 0 initial accepting; trans a - > a price 0 bound 0; }', ('syntax', "syntax: unexpected character '-' at 1:50", 1, 50)),
+    ('rtea { state café rate 0 initial accepting; }', ('syntax', "syntax: unexpected character 'é' at 1:17", 1, 17)),
+    ('rtea { state a rate initial; } $', ('syntax', "syntax: unexpected character '$' at 1:32", 1, 32)),
+    ('rtea {\r\n\tstate a rate 0 initial;\r\n\tstate b rate 1 accepting;\r\n\ttrans a -> b price -1 bound 2;\r\n}\r\n', ((('a', '0'), ('b', '1')), 'a', ('b',), (('a', 'b', '-1', '2'),))),
+    ('rtea {\r\n\tstate a rate 0 initial;\r\n\tstate b rate 1 accepting\r\n}', ('syntax', "syntax: expected ';', found '}' at 4:1", 4, 1)),
+    ('rtea # head\n{ state # name next\n a rate 0 initial accepting; } # no newline at the end', ((('a', '0'),), 'a', ('a',), ())),
+    ('rtea { state a rate 0 initial accepting; # no newline at the end', ('syntax', "syntax: expected 'state', 'trans' or '}', found '' at 1:65", 1, 65)),
+    ('rtea { state a rate 0 initial accepting; } }', ('syntax', "syntax: trailing input '}' at 1:44", 1, 44)),
+    ('rtea { state a rate 0 initial accepting; }\nrtea', ('syntax', "syntax: trailing input 'rtea' at 2:1", 2, 1)),
+    ('rtea { state a rate 1/0 initial accepting; }', ('syntax', "syntax: bad number literal '1/0' at 1:21", 1, 21)),
+    ('rtea { state a rate 0 accepting initial; }', ('syntax', "syntax: expected ';', found 'initial' at 1:33", 1, 33)),
+    ('rtea { state state rate 0 initial; state trans rate 1 accepting; trans state -> trans price 0 bound 0; }', ((('state', '0'), ('trans', '1')), 'state', ('trans',), (('state', 'trans', '0', '0'),))),
+    ('rtea { 5 }', ('syntax', "syntax: expected 'state', 'trans' or '}', found '5' at 1:8", 1, 8)),
+    ('rtea { stat a rate 0; }', ('syntax', "syntax: expected 'state' or 'trans', found 'stat' at 1:8", 1, 8)),
+    ('rtea { state 5 rate 0; }', ('syntax', "syntax: expected a name, found '5' at 1:14", 1, 14)),
+    ('rtea { state a rate x; }', ('syntax', "syntax: expected a number, found 'x' at 1:21", 1, 21)),
+    ('rtea { state a rate 0 initial accepting; trans a a price 0 bound 0; }', ('syntax', "syntax: expected '->', found 'a' at 1:50", 1, 50)),
+    ('rtea { state a rate 0 initial accepting;\n  trans a -> a price 0 bound; }', ('syntax', "syntax: expected a number, found ';' at 2:29", 2, 29)),
+    ('{ }', ('syntax', "syntax: expected 'rtea', found '{' at 1:1", 1, 1)),
+    ('rtea {\n  state a rate 0 initial;\n  state a rate 1 accepting;\n}', ('duplicate-state', "duplicate-state: state 'a' declared twice at 3:9", 3, 9)),
+    ('rtea {\n  state a rate -1/2 initial accepting;\n}', ('negative-rate', "negative-rate: state 'a' has rate -1/2 at 2:16", 2, 16)),
+    ('rtea {\n  state a rate 0 initial accepting;\n  trans a -> a price 5 bound 5;\n}', ('positive-price', 'positive-price: transition price 5 is positive at 3:22', 3, 22)),
+    ('rtea {\n  state a rate 0 initial accepting;\n  trans a -> a price -10 bound 3;\n}', ('bound-below-price', 'bound-below-price: bound 3 cannot cover price -10 at 3:32', 3, 32)),
+    ('rtea {\n  state a rate 0 initial accepting;\n  trans a -> a price 0 bound 0;\n  trans a -> b price 0 bound 0;\n}', ('undeclared-state', "undeclared-state: transition endpoint 'b' not declared at 4:9", 4, 9)),
+    ('rtea {\n  trans b -> a price 0 bound 0;\n  state a rate 0 initial accepting;\n}', ('undeclared-state', "undeclared-state: transition endpoint 'b' not declared at 2:9", 2, 9)),
+    ('rtea {\n  state a rate 0 initial;\n  state b rate 0 initial accepting;\n}', ('multiple-initial', "multiple-initial: second initial state 'b' at 3:9", 3, 9)),
+    ('rtea {\n  state a rate 0 accepting;\n}', ('missing-initial', 'missing-initial: no state is marked initial', None, None)),
+    ('\ufeffrtea { state a rate 0 initial accepting; }', ('syntax', "syntax: unexpected character '\\ufeff' at 1:1", 1, 1)),
+    ('rtea { state a rate 0 initial accepting; trans a->a price 0 bound 0; }', ((('a', '0'),), 'a', ('a',), (('a', 'a', '0', '0'),))),
+]
+
+
 class TestParse:
     def test_satellite(self):
         m = load_model("satellite.rtea")
@@ -85,6 +133,18 @@ class TestParse:
         for name in ("satellite.rtea", "pump.rtea", "two_loops.rtea"):
             m = load_model(name)
             assert parse_model(serialize_model(m)) == m
+        rng = random.Random(5)
+        for _ in range(200):
+            m = parse_model(rand_model_text(rng, rng.randint(1, 8)))
+            assert parse_model(serialize_model(m)) == m
+
+    def test_pinned_diagnostics(self):
+        for text, want in DIAGNOSTICS:
+            try:
+                got = summary(parse_model(text))
+            except ModelError as e:
+                got = (e.code, str(e), e.line, e.column)
+            assert got == want, text
 
     def test_single_state_random_models_terminate(self):
         # one state has a single possible edge, s0 -> s0, while seeds 1, 3,
