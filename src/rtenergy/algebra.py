@@ -10,7 +10,8 @@ schedule") is a value, not an error, and absorbs every operation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, Optional
@@ -427,13 +428,18 @@ def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
 # Cell decomposition: per x-strip affine data used by the order decision and
 # by the region exporter.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One vertical strip of a component's domain.
 
     For x in [lo, hi): defined where t >= max(0, wait_x*x + wait_c), there
     evaluating to value_t*t + value_x*x + value_c.  Strips below an
     unreachable first threshold are marked infeasible.
+
+    ``ints`` is the same affine data in integers for the order kernel: a
+    common denominator d > 0, then the numerators over d of wait_x, wait_c,
+    value_t, value_x and value_c.  It is derived, so it takes no part in
+    equality, hashing or the repr.
     """
 
     lo: Fraction
@@ -444,6 +450,12 @@ class Cell:
     value_t: Fraction = ZERO
     value_x: Fraction = ZERO
     value_c: Fraction = ZERO
+    ints: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        coeffs = (self.wait_x, self.wait_c, self.value_t, self.value_x, self.value_c)
+        d = math.lcm(*(q.denominator for q in coeffs))
+        object.__setattr__(self, "ints", (d, *(q.numerator * (d // q.denominator) for q in coeffs)))
 
 
 @lru_cache(maxsize=COMPONENT_CELLS_CACHE_SIZE)
@@ -475,33 +487,30 @@ def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
-    for c in cells:
-        if c.lo <= x and (c.hi is None or x < c.hi):
-            return c
-    raise AssertionError("cells cover [0, inf)")
-
-
 def _strips(fcomps, gcomps):
     """Every strip where a component of ``fcomps`` is defined, as
     (f cell, feasible g cells, lo, hi), one component of f after another.
 
     The strips cut [0, inf) at every bound of both sides, so each component
-    of either side is one affine cell on each of them.
+    of either side is one affine cell on each of them.  They come from a
+    merge of the cell lists of all components: one cursor per list, and a
+    strip ends at the nearest right edge among the current cells.
     """
-    cuts = {ZERO}
-    for l in (*fcomps, *gcomps):
-        cuts.update(a.bound for a in l.atoms)
-    cuts = sorted(cuts)
-    spans = [*zip(cuts, cuts[1:]), (cuts[-1], None)]
-    gcells = [component_cells(g) for g in gcomps]
-    for f in fcomps:
-        fcells = component_cells(f)
-        for lo, hi in spans:
-            fc = _active_cell(fcells, lo)
+    lists = [component_cells(l) for l in (*fcomps, *gcomps)]
+    nf = len(fcomps)
+    for k in range(nf):
+        pos = [0] * len(lists)
+        lo = ZERO
+        while True:
+            cur = [cells[i] for cells, i in zip(lists, pos)]
+            hi = min((c.hi for c in cur if c.hi is not None), default=None)
+            fc = cur[k]
             if fc.feasible:
-                active = [c for c in (_active_cell(cells, lo) for cells in gcells) if c.feasible]
-                yield fc, active, lo, hi
+                yield fc, [c for c in cur[nf:] if c.feasible], lo, hi
+            if hi is None:
+                break
+            pos = [i + 1 if c.hi is not None and c.hi == hi else i for c, i in zip(cur, pos)]
+            lo = hi
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +525,36 @@ def _strips(fcomps, gcomps):
 # the supremum of its values over finite t (``LinearRtef.eval``), and a
 # supremum over components commutes with one over t; so f(x, inf) > g(x, inf)
 # means f(x, t) exceeds g(x, inf) >= g(x, t) at some finite t.
+#
+# The strips come from one merged walk over the cell lists of both sides
+# (``_strips``), and the endpoint checks that settle most strips without a
+# linear system (``_covers``) are integer sign tests: each cell carries its
+# affine data as numerators over a common denominator (``Cell.ints``).
 
 def _covers(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
     """Whether g alone dominates f on this whole strip (exact for affine
-    data: endpoint checks suffice, the unbounded strip is slope-free)."""
-    if not g.feasible or g.value_t < f.value_t:
+    data: endpoint checks suffice, the unbounded strip is slope-free).
+
+    At an endpoint x = p/q, f is first defined at tf/(d_f*q) and g at
+    tg/(d_g*q), tf and tg clamped at 0, and g - f at f's first time is
+    (dt*tf + (dx*p + dc*q)*d_f) / (d_f^2*d_g*q), where dt, dx, dc are the
+    numerators of g - f over d_f*d_g.  Every test is the sign of an
+    integer, with no ``Fraction`` built.
+    """
+    dg, gwx, gwc, gvt, gvx, gvc = g.ints
+    df, fwx, fwc, fvt, fvx, fvc = f.ints
+    dt = gvt * df - fvt * dg
+    if not g.feasible or dt < 0:
         return False
+    dx = gvx * df - fvx * dg
+    dc = gvc * df - fvc * dg
     for x in (lo,) if hi is None else (lo, hi):
-        tf = max(ZERO, f.wait_x * x + f.wait_c)
-        tg = max(ZERO, g.wait_x * x + g.wait_c)
-        if tg > tf:
+        p, q = x.numerator, x.denominator
+        tf = max(0, fwx * p + fwc * q)
+        tg = max(0, gwx * p + gwc * q)
+        if tg * df > tf * dg:
             return False
-        gap = (
-            (g.value_t - f.value_t) * tf
-            + (g.value_x - f.value_x) * x
-            + (g.value_c - f.value_c)
-        )
-        if gap < 0:
+        if dt * tf + (dx * p + dc * q) * df < 0:
             return False
     return True
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, normalize
+from .algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells, normalize
 from .linear2d import Constraint, feasible_point
 from .matrix import RtefMatrix, mat_mul, mat_sup
 from .model import RteaModel
 from .omega import OmegaVal, act, omega_of
+from .regions import _active_cell
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -281,6 +282,67 @@ def violation_point_subsets(
         point = feasible_point(cons)
         if point is not None:
             return point
+    return None
+
+
+def _strips_cut_set(fcomps, gcomps):
+    """The strips of ``algebra._strips``, from a sorted cut set of every
+    bound of both sides, each cell found by a scan of its component's list."""
+    cuts = {ZERO}
+    for l in (*fcomps, *gcomps):
+        cuts.update(a.bound for a in l.atoms)
+    cuts = sorted(cuts)
+    spans = [*zip(cuts, cuts[1:]), (cuts[-1], None)]
+    gcells = [component_cells(g) for g in gcomps]
+    for f in fcomps:
+        fcells = component_cells(f)
+        for lo, hi in spans:
+            fc = _active_cell(fcells, lo)
+            if fc.feasible:
+                active = [c for c in (_active_cell(cells, lo) for cells in gcells) if c.feasible]
+                yield fc, active, lo, hi
+
+
+def _covers_fractions(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
+    """``algebra._covers`` evaluated in ``Fraction``s at each endpoint."""
+    if not g.feasible or g.value_t < f.value_t:
+        return False
+    for x in (lo,) if hi is None else (lo, hi):
+        tf = max(ZERO, f.wait_x * x + f.wait_c)
+        tg = max(ZERO, g.wait_x * x + g.wait_c)
+        if tg > tf:
+            return False
+        gap = (
+            (g.value_t - f.value_t) * tf
+            + (g.value_x - f.value_x) * x
+            + (g.value_c - f.value_c)
+        )
+        if gap < 0:
+            return False
+    return True
+
+
+def leq_linear_cut_set(lhs: LinearRtef, rhs: LinearRtef) -> bool:
+    """``algebra.leq_linear`` on cut-set strips with ``Fraction`` endpoint
+    checks, uncached; the reference the integer strip kernel is checked
+    against."""
+    return lhs == rhs or all(
+        any(_covers_fractions(gc, fc, lo, hi) for gc in gcs)
+        for fc, gcs, lo, hi in _strips_cut_set((lhs,), (rhs,))
+    )
+
+
+def order_witness_cut_set(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:
+    """``algebra.order_witness`` on cut-set strips with ``Fraction``
+    endpoint checks; same strips in the same order, so the same witness."""
+    shared = set(g.components)
+    fcomps = [c for c in f.components if c not in shared]
+    for fc, gcs, lo, hi in _strips_cut_set(fcomps, g.components):
+        if any(_covers_fractions(gc, fc, lo, hi) for gc in gcs):
+            continue
+        point = _violation_point(fc, gcs, lo, hi)
+        if point is not None:
+            return (Energy.of(point[0]), Time(point[1]))
     return None
 
 

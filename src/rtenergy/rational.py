@@ -3,8 +3,9 @@
 import re
 from fractions import Fraction
 
-# optionally signed decimal or ratio; shared with the .rtea tokenizer
-NUMBER = r"[+-]?\d+(?:\.\d+)?(?:/\d+)?"
+# optionally signed decimal or ratio; shared with the .rtea tokenizer.  ASCII
+# digits only: in a str pattern \d would match every Unicode decimal digit.
+NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?"
 _NUMBER_RE = re.compile(NUMBER)
 
 

@@ -10,8 +10,9 @@ consumers can plot or re-check behaviors without this library.
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
-from .algebra import BOTTOM, INFINITY, Atom, Cell, Energy, LinearRtef, Rtef, Time, _active_cell, component_cells
+from .algebra import BOTTOM, INFINITY, Atom, Cell, Energy, LinearRtef, Rtef, Time, component_cells
 from .rational import format_rational
 
 
@@ -28,6 +29,13 @@ def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
         if a.feasible and b.feasible and (a.value_t, a.value_x, a.value_c) == (b.value_t, b.value_x, b.value_c):
             return cells[:-2] + (replace(a, hi=None),)
     return cells
+
+
+def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
+    for c in cells:
+        if c.lo <= x and (c.hi is None or x < c.hi):
+            return c
+    raise AssertionError("cells cover [0, inf)")
 
 
 def region_eval(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:

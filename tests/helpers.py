@@ -97,6 +97,35 @@ def rand_rtef(rng: random.Random, max_comps=3, max_atoms=3, allow_empty=True) ->
     return Rtef.of([rand_linear(rng, max_atoms) for _ in range(rng.randint(lo, max_comps))])
 
 
+# Coprime denominators for the integer strip kernel: with only halves and a
+# few small rates, a dropped cross-multiplication rarely changes an answer.
+COPRIME_DENS = (1, 2, 3, 5, 7, 11, 97)
+COPRIME_RATES = (Fraction(7, 3), Fraction(11, 5), Fraction(1, 97), Fraction(3, 7), Fraction(97, 11))
+
+
+def rand_coprime_frac(rng: random.Random, hi) -> Fraction:
+    """A fraction in [0, hi] over a denominator drawn from COPRIME_DENS."""
+    den = rng.choice(COPRIME_DENS)
+    return Fraction(rng.randint(0, hi * den), den)
+
+
+def rand_coprime_atom(rng: random.Random) -> Atom:
+    roll = rng.random()
+    if roll < 0.15:
+        rate = Fraction(0)
+    elif roll < 0.45:
+        rate = rng.choice(COPRIME_RATES)
+    else:
+        rate = rand_coprime_frac(rng, 4) or Fraction(1, 97)
+    price = -rand_coprime_frac(rng, 3)
+    bound = -price + rng.choice((Fraction(1, 97), Fraction(0), rand_coprime_frac(rng, 4)))
+    return Atom(rate, price, bound)
+
+
+def rand_coprime_linear(rng: random.Random, max_atoms=3) -> LinearRtef:
+    return normalize([rand_coprime_atom(rng) for _ in range(rng.randint(0, max_atoms))])
+
+
 SAMPLE_XS = [Fraction(v) for v in (0, 1, Fraction(5, 2), 5, 10, Fraction(35, 2), 20, 31, 50)]
 SAMPLE_TS = [Fraction(v) for v in (0, Fraction(1, 2), 1, 3, 7, Fraction(25, 2), 30)]
 

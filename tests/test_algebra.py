@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from rtenergy import (
 )
 from rtenergy import algebra
 from rtenergy.oracles import compose_split_oracle, exact_schedule_value, star_subsets
+from rtenergy.regions import extract_regions
 
 from helpers import (
     A,
@@ -28,6 +30,7 @@ from helpers import (
     ev,
     lin,
     precedes,
+    rand_coprime_linear,
     rand_linear,
     rand_rtef,
     rtef,
@@ -390,6 +393,35 @@ class TestCacheBounds:
     def test_memo_caches_are_bounded(self):
         assert algebra.leq_linear.cache_info().maxsize is not None
         assert algebra.component_cells.cache_info().maxsize is not None
+
+
+class TestCellIntegers:
+    """``Cell.ints`` is derived data: the same affine fields as integers over
+    a common denominator, invisible to equality, hashing and the repr."""
+
+    def test_ignored_by_eq_hash_repr(self):
+        cell = algebra.component_cells(F2)[1]
+        twin = dataclasses.replace(cell)
+        object.__setattr__(twin, "ints", (1, 0, 0, 0, 0, 0))
+        assert twin == cell and hash(twin) == hash(cell) and repr(twin) == repr(cell)
+        assert "ints" not in repr(cell)
+        assert cell == algebra.Cell(
+            cell.lo, cell.hi, cell.feasible, cell.wait_x, cell.wait_c, cell.value_t, cell.value_x, cell.value_c
+        )
+
+    def test_matches_fraction_fields(self):
+        rng = random.Random(61)
+        merged = 0
+        for i in range(1000):
+            l = rand_coprime_linear(rng) if i % 2 else rand_linear(rng)
+            exported = extract_regions(l)
+            merged += exported[-1] not in algebra.component_cells(l)
+            for c in algebra.component_cells(l) + exported:
+                d, *nums = c.ints
+                assert d > 0
+                fields = (c.wait_x, c.wait_c, c.value_t, c.value_x, c.value_c)
+                assert [Fraction(n, d) for n in nums] == list(fields), c
+        assert merged > 100
 
 
 class TestPrecedes:

@@ -266,6 +266,16 @@ class TestContract:
             assert out == ""
             assert err.startswith("error: ")
 
+    def test_non_ascii_digits_exit_2(self, capsys):
+        for numbers in (
+            ("--x0", "\u0665\u0660", "--time", "0"),  # Arabic-Indic 50
+            ("--x0", "50", "--time", "\uff11"),  # fullwidth 1
+        ):
+            code, out, err = run(capsys, "check", "reach", "--model", SAT, *numbers)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
     def test_exit_codes_over_corpus(self, capsys, tmp_path):
         broken = tmp_path / "broken.rtea"
         broken.write_text("rtea { state a rate 0; }")  # missing initial

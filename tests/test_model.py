@@ -95,6 +95,12 @@ class TestParse:
         assert m.rate_of("a") == Fraction(5, 2)
         assert m.transitions[0].price == Fraction(-5, 2)
 
+    def test_non_ascii_digits_rejected(self):
+        # numbers are ASCII decimals; \d would also take Arabic-Indic digits
+        assert err_code("rtea { state a rate \u0663 initial accepting; }") == "syntax"
+        text = "rtea { state a rate 0 initial accepting; trans a -> a price 0 bound 1\u0660; }"
+        assert err_code(text) == "syntax"
+
     def test_comments_and_whitespace(self):
         m = parse_model("rtea{state a rate 0 initial accepting;#x\n}")
         assert m.state_names == ("a",)

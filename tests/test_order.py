@@ -8,7 +8,7 @@ import pytest
 from rtenergy import BOTTOM, Energy, Rtef
 import rtenergy.algebra
 from rtenergy.algebra import leq_linear, order_witness
-from rtenergy.oracles import violation_point_subsets
+from rtenergy.oracles import leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
 
 from helpers import (
     A,
@@ -16,6 +16,7 @@ from helpers import (
     F2,
     ev,
     lin,
+    rand_coprime_linear,
     rand_linear,
     rand_rtef,
     rtef,
@@ -214,3 +215,66 @@ class TestLineSweep:
 
         monkeypatch.setattr(rtenergy.algebra, "feasible_point", counted)
         assert order_witness(f, g) is None
+
+
+def coprime_pool(rng, n):
+    """n distinct components over coprime denominators, in a fixed order."""
+    pool = {}
+    while len(pool) < n:
+        pool.setdefault(rand_coprime_linear(rng), None)
+    return list(pool)
+
+
+class TestIntegerStripKernel:
+    """The merged strip walk with integer endpoint checks against the
+    cut-set strips with ``Fraction`` checks it replaced: equal decisions and
+    equal witnesses, on components whose denominators are coprime."""
+
+    def test_leq_linear_against_fraction_oracle(self):
+        pool = coprime_pool(random.Random(97), 105)
+        holding = 0
+        for a in pool:
+            for b in pool:
+                got = leq_linear.__wrapped__(a, b)  # uncached: the kernel itself
+                assert got == leq_linear_cut_set(a, b), (a, b)
+                holding += got
+        # 11,025 pairs, 105 of them trivial (a == b)
+        assert 1000 < holding < 10000
+
+    def test_order_witness_against_fraction_oracle(self):
+        rng = random.Random(98)
+        pool = coprime_pool(rng, 120)
+        left, right = pool[:60], pool[60:]
+        holding = 0
+        for case in range(2500):
+            # disjoint halves, so no component of f is shared with g
+            fside, gside = (left, right) if case % 2 else (right, left)
+            f = Rtef.of(rng.sample(fside, rng.randint(2, 3)))
+            g = Rtef.of(rng.sample(gside, rng.randint(2, 4)))
+            w = order_witness(f, g)
+            assert w == order_witness_cut_set(f, g), (f, g)
+            if w is None:
+                holding += 1
+            else:
+                assert f.eval(*w) > g.eval(*w)
+        assert 250 < holding < 2250
+
+    def test_denominator_sensitive_pairs(self):
+        # the first cells of f and g have common denominators 330 and 2 * 97^2:
+        # the gap test at a strip endpoint must scale by d_f, or this
+        # violation is missed
+        f = lin((Fraction(11, 5), Fraction(-77, 15), Fraction(199, 30)))
+        g = lin(
+            (Fraction(2, 5), 0, Fraction(114, 97)),
+            (Fraction(332, 97), Fraction(-113, 97), Fraction(114, 97)),
+        )
+        assert leq_linear(f, g) is False
+        x, t = order_witness(rtef(f), rtef(g))
+        assert rtef(f).eval(x, t) > rtef(g).eval(x, t)
+        # holds only through cross-multiplied waits and values: dropping a
+        # denominator from the wait test, the gap's constant term or any
+        # difference of g and f over d_f * d_g flips it
+        f = lin((1, 0, Fraction(8, 3)), (2, Fraction(-61, 15), Fraction(61, 15)))
+        g = lin((4, -3, Fraction(292, 97)))
+        assert leq_linear(f, g) is True
+        assert order_witness(rtef(f), rtef(g)) is None
