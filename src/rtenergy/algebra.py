@@ -536,10 +536,12 @@ def _covers(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
     data: endpoint checks suffice, the unbounded strip is slope-free).
 
     At an endpoint x = p/q, f is first defined at tf/(d_f*q) and g at
-    tg/(d_g*q), tf and tg clamped at 0, and g - f at f's first time is
+    tg/(d_g*q), and g - f at f's first time is
     (dt*tf + (dx*p + dc*q)*d_f) / (d_f^2*d_g*q), where dt, dx, dc are the
     numerators of g - f over d_f*d_g.  Every test is the sign of an
-    integer, with no ``Fraction`` built.
+    integer, with no ``Fraction`` built.  tf and tg need no clamp at 0: a
+    strip lies inside one cell of each component, and a feasible cell's
+    wait is >= 0 at both of its ends, hence on all of it.
     """
     dg, gwx, gwc, gvt, gvx, gvc = g.ints
     df, fwx, fwc, fvt, fvx, fvc = f.ints
@@ -550,8 +552,8 @@ def _covers(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
     dc = gvc * df - fvc * dg
     for x in (lo,) if hi is None else (lo, hi):
         p, q = x.numerator, x.denominator
-        tf = max(0, fwx * p + fwc * q)
-        tg = max(0, gwx * p + gwc * q)
+        tf = fwx * p + fwc * q
+        tg = gwx * p + gwc * q
         if tg * df > tf * dg:
             return False
         if dt * tf + (dx * p + dc * q) * df < 0:

@@ -154,22 +154,23 @@ def _chain_atoms(model: RteaModel):
     for tr in model.transitions:
         outgoing.setdefault(tr.src, []).append(tr)
     rates = dict(model.states)
-    atoms = []
+    path = []
     current = model.initial
     visited = {current}
     while current not in model.accepting:
         nexts = outgoing.get(current, [])
         if len(nexts) != 1:
             raise ValueError(f"model is not a single chain: state {current!r} has {len(nexts)} outgoing transitions")
-        tr = nexts[0]
-        atoms.append(Atom(rates[tr.src], tr.price, tr.bound))
-        current = tr.dst
+        path.append(nexts[0])
+        current = nexts[0].dst
         if current in visited:
             raise ValueError("model is not a single chain: cycle detected")
         visited.add(current)
-    if len(model.transitions) != len(atoms):
-        raise ValueError("model is not a single chain: unreachable transitions present")
-    return tuple(atoms)
+    on_path = set(path)
+    for tr in model.transitions:
+        if tr not in on_path:
+            raise ValueError(f"model is not a single chain: transition {tr.src!r} -> {tr.dst!r} is off the path")
+    return tuple(Atom(rates[tr.src], tr.price, tr.bound) for tr in path)
 
 
 if __name__ == "__main__":

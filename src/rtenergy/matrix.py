@@ -1,5 +1,5 @@
-"""Matrix layer: the Gauss-Jordan closure, and reach and Buchi behaviors
-from one state-elimination solver of z = M* . w v M^omega."""
+"""Matrix layer: one state-elimination solver of z = M* . w v M^omega, off
+which the closure (column by column), reach and Buchi behaviors are read."""
 
 from __future__ import annotations
 
@@ -73,84 +73,79 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(out)
 
 
-def _eliminate(m: list[list[Rtef]], p: int, live: Sequence[int]):
-    """One step of state elimination by Arden's rule, in place on ``m``.
-
-    Stars the pivot, s = m[p][p]*, scales its row to s . m[p][j] for the
-    ``live`` j whose entry is not bottom, and folds m[i][p] . s . m[p][j]
-    into m[i][j] for the ``live`` i with m[i][p] not bottom.  Returns s, the
-    scaled row and those predecessors as (index, m[i][p]) pairs.  Without a
-    self-loop s is the identity, and composing with it is a no-op.
-    """
-    loop, row = m[p][p], m[p]
-    s = loop.star()
-    succ = [(j, row[j] if loop.is_empty else s.compose(row[j])) for j in live if not row[j].is_empty]
-    preds = [(i, m[i][p]) for i in live if not m[i][p].is_empty]
-    for i, f in preds:
-        mi = m[i]
-        for j, g in succ:
-            mi[j] = mi[j].sup(f.compose(g))
-    return s, succ, preds
-
-
-def mat_star(m: RtefMatrix) -> RtefMatrix:
-    """Reflexive-transitive closure by in-place Gauss-Jordan elimination.
-
-    Pivot p replaces m[p][p] by s = m[p][p]*, its row by s . m[p][j] and its
-    column by m[i][p] . s, after folding m[i][p] . s . m[p][j] into every
-    other entry; afterwards m[i][j] holds the paths from i to j through the
-    pivots so far.  On a 1x1 matrix this is exactly the star of the entry.
-    """
-    a = [list(row) for row in m.rows]
-    n = m.dim()
-    for p in range(n):
-        s, succ, preds = _eliminate(a, p, [q for q in range(n) if q != p])
-        for j, g in succ:
-            a[p][j] = g
-        if not a[p][p].is_empty:
-            for i, f in preds:
-                a[i][p] = f.compose(s)
-        a[p][p] = s
-    return RtefMatrix.of(a)
-
-
 def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want: Sequence[int]):
     """z = M* . w v M^omega, the omega part through the first ``k`` states,
     by one elimination pass in ``order``; exact at the ``want`` states.
 
-    When p goes, m[p][p] holds its loops through the states gone before it,
-    and w[p] the runs that leave p into them for good, so v_p = m[p][p]* .
-    w[p], plus m[p][p]^omega when p < k, covers every run from p that stays
-    among p and the earlier states; each live predecessor i gains
+    The non-bottom entries become successor maps succ[i] = {j: m[i][j]} and
+    predecessor sets, kept to the live states, so a pivot costs its in-degree
+    times its out-degree.  When p goes, its self-loop l holds its loops
+    through the states gone before it, and w[p] the runs that leave p into
+    them for good, so v_p = l* . w[p], plus l^omega when p < k, covers every
+    run from p that stays among p and the earlier states.  Each live
+    predecessor i folds m[i][p] . l* . m[p][j] into m[i][j] and gains
     m[i][p] . v_p in w[i].  A backward pass sets z_p = v_p v sup_j
-    (s . m[p][j]) . z_j over the successors j still live when p went, for
+    (l* . m[p][j]) . z_j over the successors j still live when p went, for
     the ``want`` states and the states they reach that way.  M* . w is
     exact in any order; M^omega misses no run when the states p >= k go
     first: let j be the last-eliminated state below k that a run visits
     infinitely often; from some point on the run stays among j and the
     states gone before j.  No closure is built and nothing recurses.
     """
-    a, w, steps = [list(row) for row in m.rows], list(w), []
-    for t, p in enumerate(order):
-        s, succ, preds = _eliminate(a, p, order[t + 1:])
-        v = w[p] if a[p][p].is_empty else act(s, w[p])
+    succ = [{j: f for j, f in enumerate(row) if f.components} for row in m.rows]
+    pred = [set() for _ in succ]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].add(i)
+    w, steps = list(w), []
+    for p in order:
+        row = succ[p]
+        loop = row.pop(p, Rtef.bottom())
+        pred[p].discard(p)
+        for j in row:
+            pred[j].discard(p)
+        v = w[p]
+        if not loop.is_empty:
+            s = loop.star()
+            row = {j: s.compose(g) for j, g in row.items()}
+            v = act(s, v)
         if p < k:
-            v = v.sup(omega_of(a[p][p]))
-        if v != OmegaVal.false():
-            for i, f in preds:
+            v = v.sup(omega_of(loop))
+        for i in pred[p]:
+            out = succ[i]
+            f = out.pop(p)
+            if v != OmegaVal.false():
                 w[i] = w[i].sup(act(f, v))
-        steps.append((p, v, succ))
+            for j, g in row.items():
+                h = f.compose(g)
+                if not h.is_empty:
+                    out[j] = out.get(j, Rtef.bottom()).sup(h)
+                    pred[j].add(i)
+        steps.append((p, v, row))
     needed = set(want)
-    for p, _, succ in steps:
+    for p, _, row in steps:
         if p in needed:
-            needed.update(j for j, _ in succ)
-    z = [OmegaVal.false()] * len(a)
-    for p, v, succ in reversed(steps):
+            needed.update(row)
+    z = [OmegaVal.false()] * len(succ)
+    for p, v, row in reversed(steps):
         if p in needed:
-            for j, g in succ:
+            for j, g in row.items():
                 v = v.sup(act(g, z[j]))
             z[p] = v
     return z
+
+
+def mat_star(m: RtefMatrix) -> RtefMatrix:
+    """Reflexive-transitive closure read off the solver one column at a
+    time: column j is the support of M* . e_j, where e_j is the goal at j
+    alone and false elsewhere."""
+    n = m.dim()
+    goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
+    cols = [
+        _solve(m, list(range(n)), [goal if i == j else false for i in range(n)], 0, range(n))
+        for j in range(n)
+    ]
+    return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:

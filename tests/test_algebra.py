@@ -423,6 +423,16 @@ class TestCellIntegers:
                 assert [Fraction(n, d) for n in nums] == list(fields), c
         assert merged > 100
 
+    def test_feasible_waits_are_non_negative(self):
+        # the same 1,000 components; this is why _covers needs no clamp at 0
+        rng = random.Random(61)
+        for i in range(1000):
+            l = rand_coprime_linear(rng) if i % 2 else rand_linear(rng)
+            for c in algebra.component_cells(l):
+                if c.feasible:
+                    for x in (c.lo,) if c.hi is None else (c.lo, c.hi):
+                        assert c.wait_x * x + c.wait_c >= 0, c
+
 
 class TestPrecedes:
     def test_worked_example(self):

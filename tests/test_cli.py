@@ -391,9 +391,20 @@ class TestGoldenOutput:
             assert (code, out) == (want_code, want_out), argv
             assert (err == "") == (code != 2), argv
 
-    def test_error_messages(self, capsys, monkeypatch):
+    def test_error_messages(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(MODELS)
         _, _, err = run(capsys, "check", "cover", "--model", "satellite.rtea", "--x0", "50", "--time", "2")
         assert err == "error: cover requires --target\n"
         _, _, err = run(capsys, "normalize", "--model", "satellite.rtea")
         assert err == "error: model is not a single chain: state 'closed' has 2 outgoing transitions\n"
+        # the loop at the accepting state is reachable, but off the path
+        loop = tmp_path / "loop.rtea"
+        loop.write_text("""rtea {
+          state a rate 1 initial;
+          state b rate 0 accepting;
+          trans a -> b price 0 bound 0;
+          trans b -> b price 0 bound 0;
+        }""")
+        code, out, err = run(capsys, "normalize", "--model", str(loop))
+        assert (code, out) == (2, "")
+        assert err == "error: model is not a single chain: transition 'b' -> 'b' is off the path\n"
