@@ -1,9 +1,13 @@
 """Matrix layer: one state-elimination solver of z = M* . w v M^omega, off
-which the closure (column by column), reach and Buchi behaviors are read."""
+which the closure (column by column), reach and Buchi behaviors are read.
+
+A matrix is stored as successor maps, the non-bottom entries of each row;
+the dense grid of rows is built only when something asks for it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Rtef
@@ -13,36 +17,48 @@ from .omega import OmegaVal, act, omega_of
 @dataclass(frozen=True)
 class RtefMatrix:
     """A matrix of energy functions; products may be rectangular, automaton
-    matrices are square."""
+    matrices are square.
 
-    rows: tuple[tuple[Rtef, ...], ...]
+    ``succ[i]`` is the map {j: M[i][j]} of the non-bottom entries of row i,
+    so an automaton costs its transitions, not n^2; the maps are not to be
+    mutated.  ``rows``, the dense grid, is built on first access."""
+
+    n_cols: int
+    succ: tuple[dict[int, Rtef], ...]
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged matrix")
+        for row in self.succ:
+            for j, f in row.items():
+                if not 0 <= j < self.n_cols:
+                    raise ValueError("column index out of range")
+                if not f.components:
+                    raise ValueError("bottom entry stored")
 
     @staticmethod
     def of(rows) -> "RtefMatrix":
-        return RtefMatrix(tuple(tuple(r) for r in rows))
+        rows = [tuple(r) for r in rows]
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise ValueError("ragged matrix")
+        succ = tuple({j: f for j, f in enumerate(r) if f.components} for r in rows)
+        return RtefMatrix(widths.pop() if widths else 0, succ)
 
     @staticmethod
     def identity(n: int) -> "RtefMatrix":
-        return RtefMatrix.of(
-            [[Rtef.one() if i == j else Rtef.bottom() for j in range(n)] for i in range(n)]
-        )
+        return RtefMatrix(n, tuple({i: Rtef.one()} for i in range(n)))
 
     @staticmethod
     def zeros(n_rows: int, n_cols: int) -> "RtefMatrix":
-        return RtefMatrix.of([[Rtef.bottom()] * n_cols for _ in range(n_rows)])
+        return RtefMatrix(n_cols, tuple({} for _ in range(n_rows)))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Rtef, ...], ...]:
+        bottom = Rtef.bottom()
+        return tuple(tuple(row.get(j, bottom) for j in range(self.n_cols)) for row in self.succ)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.succ)
 
     def dim(self) -> int:
         if self.n_rows != self.n_cols:
@@ -77,12 +93,13 @@ def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want:
     """z = M* . w v M^omega, the omega part through the first ``k`` states,
     by one elimination pass in ``order``; exact at the ``want`` states.
 
-    The non-bottom entries become successor maps succ[i] = {j: m[i][j]} and
-    predecessor sets, kept to the live states, so a pivot costs its in-degree
-    times its out-degree.  When p goes, its self-loop l holds its loops
-    through the states gone before it, and w[p] the runs that leave p into
-    them for good, so v_p = l* . w[p], plus l^omega when p < k, covers every
-    run from p that stays among p and the earlier states.  Each live
+    It works on copies of the successor maps ``m.succ`` and on predecessor
+    sets built from them, both kept to the live states, so a pivot costs
+    its in-degree times its out-degree and the dense rows are never built.
+    When p goes, its self-loop l holds its loops through the states gone
+    before it, and w[p] the runs that leave p into them for good, so
+    v_p = l* . w[p], plus l^omega when p < k, covers every run from p
+    that stays among p and the earlier states.  Each live
     predecessor i folds m[i][p] . l* . m[p][j] into m[i][j] and gains
     m[i][p] . v_p in w[i].  A backward pass sets z_p = v_p v sup_j
     (l* . m[p][j]) . z_j over the successors j still live when p went, for
@@ -92,7 +109,7 @@ def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want:
     infinitely often; from some point on the run stays among j and the
     states gone before j.  No closure is built and nothing recurses.
     """
-    succ = [{j: f for j, f in enumerate(row) if f.components} for row in m.rows]
+    succ = [dict(row) for row in m.succ]
     pred = [set() for _ in succ]
     for i, row in enumerate(succ):
         for j in row:

@@ -204,21 +204,22 @@ def serialize_model(model: RteaModel) -> str:
 
 
 def to_matrix_rep(model: RteaModel) -> AutomatonRep:
-    """Matrix form with accepting states first.
+    """Matrix form with accepting states first, stored as successor maps.
 
     Entry (i, j) is the supremum of one atom per transition i -> j; the atom
-    earns at the source state's rate.  The accepting state's own rate never
-    influences finite behavior (runs end on arrival), but is kept for
-    uniformity.
+    earns at the source state's rate.  Only the pairs with a transition get
+    an entry, so the matrix costs the transitions, not n^2.  The accepting
+    state's own rate never influences finite behavior (runs end on arrival),
+    but is kept for uniformity.
     """
     accepting = set(model.accepting)
     names = list(model.state_names)
     order = [n for n in names if n in accepting] + [n for n in names if n not in accepting]
     index = {n: i for i, n in enumerate(order)}
     rate = dict(model.states)
-    rows = [[Rtef.bottom()] * len(order) for _ in order]
+    succ = tuple({} for _ in order)
     for tr in model.transitions:
-        i, j = index[tr.src], index[tr.dst]
-        rows[i][j] = rows[i][j].sup(Rtef((LinearRtef((Atom(rate[tr.src], tr.price, tr.bound),)),)))
+        row, j = succ[index[tr.src]], index[tr.dst]
+        row[j] = row.get(j, Rtef.bottom()).sup(Rtef((LinearRtef((Atom(rate[tr.src], tr.price, tr.bound),)),)))
     alpha = tuple(name == model.initial for name in order)
-    return AutomatonRep(alpha, RtefMatrix.of(rows), len(accepting), tuple(order))
+    return AutomatonRep(alpha, RtefMatrix(len(order), succ), len(accepting), tuple(order))

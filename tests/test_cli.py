@@ -1,14 +1,16 @@
 """Command-line surface: answers, exit codes, JSON determinism, exports."""
 
 import json
+import tracemalloc
+from pathlib import Path
 from time import perf_counter
 
-from rtenergy import Rtef, parse_model, to_matrix_rep
+from rtenergy import Rtef, finite_behavior, parse_model, to_matrix_rep
 from rtenergy.cli import main
 from rtenergy.oracles import mat_star_blocks
 from rtenergy.regions import function_json
 
-from helpers import MODELS
+from helpers import MODELS, lin
 
 SAT = str(MODELS / "satellite.rtea")
 PUMP = str(MODELS / "pump.rtea")
@@ -94,10 +96,10 @@ class TestCheck:
         assert report["oracle"]["skipped"]
 
 
-def write_chain(tmp_path, *extra: str) -> str:
-    """A 1,200-state chain, one state per step, so a solver recursing once
-    per state would exceed Python's default recursion limit."""
-    n = 1200
+def write_chain(tmp_path, *extra: str, n: int = 1200) -> str:
+    """An ``n``-state chain, one state per step; at the default 1,200 states
+    a solver recursing once per state would exceed Python's default
+    recursion limit."""
     lines = ["rtea {"]
     for i in range(n):
         flags = " initial" if i == 0 else " accepting" if i == n - 1 else ""
@@ -108,28 +110,55 @@ def write_chain(tmp_path, *extra: str) -> str:
     return str(path)
 
 
+def check_chain_reach(tmp_path, capsys, n: int):
+    path = write_chain(tmp_path, n=n)
+    t0 = perf_counter()
+    code, out, _ = run(capsys, "check", "reach", "--model", path, "--x0", str(n - 1), "--time", "0")
+    assert perf_counter() - t0 < 30
+    assert code == 0
+    assert json.loads(out)["value"] == "0"
+    code, _, _ = run(capsys, "check", "reach", "--model", path, "--x0", str(n - 2), "--time", "0")
+    assert code == 1
+
+
+def check_chain_buchi(tmp_path, capsys, n: int):
+    # a free self-loop on the last state: an endless run needs exactly
+    # the n - 1 units the chain consumes at time 0
+    path = write_chain(tmp_path, f"  trans s{n - 1} -> s{n - 1} price 0 bound 0;", n=n)
+    t0 = perf_counter()
+    code, out, _ = run(capsys, "check", "buchi", "--model", path, "--x0", str(n - 1), "--time", "0")
+    assert code == 0
+    assert json.loads(out)["answer"] is True
+    code, _, _ = run(capsys, "check", "buchi", "--model", path, "--x0", str(n - 2), "--time", "0")
+    assert code == 1
+    assert perf_counter() - t0 < 30
+
+
 class TestDeepModel:
     def test_long_chain_reach(self, tmp_path, capsys):
-        path = write_chain(tmp_path)
-        t0 = perf_counter()
-        code, out, _ = run(capsys, "check", "reach", "--model", str(path), "--x0", "1199", "--time", "0")
-        assert perf_counter() - t0 < 30
-        assert code == 0
-        assert json.loads(out)["value"] == "0"
-        code, _, _ = run(capsys, "check", "reach", "--model", str(path), "--x0", "1198", "--time", "0")
-        assert code == 1
+        check_chain_reach(tmp_path, capsys, 1200)
 
     def test_long_chain_buchi(self, tmp_path, capsys):
-        # a free self-loop on the last state: an endless run needs exactly
-        # the 1,199 units the chain consumes at time 0
-        path = write_chain(tmp_path, "  trans s1199 -> s1199 price 0 bound 0;")
-        t0 = perf_counter()
-        code, out, _ = run(capsys, "check", "buchi", "--model", path, "--x0", "1199", "--time", "0")
-        assert code == 0
-        assert json.loads(out)["answer"] is True
-        code, _, _ = run(capsys, "check", "buchi", "--model", path, "--x0", "1198", "--time", "0")
-        assert code == 1
-        assert perf_counter() - t0 < 30
+        check_chain_buchi(tmp_path, capsys, 1200)
+
+    # the transitions are stored as successor maps: an n x n grid would
+    # hold 10^8 entries here
+    def test_huge_chain_reach(self, tmp_path, capsys):
+        check_chain_reach(tmp_path, capsys, 10_000)
+
+    def test_huge_chain_buchi(self, tmp_path, capsys):
+        check_chain_buchi(tmp_path, capsys, 10_000)
+
+    def test_chain_memory_linear(self, tmp_path):
+        # a dense 2,400 x 2,400 grid of entries alone would take ~46 MB
+        model = parse_model(Path(write_chain(tmp_path, n=2400)).read_text())
+        tracemalloc.start()
+        try:
+            assert finite_behavior(to_matrix_rep(model)) == Rtef.of([lin((1, -2399, 2399))])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_long_chain_normalize(self, tmp_path, capsys):
         # equal rates merge into one step paying the whole chain

@@ -78,6 +78,9 @@ class TestMatMul:
         eye = RtefMatrix.identity(3)
         assert mat_mul(eye, m) == m or entries_equal(mat_mul(eye, m), m)
         assert entries_equal(mat_mul(m, eye), m)
+        # the dense rows are derived from the successor maps and back
+        assert RtefMatrix.of(m.rows) == m
+        assert RtefMatrix.of(eye.rows) == eye
 
     def test_bottom_annihilates(self):
         rng = random.Random(2)
@@ -85,6 +88,9 @@ class TestMatMul:
         z = RtefMatrix.zeros(3, 3)
         assert mat_mul(m, z) == z
         assert mat_mul(z, m) == z
+        wide = RtefMatrix.zeros(2, 3)
+        assert wide.succ == ({}, {}) and (wide.n_rows, wide.n_cols) == (2, 3)
+        assert RtefMatrix.of(wide.rows) == wide
 
     def test_nilpotent_product(self):
         up = RtefMatrix.of([[Rtef.bottom(), rtef(F1)], [Rtef.bottom(), Rtef.bottom()]])
@@ -96,6 +102,14 @@ class TestMatMul:
             mat_mul(RtefMatrix.zeros(2, 3), RtefMatrix.zeros(2, 3))
         with pytest.raises(ValueError):
             mat_sup(RtefMatrix.zeros(2, 3), RtefMatrix.zeros(3, 3))
+        with pytest.raises(ValueError):
+            RtefMatrix.of([[rtef(F1), Rtef.bottom()], [rtef(F1)]])
+        with pytest.raises(ValueError):
+            RtefMatrix(2, ({}, {2: rtef(F1)}))
+        with pytest.raises(ValueError):
+            RtefMatrix(2, ({-1: rtef(F1)}, {}))
+        with pytest.raises(ValueError):
+            RtefMatrix(2, ({0: Rtef.bottom()}, {}))
 
 
 class TestMatStar:

@@ -175,15 +175,16 @@ class TestToMatrixRep:
     def test_no_transitions(self):
         rep = to_matrix_rep(parse_model("rtea { state a rate 1 initial accepting; }"))
         assert rep.matrix.rows[0][0] == Rtef.bottom()
+        assert rep.matrix.succ == ({},)
 
     def test_parallel_transitions_both_kept(self):
-        text = (
-            "rtea { state a rate 2 initial; state b rate 0 accepting; "
-            "trans a -> b price -1 bound 5; trans a -> b price -3 bound 3; }"
-        )
-        rep = to_matrix_rep(parse_model(text))
+        states = "rtea { state a rate 2 initial; state b rate 0 accepting; "
+        first, second = "trans a -> b price -1 bound 5; ", "trans a -> b price -3 bound 3; "
+        rep = to_matrix_rep(parse_model(states + first + second + "}"))
         entry = rep.matrix.rows[rep.state_index("a")][rep.state_index("b")]
         assert len(entry.components) == 2
+        # the entry does not depend on the order the transitions are listed in
+        assert to_matrix_rep(parse_model(states + second + first + "}")).matrix == rep.matrix
 
 
 class TestRegions:
