@@ -46,15 +46,16 @@ __all__ = [
 ]
 
 
-@total_ordering
+@dataclass(frozen=True, order=True, slots=True)
 class Energy:
-    """A battery level in the flat-bottomed lattice: bot < finite < inf."""
+    """A battery level in the flat-bottomed lattice: bot < finite < inf.
 
-    __slots__ = ("rank", "value")
+    The generated order is the lattice order: rank decides first, and equal
+    ranks 0 or 2 compare equal without comparing their None values.
+    """
 
-    def __init__(self, rank: int, value: Optional[Fraction] = None):
-        self.rank = rank  # 0 bottom, 1 finite, 2 infinity
-        self.value = value
+    rank: int  # 0 bottom, 1 finite, 2 infinity
+    value: Optional[Fraction] = None
 
     @staticmethod
     def of(x) -> "Energy":
@@ -82,21 +83,6 @@ class Energy:
             return "inf"
         return str(self.value)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Energy)
-            and self.rank == other.rank
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.value))
-
-    def __lt__(self, other: "Energy") -> bool:
-        if self.rank != other.rank:
-            return self.rank < other.rank
-        return self.rank == 1 and self.value < other.value
-
     def __repr__(self):
         return f"Energy({self.text()})"
 
@@ -106,17 +92,18 @@ INFINITY = Energy(2)
 
 
 @total_ordering
+@dataclass(frozen=True, slots=True)
 class Time:
     """An available-time budget: a finite non-negative rational or infinity."""
 
-    __slots__ = ("value",)
+    value: Optional[Fraction] = None  # None encodes infinity
 
-    def __init__(self, value: Optional[Fraction] = None):
-        if value is not None:
-            value = Fraction(value)
+    def __post_init__(self):
+        if self.value is not None:
+            value = Fraction(self.value)
             if value < 0:
                 raise ValueError(f"time must be non-negative: {value}")
-        self.value = value  # None encodes infinity
+            object.__setattr__(self, "value", value)
 
     @staticmethod
     def of(x) -> "Time":
@@ -133,13 +120,8 @@ class Time:
     def text(self) -> str:
         return "inf" if self.value is None else str(self.value)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Time) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
     def __lt__(self, other: "Time") -> bool:
+        # by hand: a generated order cannot put None (infinity) above all
         if self.value is None:
             return False
         return other.value is None or self.value < other.value
@@ -167,17 +149,6 @@ class Atom:
             raise ValueError(f"price must be non-positive: {self.price}")
         if self.bound < -self.price:
             raise ValueError(f"bound {self.bound} below -price {-self.price}")
-
-    def key(self):
-        return (self.rate, self.price, self.bound)
-
-    def __hash__(self):
-        # computed once: Fraction hashing dominates cache lookups otherwise
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.key()))
-            return self._hash
 
     def __repr__(self):
         return f"Atom({self.rate}, {self.price}, {self.bound})"
@@ -210,9 +181,11 @@ class LinearRtef:
         return not self.atoms
 
     def sort_key(self):
-        return tuple(a.key() for a in self.atoms)
+        return tuple((a.rate, a.price, a.bound) for a in self.atoms)
 
     def __hash__(self):
+        # cached: most calls repeat (the sets in Rtef.of and sup, the
+        # leq_linear keys), while an Atom is hashed about once
         try:
             return self._hash
         except AttributeError:
@@ -309,12 +282,7 @@ class Rtef:
         return not self.components
 
     def eval(self, x: Energy, t: Time) -> Energy:
-        best = BOTTOM
-        for c in self.components:
-            v = c.eval(x, t)
-            if best < v:
-                best = v
-        return best
+        return max((c.eval(x, t) for c in self.components), default=BOTTOM)
 
     def compose(self, other: "Rtef") -> "Rtef":
         """Sequential composition: split the time budget optimally."""

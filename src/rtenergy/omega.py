@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import Energy, LinearRtef, Rtef, TIME_INF, Time
 
@@ -49,16 +49,19 @@ class OmegaVal:
         return not self.support.eval(x, TIME_INF).is_bottom
 
     def sup(self, other: "OmegaVal") -> "OmegaVal":
-        if self.threshold is None:
-            thr = other.threshold
-        elif other.threshold is None:
-            thr = self.threshold
-        else:
-            thr = min(self.threshold, other.threshold)
+        thr = _least((self.threshold, other.threshold))
         return OmegaVal(self.support.sup(other.support), thr)
 
 
 _FALSE = OmegaVal(Rtef.bottom(), None)
+
+
+def _least(levels: Iterable[Optional[Fraction]]) -> Optional[Fraction]:
+    """The least level that is not None, or None if every level is None.
+
+    A None threshold admits no endless schedule, so it never lowers the least.
+    """
+    return min((q for q in levels if q is not None), default=None)
 
 
 def omega_of(f: Rtef) -> OmegaVal:
@@ -72,11 +75,7 @@ def omega_of(f: Rtef) -> OmegaVal:
     """
     free = [c for c in f.components if all(a.price == 0 for a in c.atoms)]
     support = f.star().compose(Rtef.of(free)) if free else Rtef.bottom()
-    threshold: Optional[Fraction] = None
-    for c in f.components:
-        t = _self_sustain_threshold(c)
-        if t is not None and (threshold is None or t < threshold):
-            threshold = t
+    threshold = _least(_self_sustain_threshold(c) for c in f.components)
     return OmegaVal(support, threshold)
 
 
@@ -93,16 +92,13 @@ def _self_sustain_threshold(c: LinearRtef) -> Optional[Fraction]:
 def act(f: Rtef, v: OmegaVal) -> OmegaVal:
     """Left action: run one pass of ``f``, then behave as ``v``."""
     support = f.compose(v.support)
-    threshold: Optional[Fraction] = None
-    if v.threshold is not None:
-        for c in f.components:
-            t = _reach_threshold(c, v.threshold)
-            if t is not None and (threshold is None or t < threshold):
-                threshold = t
+    if v.threshold is None:
+        return OmegaVal(support, None)
+    threshold = _least(_reach_threshold(c, v.threshold) for c in f.components)
     return OmegaVal(support, threshold)
 
 
-def _reach_threshold(c: LinearRtef, goal: Fraction) -> Optional[Fraction]:
+def _reach_threshold(c: LinearRtef, goal: Fraction) -> Fraction:
     """Least start level from which ``c`` with unbounded time reaches ``goal``."""
     if not c.atoms:
         return goal

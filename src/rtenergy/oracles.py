@@ -366,8 +366,8 @@ def mat_star_blocks(m: RtefMatrix) -> RtefMatrix:
     """Reflexive-transitive closure by block recursion on the first row.
 
     With e = (a v b d* c)*, the closure is [[e, e b d*], [d* c e, d* v
-    d* c e b d*]].  Recurses once per state; the reference the Gauss-Jordan
-    ``matrix.mat_star`` is checked against.
+    d* c e b d*]].  Recurses once per state; ``matrix.mat_star``, read off
+    the elimination solver, is checked against it.
     """
     n = m.dim()
     if n == 1:

@@ -41,6 +41,25 @@ class TestValues:
     def test_energy_order(self):
         assert BOTTOM < Energy.of(0) < Energy.of(Fraction(1, 3)) < Energy.of(7) < INFINITY
 
+    def test_value_protocol(self):
+        assert Energy(1, Fraction(3)) == Energy.of(3)
+        assert hash(Energy(1, Fraction(3))) == hash(Energy.of(3))
+        assert Energy(0) == BOTTOM
+        assert Energy.of(3) != Fraction(3)
+        ladder = [BOTTOM, Energy.of(0), Energy.of(Fraction(1, 3)), Energy.of(7), INFINITY]
+        shuffled = ladder[:]
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != ladder and sorted(shuffled) == ladder
+        assert BOTTOM <= BOTTOM and INFINITY >= INFINITY
+        assert max(Energy.of(2), Energy(1, Fraction(2))) == Energy.of(2)
+        assert Time.of("5/2") == Time(Fraction(5, 2))
+        assert hash(Time.of("5/2")) == hash(Time(Fraction(5, 2)))
+        assert Time(1) < TIME_INF
+        assert not TIME_INF < TIME_INF and TIME_INF <= TIME_INF
+        for v in (Energy.of(1), Time(1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                v.value = Fraction(2)
+
     def test_energy_rejects_negative(self):
         with pytest.raises(ValueError):
             Energy.of(-1)
@@ -92,8 +111,11 @@ class TestValues:
         c = lin((1, 0, 2), (3, -1, 4))
         h = hash(c)
         assert calls == 6  # three fields of each of the two atoms
-        assert hash(c) == h and hash(c.atoms[0]) == hash(c.atoms[0])
+        assert hash(c) == h
         assert calls == 6
+        # an Atom keeps the plain dataclass hash: it is hashed about once
+        for a in c.atoms:
+            assert hash(a) == hash((a.rate, a.price, a.bound))
         # equality is still field equality, cached hash or not
         twin = lin((1, 0, 2), (3, -1, 4))
         assert twin == c and hash(twin) == h

@@ -161,7 +161,7 @@ class TestMatStar:
                 m = rand_matrix(rng, n, fill=fill)
                 assert entries_equal(mat_star(m), mat_star_half(m))
 
-    def test_gauss_jordan_equals_block_recursion(self):
+    def test_solver_equals_block_recursion(self):
         # the six bundled models, then n = 1..8 random models
         reps = [to_matrix_rep(load_model(p.name)) for p in sorted(MODELS.glob("*.rtea"))]
         rng = random.Random(99)
