@@ -6,6 +6,7 @@ the dense grid of rows is built only when something asks for it."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -89,6 +90,105 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(out)
 
 
+def _components(m: RtefMatrix) -> list[int]:
+    """Strongly connected component of each state, by one Tarjan pass that
+    keeps its own stack of successor iterators instead of recursing."""
+    n = m.dim()
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack, count, label = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        work = [(root, iter(m.succ[root]))]
+        while work:
+            v, it = work[-1]
+            for u in it:
+                if index[u] < 0:
+                    index[u] = low[u] = count
+                    count += 1
+                    stack.append(u)
+                    work.append((u, iter(m.succ[u])))
+                    break
+                if comp[u] < 0:
+                    low[v] = min(low[v], index[u])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        u = stack.pop()
+                        comp[u] = label
+                        if u == v:
+                            break
+                    label += 1
+    return comp
+
+
+def _order(m: RtefMatrix, late: Sequence[bool], group: Sequence[int]) -> list[int]:
+    """Greedy minimum-degree elimination order, the Markowitz rule of sparse
+    direct solvers: play the elimination on the sparsity pattern alone and
+    take, at each step, the live state with the least in-degree times
+    out-degree, self-loops excluded, ties to the least index.  A ``late``
+    state is taken only once no state of its ``group`` that is not late is
+    left.
+
+    Each degree change pushes a fresh heap entry; an entry whose degree is
+    no longer current is skipped when it comes up."""
+    # imported here, so that starting the command line does not load it
+    from heapq import heapify, heappop, heappush
+
+    n = m.dim()
+    outs = [set(row) for row in m.succ]
+    ins = [set() for _ in range(n)]
+    for i, row in enumerate(outs):
+        row.discard(i)
+        for j in row:
+            ins[j].add(i)
+    early = Counter(g for g, is_late in zip(group, late) if not is_late)
+    held = {}
+    for p in range(n):
+        if late[p]:
+            held.setdefault(group[p], []).append(p)
+
+    def ready(q):
+        return not late[q] or not early[group[q]]
+
+    heap = [(len(ins[p]) * len(outs[p]), p) for p in range(n) if ready(p)]
+    heapify(heap)
+    order, gone = [], [False] * n
+    while heap:
+        key, p = heappop(heap)
+        into, out = ins[p], outs[p]
+        if gone[p] or key != len(into) * len(out):
+            continue
+        gone[p] = True
+        order.append(p)
+        for i in into:
+            row = outs[i]
+            row.discard(p)
+            row |= out
+            row.discard(i)
+        for j in out:
+            col = ins[j]
+            col.discard(p)
+            col |= into
+            col.discard(j)
+        touched = into | out
+        if not late[p]:
+            early[group[p]] -= 1
+            if not early[group[p]]:
+                touched.update(held.get(group[p], ()))
+        for q in touched:
+            if ready(q):
+                heappush(heap, (len(ins[q]) * len(outs[q]), q))
+    return order
+
+
 def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want: Sequence[int]):
     """z = M* . w v M^omega, the omega part through the first ``k`` states,
     by one elimination pass in ``order``; exact at the ``want`` states.
@@ -104,10 +204,13 @@ def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want:
     m[i][p] . v_p in w[i].  A backward pass sets z_p = v_p v sup_j
     (l* . m[p][j]) . z_j over the successors j still live when p went, for
     the ``want`` states and the states they reach that way.  M* . w is
-    exact in any order; M^omega misses no run when the states p >= k go
-    first: let j be the last-eliminated state below k that a run visits
-    infinitely often; from some point on the run stays among j and the
-    states gone before j.  No closure is built and nothing recurses.
+    exact in any order.  M^omega misses no run when, within each strongly
+    connected component of M, the states p >= k go before the states
+    p < k: the states a run visits infinitely often lie in one component,
+    and from some point on the run stays among them; let j be the
+    last-eliminated of them, so the run stays among j and the states gone
+    before j.  If one of them is below k, so is j.  No closure is built and
+    nothing recurses.
     """
     succ = [dict(row) for row in m.succ]
     pred = [set() for _ in succ]
@@ -155,25 +258,30 @@ def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want:
 def mat_star(m: RtefMatrix) -> RtefMatrix:
     """Reflexive-transitive closure read off the solver one column at a
     time: column j is the support of M* . e_j, where e_j is the goal at j
-    alone and false elsewhere."""
+    alone and false elsewhere.  The order depends on the pattern alone, so
+    one order serves every column."""
     n = m.dim()
+    order = _order(m, [False] * n, [0] * n)
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     cols = [
-        _solve(m, list(range(n)), [goal if i == j else false for i in range(n)], 0, range(n))
+        _solve(m, order, [goal if i == j else false for i in range(n)], 0, range(n))
         for j in range(n)
     ]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often;
-    the non-accepting states go first, then the accepting ones."""
+    """Per-state truth of visiting the first ``k`` states infinitely often,
+    by one elimination pass in minimum-degree order, held to the rule of
+    ``_solve``: within each strongly connected component the non-accepting
+    states go first."""
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
-    return tuple(_solve(m, [*range(k, n), *range(k)], [OmegaVal.false()] * n, k, range(n)))
+    order = _order(m, [p < k for p in range(n)], _components(m))
+    return tuple(_solve(m, order, [OmegaVal.false()] * n, k, range(n)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +316,8 @@ def finite_behavior(rep: AutomatonRep) -> Rtef:
 
     The column y = M* kappa is ``_solve`` with w = kappa and no omega part:
     without a threshold, ``act`` and ``OmegaVal.sup`` are ``compose`` and
-    ``sup`` on the support.  The non-initial states go first, in reverse
-    index order, then the initial ones, and only the initial states are
+    ``sup`` on the support.  The states go in minimum-degree order with the
+    initial ones held to the end, so only the initial states are
     back-substituted.
     """
     n = rep.matrix.dim()
@@ -218,7 +326,7 @@ def finite_behavior(rep: AutomatonRep) -> Rtef:
         return Rtef.bottom()
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     w = [goal if j < rep.accepting_count else false for j in range(n)]
-    order = [p for p in reversed(range(n)) if not rep.alpha[p]] + initial
+    order = _order(rep.matrix, rep.alpha, [0] * n)
     z = _solve(rep.matrix, order, w, 0, initial)
     out = Rtef.bottom()
     for i in initial:

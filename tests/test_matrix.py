@@ -1,7 +1,9 @@
 """Matrix closure, infinite iteration, and automaton behaviors."""
 
+import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -464,10 +466,143 @@ def rtef_agree(got: Rtef, want: Rtef) -> bool:
     return got.leq(want) and want.leq(got)
 
 
+def reaches(m: RtefMatrix, i: int) -> set[int]:
+    seen, stack = {i}, [i]
+    while stack:
+        for j in m.succ[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def per_scc_rule_holds(order, comp, k) -> bool:
+    """No accepting state (index < k) before a non-accepting state of its
+    own strongly connected component."""
+    seen_accepting = set()
+    for p in order:
+        if p < k:
+            seen_accepting.add(comp[p])
+        elif comp[p] in seen_accepting:
+            return False
+    return True
+
+
+def ring_and_chain(n: int):
+    f = Rtef.of([lin((1, -1, 1))])
+    ring = RtefMatrix(n, tuple({(i + 1) % n: f} for i in range(n)))
+    chain = RtefMatrix(n, tuple({i + 1: f} if i + 1 < n else {} for i in range(n)))
+    return ring, chain
+
+
+class TestEliminationOrder:
+    """The minimum-degree order and the strongly connected components it
+    is held to."""
+
+    def reps(self):
+        # n = 1..12 random automata with random accepting sets, then
+        # hand-built reps with 2 or 3 initial states
+        rng = random.Random(2033)
+        for _ in range(120):
+            n = rng.randint(1, 12)
+            accepting = rng.sample(range(n), rng.randint(0, n))
+            yield to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+        for _ in range(30):
+            n = rng.randint(3, 6)
+            starts = rng.sample(range(n), rng.randint(2, 3))
+            alpha = tuple(i in starts for i in range(n))
+            yield AutomatonRep(alpha, rand_matrix(rng, n, fill=0.4), rng.randint(0, n))
+
+    def test_permutation_with_initial_states_last(self):
+        for rep in self.reps():
+            n = rep.matrix.dim()
+            order = rtenergy.matrix._order(rep.matrix, rep.alpha, [0] * n)
+            assert sorted(order) == list(range(n))
+            initial = {i for i in range(n) if rep.alpha[i]}
+            assert set(order[n - len(initial):]) == initial
+            free = rtenergy.matrix._order(rep.matrix, [False] * n, [0] * n)
+            assert sorted(free) == list(range(n))
+
+    def test_components_are_mutual_reachability(self):
+        for rep in self.reps():
+            m = rep.matrix
+            n = m.dim()
+            comp = rtenergy.matrix._components(m)
+            reach = [reaches(m, i) for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    assert (comp[i] == comp[j]) == (j in reach[i] and i in reach[j])
+
+    def test_per_scc_rule_and_determinism(self):
+        beyond_global = 0
+        for rep in self.reps():
+            m, k = rep.matrix, rep.accepting_count
+            n = m.dim()
+            comp = rtenergy.matrix._components(m)
+            order = rtenergy.matrix._order(m, [p < k for p in range(n)], comp)
+            assert sorted(order) == list(range(n))
+            assert per_scc_rule_holds(order, comp, k)
+            assert order == rtenergy.matrix._order(m, [p < k for p in range(n)], comp)
+            assert comp == rtenergy.matrix._components(m)
+            beyond_global += not per_scc_rule_holds(order, [0] * n, k)
+        # the per-SCC rule is weaker than "non-accepting first" on many reps
+        print(f"{beyond_global} of 150 orders break the global rule")
+        assert beyond_global > 20
+
+    def test_least_degree_first(self):
+        # a hub 0 with five spokes in and out: index order fills the whole
+        # 5 x 5 block, the minimum-degree order none of it; once four spokes
+        # are gone, the hub and the last spoke tie and the hub goes first
+        f = Rtef.of([lin((1, -1, 1))])
+        hub = RtefMatrix(6, ({j: f for j in range(1, 6)},) + tuple({0: f} for _ in range(5)))
+        assert rtenergy.matrix._order(hub, [False] * 6, [0] * 6) == [1, 2, 3, 4, 0, 5]
+        # a late state waits for the early states of its own group only
+        assert rtenergy.matrix._order(hub, [True] + [False] * 5, [0] * 6) == [1, 2, 3, 4, 5, 0]
+        assert rtenergy.matrix._order(hub, [True] + [False] * 5, [1] + [0] * 5) == [1, 2, 3, 4, 0, 5]
+
+    def test_no_recursion_on_10000_states(self):
+        n = 10_000
+        ring, chain = ring_and_chain(n)
+        limit = sys.getrecursionlimit()
+        # far below the depth a recursive pass over either graph would need
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            ring_comp = rtenergy.matrix._components(ring)
+            chain_comp = rtenergy.matrix._components(chain)
+            ring_order = rtenergy.matrix._order(ring, [p < 1 for p in range(n)], ring_comp)
+            chain_order = rtenergy.matrix._order(chain, [False] * n, [0] * n)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(set(ring_comp)) == 1
+        assert sorted(chain_comp) == list(range(n))
+        assert ring_order[-1] == 0 and sorted(ring_order) == list(range(n))
+        assert sorted(chain_order) == list(range(n))
+
+
+def per_scc_order(rng: random.Random, comp, k: int, accepting_first=False) -> list[int]:
+    """A random order in which, within each strongly connected component,
+    the non-accepting states (index >= k) go first, or, with
+    ``accepting_first``, last: shuffle, then refill the places each
+    component holds with its own states in that arrangement."""
+    n = len(comp)
+    order = rng.sample(range(n), n)
+    places, members = {}, {}
+    for t, p in enumerate(order):
+        places.setdefault(comp[p], []).append(t)
+        members.setdefault(comp[p], []).append(p)
+    for c, ps in members.items():
+        rng.shuffle(ps)
+        ps.sort(key=lambda p: (p < k) != accepting_first)
+        for t, p in zip(places[c], ps):
+            order[t] = p
+    return order
+
+
 class TestSolverOrder:
     """The one elimination solver under random orders against the callers'
     own: any order for the finite part, and for the omega part any order
-    inside "non-accepting first, then accepting"."""
+    in which, within each strongly connected component, the non-accepting
+    states go first."""
 
     def reps(self):
         # n = 1..8 with no, one, some and all states accepting in turn, then
@@ -511,6 +646,121 @@ class TestSolverOrder:
             z = rtenergy.matrix._solve(rep.matrix, order, [OmegaVal.false()] * n, k, want)
             ref = mat_omega_accepting(rep.matrix, k)
             assert all(omega_agree(z[i], ref[i]) for i in want)
+
+    def omega_as_references(self, rep, order, oracles) -> bool:
+        n, k = rep.matrix.dim(), rep.accepting_count
+        z = rtenergy.matrix._solve(rep.matrix, order, [OmegaVal.false()] * n, k, range(n))
+        return all(all(omega_agree(g, r) for g, r in zip(z, oracle(rep.matrix, k))) for oracle in oracles)
+
+    def test_omega_part_in_any_order_inside_each_component(self):
+        # an order that also keeps the global rule is checked against
+        # mat_omega_accepting alone; one that breaks it against the block
+        # recursion as well
+        beyond_global = 0
+        for rng, rep in self.reps():
+            k = rep.accepting_count
+            comp = rtenergy.matrix._components(rep.matrix)
+            order = per_scc_order(rng, comp, k)
+            assert per_scc_rule_holds(order, comp, k)
+            oracles = [mat_omega_accepting]
+            if not per_scc_rule_holds(order, [0] * len(comp), k):
+                beyond_global += 1
+                oracles.append(mat_omega_recursive)
+            assert self.omega_as_references(rep, order, oracles)
+        print(f"{beyond_global} of 190 per-component orders break the global rule")
+        assert beyond_global > 40
+
+    def test_accepting_before_non_accepting_misses_runs(self):
+        # negative control: accepting states first within each component
+        # must make the check above fail somewhere
+        broken = missed = 0
+        for rng, rep in self.reps():
+            k = rep.accepting_count
+            comp = rtenergy.matrix._components(rep.matrix)
+            order = per_scc_order(rng, comp, k, accepting_first=True)
+            if not per_scc_rule_holds(order, comp, k):
+                broken += 1
+                missed += not self.omega_as_references(rep, order, [mat_omega_accepting])
+        print(f"{missed} of {broken} rule-breaking orders miss a run")
+        assert missed > 0
+
+
+def reverse_index_order(rep: AutomatonRep) -> list[int]:
+    """The order of ``finite_behavior`` before the minimum-degree order:
+    the non-initial states in reverse index order, then the initial ones."""
+    n = rep.matrix.dim()
+    return [p for p in reversed(range(n)) if not rep.alpha[p]] + [i for i in range(n) if rep.alpha[i]]
+
+
+def finite_in_reverse_index_order(rep: AutomatonRep) -> Rtef:
+    n, k = rep.matrix.dim(), rep.accepting_count
+    initial = [i for i in range(n) if rep.alpha[i]]
+    w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
+    z = rtenergy.matrix._solve(rep.matrix, reverse_index_order(rep), w, 0, initial)
+    out = Rtef.bottom()
+    for i in initial:
+        out = out.sup(z[i].support)
+    return out
+
+
+def omega_non_accepting_first(m: RtefMatrix, k: int) -> list[OmegaVal]:
+    """``mat_omega_accepting`` in its former order: every non-accepting
+    state, then every accepting one, each group in index order."""
+    n = m.dim()
+    return rtenergy.matrix._solve(m, [*range(k, n), *range(k)], [OmegaVal.false()] * n, k, range(n))
+
+
+def star_in_index_order(m: RtefMatrix) -> RtefMatrix:
+    """``mat_star`` in its former order: every column eliminated in index
+    order."""
+    n = m.dim()
+    goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
+    cols = [
+        rtenergy.matrix._solve(m, list(range(n)), [goal if i == j else false for i in range(n)], 0, range(n))
+        for j in range(n)
+    ]
+    return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
+
+
+class TestMinimumDegreeAgainstFormerOrders:
+    """The minimum-degree order against the orders it replaced, on the
+    bundled models and seeded random automata up to 16 states."""
+
+    def reps(self):
+        reps = [to_matrix_rep(load_model(p.name)) for p in sorted(MODELS.glob("*.rtea"))]
+        rng = random.Random(2035)
+        for i in range(60):
+            n = rng.randint(2, 16)
+            accepting = (None, rng.sample(range(n), max(1, n // 5)), rng.sample(range(n), rng.randint(1, n)))[i % 3]
+            reps.append(to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting))))
+        return reps
+
+    def test_finite_and_buchi_behaviors(self):
+        differ = 0
+        for rep in self.reps():
+            m, k = rep.matrix, rep.accepting_count
+            n = m.dim()
+            got, want = finite_behavior(rep), finite_in_reverse_index_order(rep)
+            assert rtef_agree(got, want)
+            vec, ref = mat_omega_accepting(m, k), omega_non_accepting_first(m, k)
+            assert all(omega_agree(g, r) for g, r in zip(vec, ref))
+            initial = [i for i in range(n) if rep.alpha[i]]
+            want_buchi = OmegaVal.false()
+            for i in initial:
+                want_buchi = want_buchi.sup(ref[i])
+            assert omega_agree(buchi_behavior(rep), want_buchi)
+            differ += rtenergy.matrix._order(m, rep.alpha, [0] * n) != reverse_index_order(rep)
+        # the orders themselves differ on most of the corpus
+        print(f"reach order differs on {differ} of 66 reps")
+        assert differ > 30
+
+    def test_closure(self):
+        equal = 0
+        for rep in self.reps()[:24]:
+            got, want = mat_star(rep.matrix), star_in_index_order(rep.matrix)
+            assert entries_equal(got, want)
+            equal += got == want
+        print(f"mat_star == index-order closure on {equal} of 24 reps")
 
 
 class TestBuchiStructuralCrossCheck:
