@@ -3,8 +3,9 @@
 A staircase component models one path through an automaton: wait in
 successively faster states until each threshold is met, then pay the whole
 accumulated cost on the final jump.  General functions are finite suprema of
-such components.  All arithmetic is exact rational; ``bottom`` ("no feasible
-schedule") is a value, not an error, and absorbs every operation.
+such components.  All arithmetic is exact rational, with integral values
+held as ``int`` (``rational.rational``); ``bottom`` ("no feasible schedule")
+is a value, not an error, and absorbs every operation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterable, Optional
 
 from .linear2d import Constraint, feasible_point
-from .rational import parse_rational
+from .rational import Rational, parse_rational, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -138,9 +139,9 @@ class Atom:
     """One delay-then-jump step: earn ``rate`` per time unit, jump once the
     level reaches ``bound`` and pay ``price``."""
 
-    rate: Fraction
-    price: Fraction
-    bound: Fraction
+    rate: Rational
+    price: Rational
+    bound: Rational
 
     def __post_init__(self):
         if self.rate < 0:
@@ -155,7 +156,7 @@ class Atom:
 
 
 def atom(rate, price, bound) -> Atom:
-    return Atom(Fraction(rate), Fraction(price), Fraction(bound))
+    return Atom(rational(rate), rational(price), rational(bound))
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,8 @@ class LinearRtef:
             if cur < a.bound:
                 if a.rate == 0:
                     return BOTTOM
-                wait = (a.bound - cur) / a.rate
+                # exact even when both sides are ints, where / is a float
+                wait = Fraction(a.bound - cur, a.rate)
                 if wait > rem:
                     return BOTTOM
                 cur = a.bound
@@ -248,7 +250,7 @@ def normalize(seq: Iterable[Atom]) -> LinearRtef:
             i += 1
     for i in range(len(atoms) - 1):
         a, b = atoms[i], atoms[i + 1]
-        atoms[i] = Atom(a.rate, ZERO, a.bound)
+        atoms[i] = Atom(a.rate, 0, a.bound)
         atoms[i + 1] = Atom(b.rate, a.price + b.price, max(a.bound, b.bound - a.price))
     return LinearRtef(tuple(atoms))
 
@@ -355,10 +357,10 @@ _BOTTOM_RTEF = Rtef()
 _ONE_RTEF = Rtef((LinearRtef(),))
 
 
-def _tail(c: LinearRtef) -> tuple[Fraction, Fraction]:
+def _tail(c: LinearRtef) -> tuple[Rational, Rational]:
     """Final rate and price; the identity counts as (0, 0)."""
     if not c.atoms:
-        return ZERO, ZERO
+        return 0, 0
     last = c.atoms[-1]
     return last.rate, last.price
 
@@ -404,55 +406,103 @@ class Cell:
     evaluating to value_t*t + value_x*x + value_c.  Strips below an
     unreachable first threshold are marked infeasible.
 
-    ``ints`` is the same affine data in integers for the order kernel: a
-    common denominator d > 0, then the numerators over d of wait_x, wait_c,
-    value_t, value_x and value_c.  It is derived, so it takes no part in
-    equality, hashing or the repr.
+    The affine data is held once, in integers: ``ints`` is a common
+    denominator d > 0, then the numerators over d of wait_x, wait_c,
+    value_t, value_x and value_c, reduced by their gcd, so equal data gives
+    equal ``ints``.  The five coefficients are read-only ``Fraction``
+    properties, derived on first use and cached in a slot that takes no
+    part in equality, hashing or the repr.
     """
 
-    lo: Fraction
-    hi: Optional[Fraction]
+    lo: Rational
+    hi: Optional[Rational]
     feasible: bool
-    wait_x: Fraction = ZERO
-    wait_c: Fraction = ZERO
-    value_t: Fraction = ZERO
-    value_x: Fraction = ZERO
-    value_c: Fraction = ZERO
-    ints: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    ints: tuple[int, ...] = (1, 0, 0, 0, 0, 0)
+    _fractions: Optional[tuple[Fraction, ...]] = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        coeffs = (self.wait_x, self.wait_c, self.value_t, self.value_x, self.value_c)
-        d = math.lcm(*(q.denominator for q in coeffs))
-        object.__setattr__(self, "ints", (d, *(q.numerator * (d // q.denominator) for q in coeffs)))
+    def fractions(self) -> tuple[Fraction, ...]:
+        """(wait_x, wait_c, value_t, value_x, value_c); a hot loop reads
+        them once through here rather than through each property."""
+        fracs = self._fractions
+        if fracs is None:
+            d, *nums = self.ints
+            fracs = tuple(Fraction(n, d) for n in nums)
+            object.__setattr__(self, "_fractions", fracs)
+        return fracs
+
+    wait_x = property(lambda self: self.fractions()[0])
+    wait_c = property(lambda self: self.fractions()[1])
+    value_t = property(lambda self: self.fractions()[2])
+    value_x = property(lambda self: self.fractions()[3])
+    value_c = property(lambda self: self.fractions()[4])
+
+
+def _reduced(*ints: int) -> tuple[int, ...]:
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+_IDENTITY_CELLS = (Cell(0, None, True, (1, 0, 0, 0, 1, 0)),)
 
 
 @lru_cache(maxsize=COMPONENT_CELLS_CACHE_SIZE)
 def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
+    """The strips of ``l`` from x = 0 up, one per bound, built in integers.
+
+    Below bound j a feasible cell waits (b_j - x)/r_j + climb_j, where
+    climb_j is the sum of (b_k - b_(k-1))/r_k over the later steps k, and
+    then earns at the final rate rn: value rn*t + (rn/r_j)*x + bn + price -
+    rn*wait_c.  With the bounds and the price scaled by s, the lcm of their
+    denominators, and each rate written p/q, the cell of bound j has the
+    common denominator s * lcm(p_j, ..., p_last) * q_last.  The walk runs
+    from the last step down, so that lcm grows one rate at a time, and the
+    climb is carried as its numerator over s times that lcm.  No
+    ``Fraction`` is built.
+    """
     if not l.atoms:
-        return (Cell(ZERO, None, True, ZERO, ZERO, ZERO, ONE, ZERO),)
+        return _IDENTITY_CELLS
     atoms = l.atoms
-    n = len(atoms)
-    rn, bn, price = atoms[-1].rate, atoms[-1].bound, atoms[-1].price
-    bounds = [a.bound for a in atoms]
-    rates = [a.rate for a in atoms]
-    climb = [ZERO] * n  # time to raise the level from bounds[j] past the rest
-    for j in range(n - 2, -1, -1):
-        climb[j] = climb[j + 1] + (bounds[j + 1] - bounds[j]) / rates[j + 1]
-    cells = []
-    for j in range(n + 1):
-        lo = ZERO if j == 0 else bounds[j - 1]
-        hi = bounds[j] if j < n else None
-        if hi is not None and lo == hi:
+    last = atoms[-1]
+    s = math.lcm(last.price.denominator, *(a.bound.denominator for a in atoms))
+    bs = [a.bound.numerator * (s // a.bound.denominator) for a in atoms]
+    price = last.price.numerator * (s // last.price.denominator)
+    pn, qn = last.rate.numerator, last.rate.denominator
+    cells = [Cell(last.bound, None, True, _reduced(s * qn, 0, 0, pn * s, s * qn, price * qn))]
+    span, climb = 1, 0  # lcm(p_j, ..., p_last) and s * span * climb_j
+    for j in range(len(atoms) - 1, -1, -1):
+        lo = atoms[j - 1].bound if j else 0
+        hi = atoms[j].bound
+        p, q = atoms[j].rate.numerator, atoms[j].rate.denominator
+        if p == 0:  # only a first step can earn nothing: unreachable from below
+            if lo != hi:
+                cells.append(Cell(lo, hi, False))
+            break
+        grown = math.lcm(span, p)
+        climb *= grown // span
+        if j + 1 < len(atoms):
+            nxt = atoms[j + 1].rate
+            climb += (bs[j + 1] - bs[j]) * nxt.denominator * (grown // nxt.numerator)
+        span = grown
+        if lo == hi:
             continue
-        if j == n:
-            cells.append(Cell(lo, None, True, ZERO, ZERO, rn, ONE, price))
-        elif rates[j] == 0:
-            cells.append(Cell(lo, hi, False))
-        else:
-            wx = -ONE / rates[j]
-            wc = bounds[j] / rates[j] + climb[j]
-            cells.append(Cell(lo, hi, True, wx, wc, rn, -rn * wx, bn + price - rn * wc))
-    return tuple(cells)
+        k = span // p
+        wc = bs[j] * q * k + climb  # wait_c * s * span
+        cells.append(
+            Cell(
+                lo,
+                hi,
+                True,
+                _reduced(
+                    s * span * qn,
+                    -q * k * s * qn,
+                    wc * qn,
+                    pn * s * span,
+                    pn * q * k * s,
+                    (bs[-1] + price) * span * qn - pn * wc,
+                ),
+            )
+        )
+    return tuple(reversed(cells))
 
 
 def _strips(fcomps, gcomps):
@@ -468,7 +518,7 @@ def _strips(fcomps, gcomps):
     nf = len(fcomps)
     for k in range(nf):
         pos = [0] * len(lists)
-        lo = ZERO
+        lo = 0
         while True:
             cur = [cells[i] for cells, i in zip(lists, pos)]
             hi = min((c.hi for c in cur if c.hi is not None), default=None)
@@ -499,7 +549,7 @@ def _strips(fcomps, gcomps):
 # linear system (``_covers``) are integer sign tests: each cell carries its
 # affine data as numerators over a common denominator (``Cell.ints``).
 
-def _covers(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
+def _covers(g: Cell, f: Cell, lo: Rational, hi: Optional[Rational]) -> bool:
     """Whether g alone dominates f on this whole strip (exact for affine
     data: endpoint checks suffice, the unbounded strip is slope-free).
 
@@ -540,7 +590,7 @@ def leq_linear(lhs: LinearRtef, rhs: LinearRtef) -> bool:
 
 
 def _violation_point(
-    fc: Cell, gcells: list[Cell], lo: Fraction, hi: Optional[Fraction]
+    fc: Cell, gcells: list[Cell], lo: Rational, hi: Optional[Rational]
 ) -> Optional[tuple[Fraction, Fraction]]:
     """A point of the strip where f is defined and beats every g, or None.
 
@@ -557,37 +607,33 @@ def _violation_point(
     edge may sit on a feasibility jump of some g.  Inner cuts are closed on
     both sides, where the order of the lines still holds by continuity.
     """
+    gs = [gc.fractions() for gc in gcells]  # (wait_x, wait_c, value_t, value_x, value_c)
+    fwx, fwc, fvt, fvx, fvc = fc.fractions()
     crossings = {
-        (b.wait_c - a.wait_c) / (a.wait_x - b.wait_x)
-        for a, b in itertools.combinations(gcells, 2)
-        if a.wait_x != b.wait_x
+        (v[1] - u[1]) / (u[0] - v[0])
+        for u, v in itertools.combinations(gs, 2)
+        if u[0] != v[0]
     }
     cuts = [lo, *sorted(x for x in crossings if lo < x and (hi is None or x < hi)), hi]
     f_cons = [
         Constraint(ZERO, ONE, ZERO),
-        Constraint(-fc.wait_x, ONE, -fc.wait_c),
+        Constraint(-fwx, ONE, -fwc),
     ]
     for a, b in zip(cuts, cuts[1:]):
         piece = [Constraint(ONE, ZERO, -a)]
         if b is not None:
             piece.append(Constraint(-ONE, ZERO, b, strict=b == hi))
-        mid = a + 1 if b is None else (a + b) / 2
-        order = sorted(gcells, key=lambda gc: gc.wait_x * mid + gc.wait_c)
+        # cuts may be ints, and int / int is a float
+        mid = a + 1 if b is None else Fraction(a + b, 2)
+        order = sorted(gs, key=lambda g: g[0] * mid + g[1])
         below = []  # g defined but strictly below f: value_g < value_f
         for k in range(len(order) + 1):
             cons = piece + f_cons + below
             if k < len(order):
-                gc = order[k]
+                gwx, gwc, gvt, gvx, gvc = order[k]
                 # t < wait_g(x): this cell and every later one undefined
-                cons.append(Constraint(gc.wait_x, -ONE, gc.wait_c, strict=True))
-                below.append(
-                    Constraint(
-                        fc.value_x - gc.value_x,
-                        fc.value_t - gc.value_t,
-                        fc.value_c - gc.value_c,
-                        strict=True,
-                    )
-                )
+                cons.append(Constraint(gwx, -ONE, gwc, strict=True))
+                below.append(Constraint(fvx - gvx, fvt - gvt, fvc - gvc, strict=True))
             point = feasible_point(cons)
             if point is not None:
                 return point

@@ -15,18 +15,19 @@ directly followed by a word ("rate 5initial") while "rate5" is one IDENT.
 
 Semantic rules: states are unique, exactly one is initial, rates are
 non-negative, prices non-positive, and every bound covers its price.
+Numbers are kept exact: an ``int`` when integral, a ``Fraction`` otherwise
+(``rational.rational``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import Atom, LinearRtef, Rtef
 from .matrix import AutomatonRep, RtefMatrix
-from .rational import NUMBER, format_rational
+from .rational import NUMBER, Rational, format_rational, rational
 
 
 class ModelError(ValueError):
@@ -43,8 +44,8 @@ class ModelError(ValueError):
 @dataclass(frozen=True)
 class Transition:
     src: str
-    price: Fraction
-    bound: Fraction
+    price: Rational
+    bound: Rational
     dst: str
 
 
@@ -53,12 +54,12 @@ class RteaModel:
     """States with earn rates, one initial state, accepting subset, and
     priced/bounded transitions; tuples keep declaration order."""
 
-    states: tuple[tuple[str, Fraction], ...]
+    states: tuple[tuple[str, Rational], ...]
     initial: str
     accepting: tuple[str, ...]
     transitions: tuple[Transition, ...]
 
-    def rate_of(self, name: str) -> Fraction:
+    def rate_of(self, name: str) -> Rational:
         return dict(self.states)[name]
 
     @property
@@ -116,17 +117,17 @@ class _Parser:
         self.pos += 1
         return True
 
-    def number(self) -> tuple[Fraction, int]:
+    def number(self) -> tuple[Rational, int]:
         _, text, off = self.take("num")
         try:
-            return Fraction(text), off
+            return rational(text), off
         except (ValueError, ZeroDivisionError):
             raise self.error("syntax", f"bad number literal {text!r}", off) from None
 
     def parse(self) -> RteaModel:
         self.take(text="rtea")
         self.take(text="{")
-        states: list[tuple[str, Fraction]] = []
+        states: list[tuple[str, Rational]] = []
         seen: set[str] = set()
         initial: Optional[str] = None
         accepting: list[str] = []

@@ -8,6 +8,7 @@ bounds; the schedule enumerator is exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -132,7 +133,8 @@ def exact_schedule_value(atoms: Sequence[Atom], x: Fraction, t: Fraction) -> Ene
     rows.append((tuple(Fraction(-1) for _ in range(n)), -t))
     paid = ZERO
     for i, a in enumerate(atoms):
-        coeffs = tuple(atoms[j].rate if j <= i else ZERO for j in range(n))
+        # Fraction rates: _solve_square divides, and int / int is a float
+        coeffs = tuple(Fraction(atoms[j].rate) if j <= i else ZERO for j in range(n))
         rows.append((coeffs, a.bound - x - paid))
         paid += a.price
     best: Optional[Fraction] = None
@@ -301,6 +303,44 @@ def _strips_cut_set(fcomps, gcomps):
             if fc.feasible:
                 active = [c for c in (_active_cell(cells, lo) for cells in gcells) if c.feasible]
                 yield fc, active, lo, hi
+
+
+def component_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
+    """The strips of ``algebra.component_cells`` computed in ``Fraction``s,
+    each as (lo, hi, feasible, coefficients, ints): the five coefficients
+    wait_x, wait_c, value_t, value_x, value_c, and from them ``Cell.ints``
+    over the lcm of their denominators.  The reference the integer walk is
+    checked against."""
+    if not l.atoms:
+        cells = [(ZERO, None, True, (ZERO, ZERO, ZERO, ONE, ZERO))]
+    else:
+        atoms = l.atoms
+        n = len(atoms)
+        rn, bn, price = (Fraction(v) for v in (atoms[-1].rate, atoms[-1].bound, atoms[-1].price))
+        bounds = [Fraction(a.bound) for a in atoms]
+        rates = [Fraction(a.rate) for a in atoms]
+        climb = [ZERO] * n  # time to raise the level from bounds[j] past the rest
+        for j in range(n - 2, -1, -1):
+            climb[j] = climb[j + 1] + (bounds[j + 1] - bounds[j]) / rates[j + 1]
+        cells = []
+        for j in range(n + 1):
+            lo = ZERO if j == 0 else bounds[j - 1]
+            hi = bounds[j] if j < n else None
+            if hi is not None and lo == hi:
+                continue
+            if j == n:
+                cells.append((lo, None, True, (ZERO, ZERO, rn, ONE, price)))
+            elif rates[j] == 0:
+                cells.append((lo, hi, False, (ZERO,) * 5))
+            else:
+                wx = -ONE / rates[j]
+                wc = bounds[j] / rates[j] + climb[j]
+                cells.append((lo, hi, True, (wx, wc, rn, -rn * wx, bn + price - rn * wc)))
+    out = []
+    for lo, hi, feasible, coeffs in cells:
+        d = math.lcm(*(q.denominator for q in coeffs))
+        out.append((lo, hi, feasible, coeffs, (d, *(q.numerator * (d // q.denominator) for q in coeffs))))
+    return tuple(out)
 
 
 def _covers_fractions(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:

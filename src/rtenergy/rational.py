@@ -2,6 +2,10 @@
 
 import re
 from fractions import Fraction
+from typing import Union
+
+# an exact rational: an int when integral, a Fraction otherwise
+Rational = Union[int, Fraction]
 
 # optionally signed decimal or ratio; shared with the .rtea tokenizer.  ASCII
 # digits only: in a str pattern \d would match every Unicode decimal digit.
@@ -25,6 +29,17 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
-def format_rational(value: Fraction) -> str:
+def rational(value) -> Rational:
+    """``value`` as an exact rational, stored as an ``int`` when integral.
+
+    Integer arithmetic is several times cheaper than ``Fraction``'s, and
+    ``Fraction(3) == 3`` with equal hashes, so the two forms mix freely in
+    comparisons, sets and sort keys; ``str`` prints both alike.
+    """
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def format_rational(value: Rational) -> str:
     """Canonical text form: integers bare, everything else as "p/q"."""
     return str(value)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from rtenergy import (
     Rtef,
     TIME_INF,
     Time,
+    atom,
     normalize,
     parse_model,
 )
@@ -28,6 +30,12 @@ def A(rate, price, bound) -> Atom:
 
 def lin(*triples) -> LinearRtef:
     return LinearRtef(tuple(A(*t) for t in triples))
+
+
+def as_parsed(l: LinearRtef) -> LinearRtef:
+    """``l`` with its values in the form the parser gives them: ints where
+    integral."""
+    return LinearRtef(tuple(atom(a.rate, a.price, a.bound) for a in l.atoms))
 
 
 def rtef(*components) -> Rtef:
@@ -168,3 +176,43 @@ def rand_model_text(rng: random.Random, n_states=3, accepting=None) -> str:
 def rand_model_text_two_accepting(rng: random.Random, n_states=4) -> str:
     accepting = rng.sample(range(n_states), 2)
     return rand_model_text(rng, n_states, accepting=accepting)
+
+
+def mixed_literal(rng: random.Random, value: Fraction) -> str:
+    """``value`` as one of the literal forms the parser reads exactly: an
+    integer, a ratio (also an unreduced one) or a decimal."""
+    p, q = value.numerator, value.denominator
+    forms = [f"{p}/{q}", f"{2 * p}/{2 * q}"]
+    if q == 1:
+        forms += [str(p), f"{p}.0"]
+    if 10**4 % q == 0:  # a terminating decimal
+        forms.append(str(Decimal(p) / Decimal(q)))
+    return rng.choice(forms)
+
+
+def rand_mixed_model_text(rng: random.Random, n_states=4) -> str:
+    """``rand_model_text`` with rates, prices and bounds over denominators
+    1, 2, 3 and 4, written in mixed literal forms, and random accepting
+    states; most values stay integral."""
+
+    def value(lo, hi):
+        q = rng.choice((1, 1, 1, 2, 3, 4))
+        return Fraction(rng.randint(lo * q, hi * q), q)
+
+    names = [f"s{i}" for i in range(n_states)]
+    accepting = set(rng.sample(range(n_states), rng.randint(1, 2)))
+    lines = ["rtea {"]
+    for i, name in enumerate(names):
+        flags = (" initial" if i == 0 else "") + (" accepting" if i in accepting else "")
+        lines.append(f"  state {name} rate {mixed_literal(rng, value(0, 4))}{flags};")
+    edges = {(i, i + 1) for i in range(n_states - 1)}
+    while len(edges) < min(rng.randint(n_states - 1, 2 * n_states), n_states * n_states):
+        edges.add((rng.randrange(n_states), rng.randrange(n_states)))
+    for i, j in sorted(edges):
+        price = -value(0, 3)
+        bound = -price + value(0, 4)
+        lines.append(
+            f"  trans {names[i]} -> {names[j]} price {mixed_literal(rng, price)} bound {mixed_literal(rng, bound)};"
+        )
+    lines.append("}")
+    return "\n".join(lines)

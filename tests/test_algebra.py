@@ -16,7 +16,7 @@ from rtenergy import (
     normalize,
 )
 from rtenergy import algebra
-from rtenergy.oracles import compose_split_oracle, exact_schedule_value, star_subsets
+from rtenergy.oracles import component_cells_fractions, compose_split_oracle, exact_schedule_value, star_subsets
 from rtenergy.regions import extract_regions
 
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     SAMPLE_XS,
     SAT_TOP_NF,
     SAT_TOP_RAW,
+    as_parsed,
     ev,
     lin,
     precedes,
@@ -418,18 +419,41 @@ class TestCacheBounds:
 
 
 class TestCellIntegers:
-    """``Cell.ints`` is derived data: the same affine fields as integers over
-    a common denominator, invisible to equality, hashing and the repr."""
+    """``Cell.ints`` is the one stored form of a cell's affine data: integers
+    over a common denominator.  The five ``Fraction`` coefficients are
+    derived from it and cached, invisible to equality, hashing and the
+    repr."""
 
     def test_ignored_by_eq_hash_repr(self):
-        cell = algebra.component_cells(F2)[1]
-        twin = dataclasses.replace(cell)
-        object.__setattr__(twin, "ints", (1, 0, 0, 0, 0, 0))
+        cell = algebra.component_cells.__wrapped__(F2)[1]
+        twin = algebra.Cell(cell.lo, cell.hi, cell.feasible, cell.ints)
+        before = (hash(cell), repr(cell))
+        assert cell.wait_x == Fraction(-1)  # fills the cache of one side only
+        assert twin == cell and hash(twin) == hash(cell) == before[0]
+        assert repr(twin) == repr(cell) == before[1]
+        assert "fractions" not in repr(cell) and "wait_x" not in repr(cell)
+        # even a wrong cache cannot tell cells apart: only ints counts
+        object.__setattr__(twin, "_fractions", (Fraction(7),) * 5)
         assert twin == cell and hash(twin) == hash(cell) and repr(twin) == repr(cell)
-        assert "ints" not in repr(cell)
-        assert cell == algebra.Cell(
-            cell.lo, cell.hi, cell.feasible, cell.wait_x, cell.wait_c, cell.value_t, cell.value_x, cell.value_c
-        )
+        assert algebra.Cell(cell.lo, cell.hi, cell.feasible, (1, 0, 0, 0, 0, 0)) != cell
+
+    def test_matches_fraction_oracle(self):
+        # the same 1,000 components, each also in the form the parser gives
+        # (integral values as ints); uncached, so each is built afresh
+        rng = random.Random(61)
+        build = algebra.component_cells.__wrapped__
+        reduced = {False: 0, True: 0}  # cells with d > 1, by coprime draw
+        for i in range(1000):
+            l = rand_coprime_linear(rng) if i % 2 else rand_linear(rng)
+            want = component_cells_fractions(l)
+            for comp in (l, as_parsed(l)):
+                got = build(comp)
+                assert len(got) == len(want), comp
+                for c, (lo, hi, feasible, coeffs, ints) in zip(got, want):
+                    assert (c.lo, c.hi, c.feasible, c.ints) == (lo, hi, feasible, ints), comp
+                    assert (c.wait_x, c.wait_c, c.value_t, c.value_x, c.value_c) == coeffs, comp
+                    reduced[bool(i % 2)] += c.ints[0] > 1
+        assert min(reduced.values()) > 300
 
     def test_matches_fraction_fields(self):
         rng = random.Random(61)

@@ -184,6 +184,14 @@ class TestEval:
 
 
 class TestDump:
+    def test_mixed_literal_behavior_golden(self, capsys):
+        # bytes written when every value was a Fraction: storing integral
+        # values as ints must not change them
+        golden = Path(__file__).resolve().parent / "golden" / "pump_ratio_behavior.json"
+        code, out, _ = run(capsys, "dump", "--model", str(MODELS / "pump_ratio.rtea"), "--what", "behavior")
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_behavior_contains_golden_piece(self, capsys):
         _, out, _ = run(capsys, "dump", "--model", SAT)
         report = json.loads(out)
