@@ -20,9 +20,6 @@ from typing import Iterable, Optional
 from .linear2d import Constraint, feasible_point
 from .rational import Rational, parse_rational, rational
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # Entry bounds of the process-lifetime memo caches, well above the largest
 # working sets one pass of a perfbench workload needs (1,454 and 1,278 on
 # reach_random at seed 1; flower_closure needs 1,174 and 651).
@@ -421,8 +418,9 @@ class Cell:
     _fractions: Optional[tuple[Fraction, ...]] = field(default=None, init=False, compare=False, repr=False)
 
     def fractions(self) -> tuple[Fraction, ...]:
-        """(wait_x, wait_c, value_t, value_x, value_c); a hot loop reads
-        them once through here rather than through each property."""
+        """(wait_x, wait_c, value_t, value_x, value_c) as ``Fraction``s,
+        derived from ``ints`` on first use; the five properties read them
+        through here."""
         fracs = self._fractions
         if fracs is None:
             d, *nums = self.ints
@@ -606,34 +604,47 @@ def _violation_point(
     in the next strip with that strip's (correct) cell data, while here the
     edge may sit on a feasibility jump of some g.  Inner cuts are closed on
     both sides, where the order of the lines still holds by continuity.
+
+    Everything runs in integers: each constraint is built from the cells'
+    ``ints`` multiplied through by their positive denominators, and a cut
+    p/q enters as q*x - p.  The crossings are tested against the strip in
+    integers; only those inside it become ``Fraction`` cuts, and only the
+    point returned is built from quotients.
     """
-    gs = [gc.fractions() for gc in gcells]  # (wait_x, wait_c, value_t, value_x, value_c)
-    fwx, fwc, fvt, fvx, fvc = fc.fractions()
-    crossings = {
-        (v[1] - u[1]) / (u[0] - v[0])
-        for u, v in itertools.combinations(gs, 2)
-        if u[0] != v[0]
-    }
-    cuts = [lo, *sorted(x for x in crossings if lo < x and (hi is None or x < hi)), hi]
+    df, fwx, fwc, fvt, fvx, fvc = fc.ints
+    gs = [gc.ints for gc in gcells]
+    crossings = set()  # x = num/den where two feasibility lines cross, inside the strip
+    for (du, uwx, uwc, *_), (dv, vwx, vwc, *_) in itertools.combinations(gs, 2):
+        num, den = vwc * du - uwc * dv, uwx * dv - vwx * du
+        if den < 0:
+            num, den = -num, -den
+        inside = lo.numerator * den < num * lo.denominator and (hi is None or num * hi.denominator < hi.numerator * den)
+        if den and inside:
+            crossings.add(Fraction(num, den))
+    cuts = [lo, *sorted(crossings), hi]
+    common = math.lcm(*(g[0] for g in gs))
     f_cons = [
-        Constraint(ZERO, ONE, ZERO),
-        Constraint(-fwx, ONE, -fwc),
+        Constraint(0, 1, 0),
+        Constraint(-fwx, df, -fwc),  # t >= wait_f(x)
     ]
     for a, b in zip(cuts, cuts[1:]):
-        piece = [Constraint(ONE, ZERO, -a)]
-        if b is not None:
-            piece.append(Constraint(-ONE, ZERO, b, strict=b == hi))
-        # cuts may be ints, and int / int is a float
-        mid = a + 1 if b is None else Fraction(a + b, 2)
-        order = sorted(gs, key=lambda g: g[0] * mid + g[1])
+        piece = [Constraint(a.denominator, 0, -a.numerator)]
+        # a point mp/mq inside the piece: one past a, or the midpoint
+        if b is None:
+            mp, mq = a.numerator + a.denominator, a.denominator
+        else:
+            piece.append(Constraint(-b.denominator, 0, b.numerator, strict=b == hi))
+            mp, mq = a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator
+        # wait_g there, over the common denominator common * mq
+        order = sorted(gs, key=lambda g: (g[1] * mp + g[2] * mq) * (common // g[0]))
         below = []  # g defined but strictly below f: value_g < value_f
         for k in range(len(order) + 1):
             cons = piece + f_cons + below
             if k < len(order):
-                gwx, gwc, gvt, gvx, gvc = order[k]
+                dg, gwx, gwc, gvt, gvx, gvc = order[k]
                 # t < wait_g(x): this cell and every later one undefined
-                cons.append(Constraint(gwx, -ONE, gwc, strict=True))
-                below.append(Constraint(fvx - gvx, fvt - gvt, fvc - gvc, strict=True))
+                cons.append(Constraint(gwx, -dg, gwc, strict=True))
+                below.append(Constraint(fvx * dg - gvx * df, fvt * dg - gvt * df, fvc * dg - gvc * df, strict=True))
             point = feasible_point(cons)
             if point is not None:
                 return point

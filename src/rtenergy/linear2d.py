@@ -1,8 +1,13 @@
 """Exact satisfiability of linear constraint systems in two variables.
 
 Used to decide emptiness of candidate violation regions when comparing
-piecewise-affine functions.  Everything is rational arithmetic; strict and
-non-strict inequalities are kept apart so open regions are handled exactly.
+piecewise-affine functions.  The solver divides nowhere: Fourier-Motzkin
+products, bound comparisons (cross-multiplied, each bound kept as a
+numerator over a positive denominator) and the back-substitution are all
+ring operations, so integer coefficients are solved in integer arithmetic.
+``Fraction``s are built only for the point returned.  Rational coefficients
+work the same way.  Strict and non-strict inequalities are kept apart, so
+open regions are handled exactly.
 """
 
 from __future__ import annotations
@@ -11,16 +16,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .rational import Rational
+
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
-    """a*x + b*t + c >= 0, or strictly > 0 when ``strict`` is set."""
+    """a*x + b*t + c >= 0, or strictly > 0 when ``strict`` is set.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    The order test builds every constraint with integer coefficients,
+    cleared of denominators; the solver takes ``Fraction``s as well."""
+
+    a: Rational
+    b: Rational
+    c: Rational
     strict: bool = False
 
 
@@ -30,25 +40,12 @@ def feasible_point(constraints: Iterable[Constraint]) -> Optional[tuple[Fraction
     Fourier-Motzkin elimination of t followed by a one-dimensional interval
     check on x; unbounded directions are allowed.  The point turns negative
     order decisions into directly checkable witnesses."""
-    x_only, lows, highs = _eliminate_t(constraints)
-    x = _interval_pick(x_only)
-    if x is None:
-        return None
-    # substitute x back: each remaining constraint is linear in t alone
-    t_cons = [Constraint(cn.b, ZERO, cn.a * x + cn.c, cn.strict) for cn in lows + highs]
-    t = _interval_pick(t_cons)
-    if t is None:
-        return None
-    return x, t
-
-
-def _eliminate_t(constraints: Iterable[Constraint]):
     lows: list[Constraint] = []   # b > 0: lower bounds on t
     highs: list[Constraint] = []  # b < 0: upper bounds on t
-    x_only: list[Constraint] = []
+    x_rows = []  # (a, c, strict): a*x + c >= 0
     for cn in constraints:
         if cn.b == 0:
-            x_only.append(cn)
+            x_rows.append((cn.a, cn.c, cn.strict))
         elif cn.b > 0:
             lows.append(cn)
         else:
@@ -57,56 +54,47 @@ def _eliminate_t(constraints: Iterable[Constraint]):
         for hi in highs:
             # lo: t >= (-lo.a x - lo.c)/lo.b, hi: t <= (hi.a x + hi.c)/(-hi.b);
             # their compatibility is affine in x once cleared of denominators.
-            x_only.append(
-                Constraint(
-                    lo.b * hi.a - hi.b * lo.a,
-                    ZERO,
-                    lo.b * hi.c - hi.b * lo.c,
-                    lo.strict or hi.strict,
-                )
-            )
-    return x_only, lows, highs
+            x_rows.append((lo.b * hi.a - hi.b * lo.a, lo.b * hi.c - hi.b * lo.c, lo.strict or hi.strict))
+    x = _interval_pick(x_rows)
+    if x is None:
+        return None
+    # substitute x = p/q back, scaled by q: each row is linear in t alone
+    p, q = x.numerator, x.denominator
+    t = _interval_pick([(cn.b * q, cn.a * p + cn.c * q, cn.strict) for cn in lows + highs])
+    if t is None:
+        return None
+    return x, t
 
 
-def _interval_bounds(constraints: list[Constraint]):
-    """Tightest bounds of a one-variable system a*v + c >= 0; None on an
-    unsatisfiable constant constraint."""
-    low: Optional[Fraction] = None
-    low_strict = False
-    high: Optional[Fraction] = None
-    high_strict = False
-    for cn in constraints:
-        if cn.a == 0:
-            if cn.c < 0 or (cn.strict and cn.c == 0):
-                return None
-        elif cn.a > 0:
-            v = -cn.c / cn.a  # v >= bound
-            if low is None or v > low:
-                low, low_strict = v, cn.strict
-            elif v == low and cn.strict:
+def _interval_pick(rows) -> Optional[Fraction]:
+    """A point of the one-variable system a*v + c >= 0 (strict where
+    flagged), given as (a, c, strict) rows, or None.
+
+    The tightest bounds are kept as (num, den) with den > 0 and compared by
+    cross-multiplication; the point picked is the lower bound, one past it,
+    one below the upper bound, or the midpoint, as the bounds allow."""
+    low = high = None
+    low_strict = high_strict = False
+    for a, c, strict in rows:
+        if a > 0:  # v >= -c/a
+            if low is None or -c * low[1] > low[0] * a:
+                low, low_strict = (-c, a), strict
+            elif strict and -c * low[1] == low[0] * a:
                 low_strict = True
-        else:
-            v = -cn.c / cn.a  # v <= bound
-            if high is None or v < high:
-                high, high_strict = v, cn.strict
-            elif v == high and cn.strict:
+        elif a < 0:  # v <= c/(-a)
+            if high is None or c * high[1] < high[0] * -a:
+                high, high_strict = (c, -a), strict
+            elif strict and c * high[1] == high[0] * -a:
                 high_strict = True
-    return low, low_strict, high, high_strict
-
-
-def _interval_pick(constraints: list[Constraint]) -> Optional[Fraction]:
-    bounds = _interval_bounds(constraints)
-    if bounds is None:
-        return None
-    low, low_strict, high, high_strict = bounds
-    if low is None and high is None:
-        return ZERO
+        elif c < 0 or (strict and c == 0):
+            return None
     if low is None:
-        return high - 1
+        return ZERO if high is None else Fraction(high[0] - high[1], high[1])
     if high is None:
-        return low + 1 if low_strict else low
-    if low > high or (low == high and (low_strict or high_strict)):
+        return Fraction(low[0] + low[1], low[1]) if low_strict else Fraction(*low)
+    gap = high[0] * low[1] - low[0] * high[1]  # sign of high - low
+    if gap < 0 or (gap == 0 and (low_strict or high_strict)):
         return None
-    if low == high:
-        return low
-    return (low + high) / 2
+    if gap == 0:
+        return Fraction(*low)
+    return Fraction(low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1])

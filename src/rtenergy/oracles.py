@@ -249,6 +249,63 @@ def star_subsets(f: Rtef) -> Rtef:
     return Rtef.of(comps).prune()
 
 
+def feasible_point_fractions(constraints: Sequence[Constraint]) -> Optional[tuple[Fraction, Fraction]]:
+    """``linear2d.feasible_point`` with every bound divided out as a
+    ``Fraction``: Fourier-Motzkin elimination of t, then the x interval,
+    then t at that x.  The reference the division-free solver is checked
+    against; it picks the same point."""
+    lows = [cn for cn in constraints if cn.b > 0]
+    highs = [cn for cn in constraints if cn.b < 0]
+    x_only = [cn for cn in constraints if cn.b == 0]
+    for lo in lows:
+        for hi in highs:
+            x_only.append(
+                Constraint(lo.b * hi.a - hi.b * lo.a, ZERO, lo.b * hi.c - hi.b * lo.c, lo.strict or hi.strict)
+            )
+    x = _interval_pick_fractions(x_only)
+    if x is None:
+        return None
+    t = _interval_pick_fractions([Constraint(cn.b, ZERO, cn.a * x + cn.c, cn.strict) for cn in lows + highs])
+    if t is None:
+        return None
+    return x, t
+
+
+def _interval_pick_fractions(constraints: list[Constraint]) -> Optional[Fraction]:
+    """A point of the one-variable system a*v + c >= 0, or None."""
+    low: Optional[Fraction] = None
+    low_strict = False
+    high: Optional[Fraction] = None
+    high_strict = False
+    for cn in constraints:
+        if cn.a == 0:
+            if cn.c < 0 or (cn.strict and cn.c == 0):
+                return None
+            continue
+        v = Fraction(-cn.c) / cn.a
+        if cn.a > 0:  # v >= bound
+            if low is None or v > low:
+                low, low_strict = v, cn.strict
+            elif v == low and cn.strict:
+                low_strict = True
+        else:  # v <= bound
+            if high is None or v < high:
+                high, high_strict = v, cn.strict
+            elif v == high and cn.strict:
+                high_strict = True
+    if low is None and high is None:
+        return ZERO
+    if low is None:
+        return high - 1
+    if high is None:
+        return low + 1 if low_strict else low
+    if low > high or (low == high and (low_strict or high_strict)):
+        return None
+    if low == high:
+        return low
+    return (low + high) / 2
+
+
 def violation_point_subsets(
     fc: Cell, gcells: list[Cell], lo: Fraction, hi: Optional[Fraction]
 ) -> Optional[tuple[Fraction, Fraction]]:

@@ -11,6 +11,8 @@ Rational = Union[int, Fraction]
 # digits only: in a str pattern \d would match every Unicode decimal digit.
 NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?"
 _NUMBER_RE = re.compile(NUMBER)
+# the integer literals, which need no Fraction on the way to an int
+_INTEGER = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def parse_rational(text: str) -> Fraction:
@@ -34,8 +36,11 @@ def rational(value) -> Rational:
 
     Integer arithmetic is several times cheaper than ``Fraction``'s, and
     ``Fraction(3) == 3`` with equal hashes, so the two forms mix freely in
-    comparisons, sets and sort keys; ``str`` prints both alike.
+    comparisons, sets and sort keys; ``str`` prints both alike.  Integer
+    literal text such as "-20" goes straight to ``int``.
     """
+    if type(value) is str and _INTEGER(value):
+        return int(value)
     q = Fraction(value)
     return q.numerator if q.denominator == 1 else q
 

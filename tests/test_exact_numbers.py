@@ -62,7 +62,7 @@ def _check(ok: bool, what: str, value):
 def exact_only(monkeypatch):
     """Fail on a float meeting a ``Fraction`` and on any stored value that
     is not exact: atom fields, cell bounds and integers, constraint
-    coefficients, solver points, energies, times and thresholds."""
+    coefficients (ints), solver points, energies, times and thresholds."""
     algebra.leq_linear.cache_clear()
     algebra.component_cells.cache_clear()
 
@@ -95,7 +95,12 @@ def exact_only(monkeypatch):
             _exact(c.lo) and (c.hi is None or _exact(c.hi)) and all(type(v) is int for v in c.ints), "cell", c
         ),
     )
-    after(linear2d.Constraint, "__init__", lambda cn: _check(all(map(_exact, (cn.a, cn.b, cn.c))), "constraint", cn))
+    # the order test clears every denominator: its constraints are ints
+    after(
+        linear2d.Constraint,
+        "__init__",
+        lambda cn: _check(all(type(v) is int for v in (cn.a, cn.b, cn.c)), "constraint", cn),
+    )
     after(
         algebra.Energy, "__init__", lambda e: _check(e.value is None or type(e.value) is Fraction, "energy", e.value)
     )
@@ -183,6 +188,26 @@ class TestNoFloat:
             f, g = order_pair(rng, case)
             found += sum(w is not None for w in exercise(parsed_rtef(f), parsed_rtef(g)))
         assert found > 100
+
+    def test_order_constraints_are_ints(self, exact_only, monkeypatch):
+        # the same corpus as given, with Fraction atoms where the generators
+        # make them: every constraint the line sweep builds passes the int
+        # check of the fixture, and there are many
+        built = 0
+        init = linear2d.Constraint.__init__
+
+        def counted(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(linear2d.Constraint, "__init__", counted)
+        rng = random.Random(41)
+        for case in range(300):
+            f, g = order_pair(rng, case)
+            algebra.order_witness(f, g)
+            algebra.order_witness(g, f)
+        assert built > 1000
 
     def test_seeded_models(self, exact_only):
         rng = random.Random(41)

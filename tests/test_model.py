@@ -19,7 +19,9 @@ from rtenergy import (
     serialize_model,
     to_matrix_rep,
 )
+from rtenergy import rational as rational_module
 from rtenergy.oracles import DpConfig, dp_lower_bound
+from rtenergy.rational import parse_rational, rational
 
 from helpers import A, SAT_TOP_NF, lin, load_model, rand_model_text, rtef
 
@@ -100,6 +102,18 @@ class TestParse:
         assert err_code("rtea { state a rate \u0663 initial accepting; }") == "syntax"
         text = "rtea { state a rate 0 initial accepting; trans a -> a price 0 bound 1\u0660; }"
         assert err_code(text) == "syntax"
+
+    def test_integer_literal_fast_path(self, monkeypatch):
+        texts = ["-0", "+7", "007", "2.50", "4/2", "5/2"]
+        # the slow path: through a Fraction, then canonical
+        slow = [rational(parse_rational(text)) for text in texts]
+        assert slow == [0, 7, 7, Fraction(5, 2), 2, Fraction(5, 2)]
+        assert [type(v) for v in slow] == [int, int, int, Fraction, int, Fraction]
+        fast = [rational(text) for text in texts]
+        assert fast == slow and [type(v) for v in fast] == [type(v) for v in slow]
+        # the first three build no Fraction at all
+        monkeypatch.setattr(rational_module, "Fraction", None)
+        assert [rational(text) for text in texts[:3]] == slow[:3]
 
     def test_comments_and_whitespace(self):
         m = parse_model("rtea{state a rate 0 initial accepting;#x\n}")
