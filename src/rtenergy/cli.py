@@ -15,7 +15,6 @@ from pathlib import Path
 from .algebra import Atom, Energy, Time, normalize
 from .matrix import buchi_behavior, finite_behavior, mat_star
 from .model import ModelError, RteaModel, parse_model, to_matrix_rep
-from .oracles import DpConfig, buchi_unroll, dp_lower_bound
 from .rational import format_rational, parse_rational
 from .regions import atoms_json, component_json, function_json
 
@@ -110,6 +109,9 @@ def _run_check(args) -> int:
 
 
 def _oracle_report(kind: str, model: RteaModel, x0: Fraction, horizon: Time) -> dict:
+    # imported here, so that starting the command line does not load it
+    from .oracles import DpConfig, buchi_unroll, dp_lower_bound
+
     method = "buchi_unroll" if kind == "buchi" else "dp_lower_bound"
     if horizon.is_infinite:
         return {"method": method, "skipped": "unbounded horizon"}

@@ -1,5 +1,5 @@
-"""Matrix layer: one state-elimination solver of z = M* . w v M^omega, off
-which the closure (column by column), reach and Buchi behaviors are read.
+"""Matrix layer: z = M* . w v M^omega as one state-elimination factorization
+of M and one solve per right-hand side: reach, Buchi, each closure column.
 
 A matrix is stored as successor maps, the non-bottom entries of each row;
 the dense grid of rows is built only when something asks for it."""
@@ -189,90 +189,88 @@ def _order(m: RtefMatrix, late: Sequence[bool], group: Sequence[int]) -> list[in
     return order
 
 
-def _solve(m: RtefMatrix, order: list[int], w: Sequence[OmegaVal], k: int, want: Sequence[int]):
-    """z = M* . w v M^omega, the omega part through the first ``k`` states,
-    by one elimination pass in ``order``; exact at the ``want`` states.
-
-    It works on copies of the successor maps ``m.succ`` and on predecessor
-    sets built from them, both kept to the live states, so a pivot costs
-    its in-degree times its out-degree and the dense rows are never built.
-    When p goes, its self-loop l holds its loops through the states gone
-    before it, and w[p] the runs that leave p into them for good, so
-    v_p = l* . w[p], plus l^omega when p < k, covers every run from p
-    that stays among p and the earlier states.  Each live
-    predecessor i folds m[i][p] . l* . m[p][j] into m[i][j] and gains
-    m[i][p] . v_p in w[i].  A backward pass sets z_p = v_p v sup_j
-    (l* . m[p][j]) . z_j over the successors j still live when p went, for
-    the ``want`` states and the states they reach that way.  M* . w is
-    exact in any order.  M^omega misses no run when, within each strongly
-    connected component of M, the states p >= k go before the states
-    p < k: the states a run visits infinitely often lie in one component,
-    and from some point on the run stays among them; let j be the
-    last-eliminated of them, so the run stays among j and the states gone
-    before j.  If one of them is below k, so is j.  No closure is built and
-    nothing recurses.
-    """
+def _factor(m: RtefMatrix, order: list[int], k: int) -> list[tuple]:
+    """The half of solving z = M* . w v M^omega that never reads w, so one
+    factorization serves every right-hand side, as LU does: state
+    elimination of M in ``order`` on copies of the successor maps and on
+    predecessor sets, both kept to the live states, so a pivot costs its
+    in-degree times its out-degree.  When p goes, its self-loop l holds its
+    loops through the states gone before it, and each live predecessor i
+    folds m[i][p] . l* . m[p][j] into m[i][j].  Step p records l* (None
+    without a loop), l^omega when p < k, p's row scaled by l*, and the
+    pairs (i, m[i][p])."""
     succ = [dict(row) for row in m.succ]
     pred = [set() for _ in succ]
     for i, row in enumerate(succ):
         for j in row:
             pred[j].add(i)
-    w, steps = list(w), []
+    steps = []
     for p in order:
         row = succ[p]
         loop = row.pop(p, Rtef.bottom())
         pred[p].discard(p)
         for j in row:
             pred[j].discard(p)
-        v = w[p]
-        if not loop.is_empty:
-            s = loop.star()
-            row = {j: s.compose(g) for j, g in row.items()}
-            v = act(s, v)
-        if p < k:
-            v = v.sup(omega_of(loop))
-        for i in pred[p]:
-            out = succ[i]
-            f = out.pop(p)
-            if v != OmegaVal.false():
-                w[i] = w[i].sup(act(f, v))
+        s = None if loop.is_empty else loop.star()
+        row = row if s is None else {j: s.compose(g) for j, g in row.items()}
+        folds = [(i, succ[i].pop(p)) for i in pred[p]]
+        for i, f in folds:
             for j, g in row.items():
-                h = f.compose(g)
-                if not h.is_empty:
-                    out[j] = out.get(j, Rtef.bottom()).sup(h)
-                    pred[j].add(i)
-        steps.append((p, v, row))
+                succ[i][j] = succ[i].get(j, Rtef.bottom()).sup(f.compose(g))
+                pred[j].add(i)
+        steps.append((p, s, omega_of(loop) if p < k else None, row, folds))
+    return steps
+
+
+def _solve(steps: list[tuple], w: Sequence[OmegaVal], want: Sequence[int]) -> list[OmegaVal]:
+    """z = M* . w v M^omega, the omega part through the first k states, off
+    the ``steps`` of ``_factor``, which it does not change; exact at the
+    ``want`` states, a lower bound elsewhere.  The forward pass sets
+    v_p = l* . w[p], plus l^omega when p < k, which covers every run from p
+    that stays among p and the states gone before it, and gains
+    m[i][p] . v_p in w[i] for each recorded predecessor i.  A backward pass
+    sets z_p = v_p v sup_j (l* . m[p][j]) . z_j over the scaled row, for the
+    ``want`` states and the states they reach that way.  M* . w is exact in
+    any order.  M^omega misses no run when, within each strongly connected
+    component of M, the states p >= k go before the states p < k: the
+    states a run visits infinitely often lie in one component, and from
+    some point on the run stays among them; let j be the last-eliminated of
+    them, so the run stays among j and the states gone before j.  If one of
+    them is below k, so is j.  No closure is built and nothing recurses.
+    """
+    w = list(w)
+    for p, s, omega, _, folds in steps:
+        v = w[p] if s is None else act(s, w[p])
+        if omega is not None:
+            v = v.sup(omega)
+        if v != OmegaVal.false():
+            for i, f in folds:
+                w[i] = w[i].sup(act(f, v))
+        w[p] = v
     needed = set(want)
-    for p, _, row in steps:
+    for p, _, _, row, _ in steps:
         if p in needed:
             needed.update(row)
-    z = [OmegaVal.false()] * len(succ)
-    for p, v, row in reversed(steps):
+    for p, _, _, row, _ in reversed(steps):
         if p in needed:
             for j, g in row.items():
-                v = v.sup(act(g, z[j]))
-            z[p] = v
-    return z
+                w[p] = w[p].sup(act(g, w[j]))
+    return w
 
 
 def mat_star(m: RtefMatrix) -> RtefMatrix:
-    """Reflexive-transitive closure read off the solver one column at a
-    time: column j is the support of M* . e_j, where e_j is the goal at j
-    alone and false elsewhere.  The order depends on the pattern alone, so
-    one order serves every column."""
+    """Reflexive-transitive closure, one factorization and one solve per
+    column: column j is the support of M* . e_j, with e_j the goal at j."""
     n = m.dim()
-    order = _order(m, [False] * n, [0] * n)
+    steps = _factor(m, _order(m, [False] * n, [0] * n), 0)
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
-    cols = [
-        _solve(m, order, [goal if i == j else false for i in range(n)], 0, range(n))
-        for j in range(n)
-    ]
+    cols = [_solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     """Per-state truth of visiting the first ``k`` states infinitely often,
-    by one elimination pass in minimum-degree order, held to the rule of
+    by one factorization in minimum-degree order, held to the rule of
     ``_solve``: within each strongly connected component the non-accepting
     states go first."""
     n = m.dim()
@@ -280,8 +278,8 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
-    order = _order(m, [p < k for p in range(n)], _components(m))
-    return tuple(_solve(m, order, [OmegaVal.false()] * n, k, range(n)))
+    steps = _factor(m, _order(m, [p < k for p in range(n)], _components(m)), k)
+    return tuple(_solve(steps, [OmegaVal.false()] * n, range(n)))
 
 
 @dataclass(frozen=True)
@@ -326,8 +324,7 @@ def finite_behavior(rep: AutomatonRep) -> Rtef:
         return Rtef.bottom()
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     w = [goal if j < rep.accepting_count else false for j in range(n)]
-    order = _order(rep.matrix, rep.alpha, [0] * n)
-    z = _solve(rep.matrix, order, w, 0, initial)
+    z = _solve(_factor(rep.matrix, _order(rep.matrix, rep.alpha, [0] * n), 0), w, initial)
     out = Rtef.bottom()
     for i in initial:
         out = out.sup(z[i].support)

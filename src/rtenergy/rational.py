@@ -36,12 +36,12 @@ def rational(value) -> Rational:
 
     Integer arithmetic is several times cheaper than ``Fraction``'s, and
     ``Fraction(3) == 3`` with equal hashes, so the two forms mix freely in
-    comparisons, sets and sort keys; ``str`` prints both alike.  Integer
-    literal text such as "-20" goes straight to ``int``.
+    comparisons, sets and sort keys; ``str`` prints both alike.  Text must
+    be a ``parse_rational`` literal; integer literal text skips ``Fraction``.
     """
     if type(value) is str and _INTEGER(value):
         return int(value)
-    q = Fraction(value)
+    q = parse_rational(value) if type(value) is str else Fraction(value)
     return q.numerator if q.denominator == 1 else q
 
 

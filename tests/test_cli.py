@@ -1,6 +1,9 @@
 """Command-line surface: answers, exit codes, JSON determinism, exports."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -192,6 +195,15 @@ class TestDump:
         assert code == 0
         assert out == golden.read_text(encoding="utf-8")
 
+    def test_closure_golden(self, capsys):
+        # bytes written when the closure ran one elimination per column:
+        # one factorization for all columns must not change them
+        for name in ("two_loops", "satellite"):
+            golden = Path(__file__).resolve().parent / "golden" / f"{name}_star.json"
+            code, out, _ = run(capsys, "dump", "--model", str(MODELS / f"{name}.rtea"), "--what", "star")
+            assert code == 0
+            assert out == golden.read_text(encoding="utf-8")
+
     def test_behavior_contains_golden_piece(self, capsys):
         _, out, _ = run(capsys, "dump", "--model", SAT)
         report = json.loads(out)
@@ -255,6 +267,17 @@ class TestContract:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_start_does_not_load_the_oracles(self):
+        # only --verify uses them; a fresh interpreter, so no other test has
+        # imported them already
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, rtenergy.cli; print('rtenergy.oracles' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rtea"

@@ -626,7 +626,7 @@ class TestSolverOrder:
             order = rng.sample(range(n), n)
             early += order[0] in initial
             w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
-            z = rtenergy.matrix._solve(rep.matrix, order, w, 0, initial)
+            z = rtenergy.matrix._solve(rtenergy.matrix._factor(rep.matrix, order, 0), w, initial)
             got = Rtef.bottom()
             for i in initial:
                 alone = AutomatonRep(tuple(j == i for j in range(n)), rep.matrix, k)
@@ -643,13 +643,15 @@ class TestSolverOrder:
             n, k = rep.matrix.dim(), rep.accepting_count
             order = rng.sample(range(k, n), n - k) + rng.sample(range(k), k)
             want = rng.sample(range(n), rng.randint(1, n))
-            z = rtenergy.matrix._solve(rep.matrix, order, [OmegaVal.false()] * n, k, want)
+            steps = rtenergy.matrix._factor(rep.matrix, order, k)
+            z = rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, want)
             ref = mat_omega_accepting(rep.matrix, k)
             assert all(omega_agree(z[i], ref[i]) for i in want)
 
     def omega_as_references(self, rep, order, oracles) -> bool:
         n, k = rep.matrix.dim(), rep.accepting_count
-        z = rtenergy.matrix._solve(rep.matrix, order, [OmegaVal.false()] * n, k, range(n))
+        steps = rtenergy.matrix._factor(rep.matrix, order, k)
+        z = rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, range(n))
         return all(all(omega_agree(g, r) for g, r in zip(z, oracle(rep.matrix, k))) for oracle in oracles)
 
     def test_omega_part_in_any_order_inside_each_component(self):
@@ -685,6 +687,58 @@ class TestSolverOrder:
         assert missed > 0
 
 
+class TestFactorOnce:
+    """One factorization serves every right-hand side."""
+
+    def test_star_factors_once_and_stars_each_pivot_once(self, monkeypatch):
+        factor, star, calls = rtenergy.matrix._factor, Rtef.star, {"factor": 0, "star": 0}
+
+        def counted_factor(*args):
+            calls["factor"] += 1
+            return factor(*args)
+
+        def counted_star(f):
+            calls["star"] += 1
+            return star(f)
+
+        monkeypatch.setattr(rtenergy.matrix, "_factor", counted_factor)
+        monkeypatch.setattr(Rtef, "star", counted_star)
+        # a ring with a self-loop on every state, so every pivot has a loop
+        # and a solver that eliminates once per column stars n^2 times
+        rng = random.Random(19)
+        for n in (2, 3, 5, 8):
+            ring = RtefMatrix(n, tuple({i: rtef(F1), (i + 1) % n: rtef(F2)} for i in range(n)))
+            for m in (ring, rand_matrix(rng, n)):
+                calls.update(factor=0, star=0)
+                mat_star(m)
+                assert calls["factor"] == 1
+                assert calls["star"] == n if m is ring else calls["star"] <= n
+
+    def test_solves_leave_the_steps_unchanged(self):
+        # two different right-hand sides on one factorization, then the
+        # first again, against a fresh factorization for each
+        rng = random.Random(1919)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            accepting = rng.sample(range(n), rng.randint(0, n))
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+            k = rep.accepting_count
+            comp = rtenergy.matrix._components(rep.matrix)
+            order = rtenergy.matrix._order(rep.matrix, [p < k for p in range(n)], comp)
+            goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
+            j = rng.randrange(n)
+            w1 = [goal if i < k else false for i in range(n)]
+            w2 = [OmegaVal(Rtef.one(), Fraction(rng.randint(0, 9))) if i == j else false for i in range(n)]
+            steps = rtenergy.matrix._factor(rep.matrix, order, k)
+            got = [rtenergy.matrix._solve(steps, w, range(n)) for w in (w1, w2, w1)]
+            fresh = [
+                rtenergy.matrix._solve(rtenergy.matrix._factor(rep.matrix, order, k), w, range(n))
+                for w in (w1, w2, w1)
+            ]
+            assert got == fresh
+            assert got[0] == got[2]
+
+
 def reverse_index_order(rep: AutomatonRep) -> list[int]:
     """The order of ``finite_behavior`` before the minimum-degree order:
     the non-initial states in reverse index order, then the initial ones."""
@@ -696,7 +750,8 @@ def finite_in_reverse_index_order(rep: AutomatonRep) -> Rtef:
     n, k = rep.matrix.dim(), rep.accepting_count
     initial = [i for i in range(n) if rep.alpha[i]]
     w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
-    z = rtenergy.matrix._solve(rep.matrix, reverse_index_order(rep), w, 0, initial)
+    steps = rtenergy.matrix._factor(rep.matrix, reverse_index_order(rep), 0)
+    z = rtenergy.matrix._solve(steps, w, initial)
     out = Rtef.bottom()
     for i in initial:
         out = out.sup(z[i].support)
@@ -707,18 +762,17 @@ def omega_non_accepting_first(m: RtefMatrix, k: int) -> list[OmegaVal]:
     """``mat_omega_accepting`` in its former order: every non-accepting
     state, then every accepting one, each group in index order."""
     n = m.dim()
-    return rtenergy.matrix._solve(m, [*range(k, n), *range(k)], [OmegaVal.false()] * n, k, range(n))
+    steps = rtenergy.matrix._factor(m, [*range(k, n), *range(k)], k)
+    return rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, range(n))
 
 
 def star_in_index_order(m: RtefMatrix) -> RtefMatrix:
-    """``mat_star`` in its former order: every column eliminated in index
+    """``mat_star`` in its former order: the states eliminated in index
     order."""
     n = m.dim()
+    steps = rtenergy.matrix._factor(m, list(range(n)), 0)
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
-    cols = [
-        rtenergy.matrix._solve(m, list(range(n)), [goal if i == j else false for i in range(n)], 0, range(n))
-        for j in range(n)
-    ]
+    cols = [rtenergy.matrix._solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
 
 

@@ -17,6 +17,7 @@ from rtenergy import (
     parse_model,
     region_eval,
     serialize_model,
+    atom,
     to_matrix_rep,
 )
 from rtenergy import rational as rational_module
@@ -114,6 +115,16 @@ class TestParse:
         # the first three build no Fraction at all
         monkeypatch.setattr(rational_module, "Fraction", None)
         assert [rational(text) for text in texts[:3]] == slow[:3]
+
+    def test_text_held_to_the_literal_grammar(self):
+        # exponents and digit separators are no .rtea literals: rejected by
+        # rational as by parse_rational, before any arithmetic
+        for text in ("1e3", "1_000", "2.5e1", "1_0/2"):
+            with pytest.raises(ValueError, match="not a rational literal"):
+                atom(text, 0, 0)
+            with pytest.raises(ValueError):
+                rational(text)
+        assert atom("5/2", "-2.5", " 3 ") == atom(Fraction(5, 2), Fraction(-5, 2), 3)
 
     def test_comments_and_whitespace(self):
         m = parse_model("rtea{state a rate 0 initial accepting;#x\n}")
