@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .linear2d import Constraint, feasible_point
 from .rational import Rational, parse_rational, rational
@@ -131,22 +132,28 @@ class Time:
 TIME_INF = Time()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(namedtuple("Atom", "rate price bound")):
     """One delay-then-jump step: earn ``rate`` per time unit, jump once the
-    level reaches ``bound`` and pay ``price``."""
+    level reaches ``bound`` and pay ``price``.
 
-    rate: Rational
-    price: Rational
-    bound: Rational
+    A tuple of its three fields, so equality, hashing and order are theirs;
+    every construction, ``_make``, ``_replace``, copies and unpickling
+    included, goes through the checks in ``__new__``."""
 
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"rate must be non-negative: {self.rate}")
-        if self.price > 0:
-            raise ValueError(f"price must be non-positive: {self.price}")
-        if self.bound < -self.price:
-            raise ValueError(f"bound {self.bound} below -price {-self.price}")
+    __slots__ = ()
+
+    def __new__(cls, rate: Rational, price: Rational, bound: Rational):
+        if rate < 0:
+            raise ValueError(f"rate must be non-negative: {rate}")
+        if price > 0:
+            raise ValueError(f"price must be non-positive: {price}")
+        if bound < -price:
+            raise ValueError(f"bound {bound} below -price {-price}")
+        return tuple.__new__(cls, (rate, price, bound))
+
+    @classmethod
+    def _make(cls, iterable) -> "Atom":
+        return cls(*iterable)
 
     def __repr__(self):
         return f"Atom({self.rate}, {self.price}, {self.bound})"
@@ -177,9 +184,6 @@ class LinearRtef:
     @property
     def is_identity(self) -> bool:
         return not self.atoms
-
-    def sort_key(self):
-        return tuple((a.rate, a.price, a.bound) for a in self.atoms)
 
     def __hash__(self):
         # cached: most calls repeat (the sets in Rtef.of and sup, the
@@ -254,19 +258,20 @@ def normalize(seq: Iterable[Atom]) -> LinearRtef:
 
 @dataclass(frozen=True)
 class Rtef:
-    """A finite supremum of staircase components, kept sorted and duplicate
-    free; the empty supremum is the all-bottom function."""
+    """A finite supremum of staircase components, kept sorted by their
+    atoms and duplicate free; the empty supremum is the all-bottom
+    function."""
 
     components: tuple[LinearRtef, ...] = ()
 
     def __post_init__(self):
-        keys = [c.sort_key() for c in self.components]
-        if not all(a < b for a, b in zip(keys, keys[1:])):
+        comps = self.components
+        if not all(a.atoms < b.atoms for a, b in zip(comps, comps[1:])):
             raise ValueError("components must be sorted and unique; use Rtef.of()")
 
     @staticmethod
     def of(components: Iterable[LinearRtef]) -> "Rtef":
-        return Rtef(tuple(sorted(set(components), key=LinearRtef.sort_key)))
+        return Rtef(tuple(sorted(set(components), key=lambda c: c.atoms)))
 
     @staticmethod
     def bottom() -> "Rtef":
@@ -308,7 +313,7 @@ class Rtef:
         if not other.components:
             return self
         left, right = set(self.components), set(other.components)
-        comps = sorted(left | right, key=LinearRtef.sort_key)
+        comps = sorted(left | right, key=lambda c: c.atoms)
         side = [(c in left) | (c in right) << 1 for c in comps]
         return Rtef(_undominated(comps, side))
 
@@ -395,8 +400,7 @@ def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
 # Cell decomposition: per x-strip affine data used by the order decision and
 # by the region exporter.
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(NamedTuple):
     """One vertical strip of a component's domain.
 
     For x in [lo, hi): defined where t >= max(0, wait_x*x + wait_c), there
@@ -407,32 +411,20 @@ class Cell:
     denominator d > 0, then the numerators over d of wait_x, wait_c,
     value_t, value_x and value_c, reduced by their gcd, so equal data gives
     equal ``ints``.  The five coefficients are read-only ``Fraction``
-    properties, derived on first use and cached in a slot that takes no
-    part in equality, hashing or the repr.
+    properties, computed from ``ints`` on each read; equality, hashing and
+    the repr see the four fields only.
     """
 
     lo: Rational
     hi: Optional[Rational]
     feasible: bool
     ints: tuple[int, ...] = (1, 0, 0, 0, 0, 0)
-    _fractions: Optional[tuple[Fraction, ...]] = field(default=None, init=False, compare=False, repr=False)
 
-    def fractions(self) -> tuple[Fraction, ...]:
-        """(wait_x, wait_c, value_t, value_x, value_c) as ``Fraction``s,
-        derived from ``ints`` on first use; the five properties read them
-        through here."""
-        fracs = self._fractions
-        if fracs is None:
-            d, *nums = self.ints
-            fracs = tuple(Fraction(n, d) for n in nums)
-            object.__setattr__(self, "_fractions", fracs)
-        return fracs
-
-    wait_x = property(lambda self: self.fractions()[0])
-    wait_c = property(lambda self: self.fractions()[1])
-    value_t = property(lambda self: self.fractions()[2])
-    value_x = property(lambda self: self.fractions()[3])
-    value_c = property(lambda self: self.fractions()[4])
+    wait_x = property(lambda self: Fraction(self.ints[1], self.ints[0]))
+    wait_c = property(lambda self: Fraction(self.ints[2], self.ints[0]))
+    value_t = property(lambda self: Fraction(self.ints[3], self.ints[0]))
+    value_x = property(lambda self: Fraction(self.ints[4], self.ints[0]))
+    value_c = property(lambda self: Fraction(self.ints[5], self.ints[0]))
 
 
 def _reduced(*ints: int) -> tuple[int, ...]:

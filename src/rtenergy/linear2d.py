@@ -12,17 +12,15 @@ open regions are handled exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .rational import Rational
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
+class Constraint(NamedTuple):
     """a*x + b*t + c >= 0, or strictly > 0 when ``strict`` is set.
 
     The order test builds every constraint with integer coefficients,
@@ -44,23 +42,24 @@ def feasible_point(constraints: Iterable[Constraint]) -> Optional[tuple[Fraction
     highs: list[Constraint] = []  # b < 0: upper bounds on t
     x_rows = []  # (a, c, strict): a*x + c >= 0
     for cn in constraints:
-        if cn.b == 0:
-            x_rows.append((cn.a, cn.c, cn.strict))
-        elif cn.b > 0:
+        a, b, c, strict = cn
+        if b == 0:
+            x_rows.append((a, c, strict))
+        elif b > 0:
             lows.append(cn)
         else:
             highs.append(cn)
-    for lo in lows:
-        for hi in highs:
-            # lo: t >= (-lo.a x - lo.c)/lo.b, hi: t <= (hi.a x + hi.c)/(-hi.b);
-            # their compatibility is affine in x once cleared of denominators.
-            x_rows.append((lo.b * hi.a - hi.b * lo.a, lo.b * hi.c - hi.b * lo.c, lo.strict or hi.strict))
+    for la, lb, lc, ls in lows:
+        for ha, hb, hc, hs in highs:
+            # t >= (-la x - lc)/lb and t <= (ha x + hc)/(-hb); their
+            # compatibility is affine in x once cleared of denominators.
+            x_rows.append((lb * ha - hb * la, lb * hc - hb * lc, ls or hs))
     x = _interval_pick(x_rows)
     if x is None:
         return None
     # substitute x = p/q back, scaled by q: each row is linear in t alone
     p, q = x.numerator, x.denominator
-    t = _interval_pick([(cn.b * q, cn.a * p + cn.c * q, cn.strict) for cn in lows + highs])
+    t = _interval_pick([(b * q, a * p + c * q, strict) for a, b, c, strict in lows + highs])
     if t is None:
         return None
     return x, t

@@ -9,7 +9,6 @@ consumers can plot or re-check behaviors without this library.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import BOTTOM, INFINITY, Atom, Cell, Energy, LinearRtef, Rtef, Time, component_cells
@@ -27,7 +26,7 @@ def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
     if len(cells) >= 2:
         a, b = cells[-2:]
         if a.feasible and b.feasible and (a.value_t, a.value_x, a.value_c) == (b.value_t, b.value_x, b.value_c):
-            return cells[:-2] + (replace(a, hi=None),)
+            return cells[:-2] + (a._replace(hi=None),)
     return cells
 
 

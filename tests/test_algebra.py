@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import fractions
+import pickle
 import random
 from fractions import Fraction
 
@@ -78,6 +80,24 @@ class TestValues:
             A(1, 1, 1)
         with pytest.raises(ValueError):
             A(1, -10, 3)
+        # the same three checks on every path that makes an Atom
+        good = algebra.atom(1, -2, 3)
+        assert copy.copy(good) == good and type(copy.copy(good)) is algebra.Atom
+        assert pickle.loads(pickle.dumps(good)) == good
+        for name, value in (("rate", -1), ("price", 1), ("bound", 1)):
+            fields = tuple(value if f == name else v for f, v in zip(algebra.Atom._fields, good))
+            unchecked = tuple.__new__(algebra.Atom, fields)
+            makers = (
+                lambda: algebra.Atom(*fields),
+                lambda: algebra.atom(*fields),
+                lambda: algebra.Atom._make(fields),
+                lambda: good._replace(**{name: value}),
+                lambda: copy.copy(unchecked),
+                lambda: pickle.loads(pickle.dumps(unchecked)),
+            )
+            for make in makers:
+                with pytest.raises(ValueError):
+                    make()
 
     def test_linear_normal_form_enforced(self):
         with pytest.raises(ValueError):
@@ -114,13 +134,59 @@ class TestValues:
         assert calls == 6  # three fields of each of the two atoms
         assert hash(c) == h
         assert calls == 6
-        # an Atom keeps the plain dataclass hash: it is hashed about once
+        # an Atom hashes as the tuple of its fields: it is hashed about once
         for a in c.atoms:
             assert hash(a) == hash((a.rate, a.price, a.bound))
         # equality is still field equality, cached hash or not
         twin = lin((1, 0, 2), (3, -1, 4))
         assert twin == c and hash(twin) == h
         assert lin((1, 0, 2), (3, -1, 5)) != c
+
+
+def field_key(c: LinearRtef):
+    """The component sort key as an explicit tuple of atom field tuples."""
+    return tuple((a.rate, a.price, a.bound) for a in c.atoms)
+
+
+class TestRecords:
+    """``Atom``, ``Cell`` and ``Constraint`` are tuples of their fields, and
+    an ``Rtef`` orders its components by their atoms."""
+
+    def test_tuples_of_their_fields(self):
+        a = algebra.atom(1, -2, Fraction(5, 2))
+        rate, price, bound = a
+        assert (rate, price, bound) == a == (1, -2, Fraction(5, 2))
+        assert hash(a) == hash((1, -2, Fraction(5, 2)))
+        cell = algebra.Cell(0, 3, True, (2, -1, 6, 2, 1, 0))
+        assert cell == (0, 3, True, (2, -1, 6, 2, 1, 0))
+        assert (cell.wait_x, cell.wait_c) == (Fraction(-1, 2), 3)
+        lo, hi, feasible, ints = cell._replace(hi=None)
+        assert (lo, hi, feasible, ints) == (0, None, True, cell.ints)
+        assert algebra.Constraint(1, 2, 3) == (1, 2, 3, False)
+
+    def test_component_order_is_field_order(self):
+        # seeded functions with Fraction atoms, int atoms as the parser gives
+        # them, and the identity, as built and after each operation
+        rng = random.Random(89)
+        mixed = identities = 0
+        for _ in range(300):
+            pair = []
+            for _ in range(2):
+                comps = [rand_linear(rng) for _ in range(rng.randint(0, 5))]
+                comps = [as_parsed(c) if rng.random() < 0.5 else c for c in comps]
+                if rng.random() < 0.3:
+                    comps.append(LinearRtef())
+                f = Rtef.of(comps)
+                assert f.components == tuple(sorted(set(comps), key=field_key))
+                values = {type(v) for c in comps for a in c.atoms for v in a}
+                mixed += values == {int, Fraction}
+                identities += LinearRtef() in f.components
+                pair.append(f)
+            f, g = pair
+            for h in (f, f.prune(), f.sup(g), f.compose(g), f.star()):
+                keys = [field_key(c) for c in h.components]
+                assert keys == sorted(set(keys)), h
+        assert mixed > 100 and identities > 100
 
 
 class TestNormalize:
@@ -421,20 +487,17 @@ class TestCacheBounds:
 class TestCellIntegers:
     """``Cell.ints`` is the one stored form of a cell's affine data: integers
     over a common denominator.  The five ``Fraction`` coefficients are
-    derived from it and cached, invisible to equality, hashing and the
-    repr."""
+    computed from it on each read and take no part in equality, hashing or
+    the repr."""
 
     def test_ignored_by_eq_hash_repr(self):
         cell = algebra.component_cells.__wrapped__(F2)[1]
         twin = algebra.Cell(cell.lo, cell.hi, cell.feasible, cell.ints)
         before = (hash(cell), repr(cell))
-        assert cell.wait_x == Fraction(-1)  # fills the cache of one side only
+        assert cell.wait_x == Fraction(-1)
         assert twin == cell and hash(twin) == hash(cell) == before[0]
         assert repr(twin) == repr(cell) == before[1]
         assert "fractions" not in repr(cell) and "wait_x" not in repr(cell)
-        # even a wrong cache cannot tell cells apart: only ints counts
-        object.__setattr__(twin, "_fractions", (Fraction(7),) * 5)
-        assert twin == cell and hash(twin) == hash(cell) and repr(twin) == repr(cell)
         assert algebra.Cell(cell.lo, cell.hi, cell.feasible, (1, 0, 0, 0, 0, 0)) != cell
 
     def test_matches_fraction_oracle(self):

@@ -87,18 +87,27 @@ def exact_only(monkeypatch):
 
         monkeypatch.setattr(cls, name, checked)
 
-    after(algebra.Atom, "__post_init__", lambda a: _check(all(map(_exact, (a.rate, a.price, a.bound))), "atom", a))
-    after(
+    def built(cls, check):
+        # the tuple records: every field is set in __new__
+        new = cls.__new__
+
+        def checked(klass, *args, **kwargs):
+            record = new(klass, *args, **kwargs)
+            check(record)
+            return record
+
+        monkeypatch.setattr(cls, "__new__", checked)
+
+    built(algebra.Atom, lambda a: _check(all(map(_exact, (a.rate, a.price, a.bound))), "atom", a))
+    built(
         algebra.Cell,
-        "__init__",
         lambda c: _check(
             _exact(c.lo) and (c.hi is None or _exact(c.hi)) and all(type(v) is int for v in c.ints), "cell", c
         ),
     )
     # the order test clears every denominator: its constraints are ints
-    after(
+    built(
         linear2d.Constraint,
-        "__init__",
         lambda cn: _check(all(type(v) is int for v in (cn.a, cn.b, cn.c)), "constraint", cn),
     )
     after(
@@ -173,6 +182,27 @@ def exercise_model(text: str):
 
 
 class TestNoFloat:
+    def test_guard_trips_on_each_record(self, exact_only):
+        # a float planted in any stored value of a record fails the guard
+        algebra.Atom(1, -1, 2)
+        algebra.Cell(0, 1, True, (2, -1, 6, 2, 1, 0))
+        linear2d.Constraint(1, -2, 3, strict=True)
+        planted = [
+            ("atom", lambda: algebra.Atom(1.5, -1, 2)),
+            ("atom", lambda: algebra.Atom(1, -1.0, 2)),
+            ("atom", lambda: algebra.Atom(1, -1, 2.5)),
+            ("atom", lambda: algebra.Atom(1, -1, 2)._replace(rate=0.5)),
+            ("cell", lambda: algebra.Cell(0.5, 1, True, (2, -1, 6, 2, 1, 0))),
+            ("cell", lambda: algebra.Cell(0, 1.5, True, (2, -1, 6, 2, 1, 0))),
+            ("cell", lambda: algebra.Cell(0, 1, True, (2, -1, 6, 2.0, 1, 0))),
+            ("constraint", lambda: linear2d.Constraint(1.0, -2, 3)),
+            ("constraint", lambda: linear2d.Constraint(1, -2.0, 3)),
+            ("constraint", lambda: linear2d.Constraint(1, -2, 3.0)),
+        ]
+        for what, make in planted:
+            with pytest.raises(AssertionError, match=f"^{what}: "):
+                make()
+
     def test_seeded_component_corpus(self, exact_only):
         # the 1,000 components of TestCellIntegers, in parsed form, as pairs
         rng = random.Random(61)
@@ -194,14 +224,14 @@ class TestNoFloat:
         # make them: every constraint the line sweep builds passes the int
         # check of the fixture, and there are many
         built = 0
-        init = linear2d.Constraint.__init__
+        new = linear2d.Constraint.__new__
 
-        def counted(self, *args, **kwargs):
+        def counted(cls, *args, **kwargs):
             nonlocal built
             built += 1
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(linear2d.Constraint, "__init__", counted)
+        monkeypatch.setattr(linear2d.Constraint, "__new__", counted)
         rng = random.Random(41)
         for case in range(300):
             f, g = order_pair(rng, case)
