@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from typing import Iterable, NamedTuple, Optional
 
-from .linear2d import Constraint, feasible_point
+from .linear2d import Constraint, Elimination
 from .rational import Rational, parse_rational, rational
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
@@ -534,8 +534,9 @@ def _strips(fcomps, gcomps):
 # supremum over components commutes with one over t; so f(x, inf) > g(x, inf)
 # means f(x, t) exceeds g(x, inf) >= g(x, t) at some finite t.
 #
-# The strips come from one merged walk over the cell lists of both sides
-# (``_strips``), and the endpoint checks that settle most strips without a
+# The strips come from a merged walk over the cell lists of both sides: two
+# cursors in ``leq_linear``, one per component in ``_strips`` for
+# ``order_witness``.  The endpoint checks that settle most strips without a
 # linear system (``_covers``) are integer sign tests: each cell carries its
 # affine data as numerators over a common denominator (``Cell.ints``).
 
@@ -572,11 +573,27 @@ def _covers(g: Cell, f: Cell, lo: Rational, hi: Optional[Rational]) -> bool:
 @lru_cache(maxsize=LEQ_LINEAR_CACHE_SIZE)
 def leq_linear(lhs: LinearRtef, rhs: LinearRtef) -> bool:
     """Pointwise comparison of two single components: a lone g cell that
-    does not cover f on a strip loses to it somewhere there."""
-    return lhs == rhs or all(
-        any(_covers(gc, fc, lo, hi) for gc in gcs)
-        for fc, gcs, lo, hi in _strips((lhs,), (rhs,))
-    )
+    does not cover f on a strip loses to it somewhere there.
+
+    One cursor walks each cell list; a strip ends at the nearer right edge
+    of the two current cells, and the first strip where f is defined and
+    not covered decides."""
+    if lhs == rhs:
+        return True
+    fcells, gcells = component_cells(lhs), component_cells(rhs)
+    i = j = 0
+    lo = 0
+    while True:
+        fc, gc = fcells[i], gcells[j]
+        fhi, ghi = fc.hi, gc.hi
+        hi = fhi if ghi is None or (fhi is not None and fhi < ghi) else ghi
+        if fc.feasible and not _covers(gc, fc, lo, hi):
+            return False
+        if hi is None:
+            return True
+        i += fhi == hi
+        j += ghi == hi
+        lo = hi
 
 
 def _violation_point(
@@ -589,8 +606,12 @@ def _violation_point(
     totally ordered, so the cells defined at height t are a prefix of that
     order.  One system per prefix length k then decides the piece: the first
     k cells lie strictly below f and t stays below the (k+1)-th line, where
-    every later cell is still undefined.  That is O(m^2) pieces times m + 1
-    systems for m cells of g.
+    every later cell is still undefined.  The systems of a piece share all
+    but their last row, so one ``Elimination`` grows by a "below" row per
+    k and each system folds in its one "undefined" row on top: O(m) per
+    system, O(m^2) per piece for m cells of g, where solving each system
+    afresh took O(m^3).  Once the shared rows have no point, no later
+    system of the piece has one, and the sweep goes to the next piece.
 
     The strip's right edge is excluded: a violation exactly there reappears
     in the next strip with that strip's (correct) cell data, while here the
@@ -605,13 +626,17 @@ def _violation_point(
     """
     df, fwx, fwc, fvt, fvx, fvc = fc.ints
     gs = [gc.ints for gc in gcells]
+    lo_p, lo_q = lo.numerator, lo.denominator
+    if hi is not None:
+        hi_p, hi_q = hi.numerator, hi.denominator
     crossings = set()  # x = num/den where two feasibility lines cross, inside the strip
-    for (du, uwx, uwc, *_), (dv, vwx, vwc, *_) in itertools.combinations(gs, 2):
+    for u, v in itertools.combinations(gs, 2):
+        du, uwx, uwc = u[0], u[1], u[2]
+        dv, vwx, vwc = v[0], v[1], v[2]
         num, den = vwc * du - uwc * dv, uwx * dv - vwx * du
         if den < 0:
             num, den = -num, -den
-        inside = lo.numerator * den < num * lo.denominator and (hi is None or num * hi.denominator < hi.numerator * den)
-        if den and inside:
+        if den and lo_p * den < num * lo_q and (hi is None or num * hi_q < hi_p * den):
             crossings.add(Fraction(num, den))
     cuts = [lo, *sorted(crossings), hi]
     common = math.lcm(*(g[0] for g in gs))
@@ -620,24 +645,26 @@ def _violation_point(
         Constraint(-fwx, df, -fwc),  # t >= wait_f(x)
     ]
     for a, b in zip(cuts, cuts[1:]):
-        piece = [Constraint(a.denominator, 0, -a.numerator)]
+        elim = Elimination(f_cons)
+        elim.add(Constraint(a.denominator, 0, -a.numerator))
         # a point mp/mq inside the piece: one past a, or the midpoint
         if b is None:
             mp, mq = a.numerator + a.denominator, a.denominator
         else:
-            piece.append(Constraint(-b.denominator, 0, b.numerator, strict=b == hi))
+            elim.add(Constraint(-b.denominator, 0, b.numerator, strict=b == hi))
             mp, mq = a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator
         # wait_g there, over the common denominator common * mq
-        order = sorted(gs, key=lambda g: (g[1] * mp + g[2] * mq) * (common // g[0]))
-        below = []  # g defined but strictly below f: value_g < value_f
-        for k in range(len(order) + 1):
-            cons = piece + f_cons + below
-            if k < len(order):
-                dg, gwx, gwc, gvt, gvx, gvc = order[k]
-                # t < wait_g(x): this cell and every later one undefined
-                cons.append(Constraint(gwx, -dg, gwc, strict=True))
-                below.append(Constraint(fvx * dg - gvx * df, fvt * dg - gvt * df, fvc * dg - gvc * df, strict=True))
-            point = feasible_point(cons)
+        for dg, gwx, gwc, gvt, gvx, gvc in sorted(gs, key=lambda g: (g[1] * mp + g[2] * mq) * (common // g[0])):
+            if elim.empty():
+                break
+            # t < wait_g(x): this cell and every later one undefined
+            point = elim.point(Constraint(gwx, -dg, gwc, True))
+            if point is not None:
+                return point
+            # this cell defined but strictly below f: value_g < value_f
+            elim.add(Constraint(fvx * dg - gvx * df, fvt * dg - gvt * df, fvc * dg - gvc * df, True))
+        else:
+            point = elim.point()
             if point is not None:
                 return point
     return None

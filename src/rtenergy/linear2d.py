@@ -1,13 +1,20 @@
 """Exact satisfiability of linear constraint systems in two variables.
 
 Used to decide emptiness of candidate violation regions when comparing
-piecewise-affine functions.  The solver divides nowhere: Fourier-Motzkin
-products, bound comparisons (cross-multiplied, each bound kept as a
-numerator over a positive denominator) and the back-substitution are all
-ring operations, so integer coefficients are solved in integer arithmetic.
-``Fraction``s are built only for the point returned.  Rational coefficients
-work the same way.  Strict and non-strict inequalities are kept apart, so
-open regions are handled exactly.
+piecewise-affine functions.  One Fourier-Motzkin elimination of t serves
+every caller, and it grows: ``Elimination.add`` pairs a new row only with
+the rows of the opposite sign seen so far and folds the products into the
+running tightest bounds on x, so a system of k rows costs O(k) per row and
+``Elimination.point(extra)`` tests one more row in O(k) without re-solving.
+``feasible_point`` is the one-shot use of it.
+
+The solver divides nowhere: Fourier-Motzkin products, bound comparisons
+(cross-multiplied, each bound kept as a numerator over a positive
+denominator) and the back-substitution are all ring operations, so integer
+coefficients are solved in integer arithmetic.  ``Fraction``s are built only
+for the point returned.  Rational coefficients work the same way.  Strict
+and non-strict inequalities are kept apart, so open regions are handled
+exactly.
 """
 
 from __future__ import annotations
@@ -33,67 +40,138 @@ class Constraint(NamedTuple):
 
 
 def feasible_point(constraints: Iterable[Constraint]) -> Optional[tuple[Fraction, Fraction]]:
-    """A real point (x, t) satisfying every constraint, or None.
-
-    Fourier-Motzkin elimination of t followed by a one-dimensional interval
-    check on x; unbounded directions are allowed.  The point turns negative
-    order decisions into directly checkable witnesses."""
-    lows: list[Constraint] = []   # b > 0: lower bounds on t
-    highs: list[Constraint] = []  # b < 0: upper bounds on t
-    x_rows = []  # (a, c, strict): a*x + c >= 0
-    for cn in constraints:
-        a, b, c, strict = cn
-        if b == 0:
-            x_rows.append((a, c, strict))
-        elif b > 0:
-            lows.append(cn)
-        else:
-            highs.append(cn)
-    for la, lb, lc, ls in lows:
-        for ha, hb, hc, hs in highs:
-            # t >= (-la x - lc)/lb and t <= (ha x + hc)/(-hb); their
-            # compatibility is affine in x once cleared of denominators.
-            x_rows.append((lb * ha - hb * la, lb * hc - hb * lc, ls or hs))
-    x = _interval_pick(x_rows)
-    if x is None:
-        return None
-    # substitute x = p/q back, scaled by q: each row is linear in t alone
-    p, q = x.numerator, x.denominator
-    t = _interval_pick([(b * q, a * p + c * q, strict) for a, b, c, strict in lows + highs])
-    if t is None:
-        return None
-    return x, t
+    """A real point (x, t) satisfying every constraint, or None: one
+    ``Elimination`` of all of them.  The point turns negative order
+    decisions into directly checkable witnesses."""
+    return Elimination(constraints).point()
 
 
-def _interval_pick(rows) -> Optional[Fraction]:
-    """A point of the one-variable system a*v + c >= 0 (strict where
-    flagged), given as (a, c, strict) rows, or None.
+class Elimination:
+    """Fourier-Motzkin elimination of t over a system that grows.
 
-    The tightest bounds are kept as (num, den) with den > 0 and compared by
-    cross-multiplication; the point picked is the lower bound, one past it,
-    one below the upper bound, or the midpoint, as the bounds allow."""
-    low = high = None
-    low_strict = high_strict = False
-    for a, c, strict in rows:
-        if a > 0:  # v >= -c/a
-            if low is None or -c * low[1] > low[0] * a:
-                low, low_strict = (-c, a), strict
-            elif strict and -c * low[1] == low[0] * a:
-                low_strict = True
-        elif a < 0:  # v <= c/(-a)
-            if high is None or c * high[1] < high[0] * -a:
-                high, high_strict = (c, -a), strict
-            elif strict and c * high[1] == high[0] * -a:
-                high_strict = True
-        elif c < 0 or (strict and c == 0):
+    Keeps the rows bounding t from below (b > 0) and from above (b < 0),
+    and the tightest bounds on x of the rows without t and of every
+    lower/upper pair formed so far.  Which point ``point`` picks depends
+    only on the set of rows, never on the order they came in."""
+
+    __slots__ = ("lows", "highs", "x")
+
+    def __init__(self, rows: Iterable[Constraint] = ()):
+        self.lows: list[Constraint] = []
+        self.highs: list[Constraint] = []
+        self.x = _Bounds()
+        for row in rows:
+            self.add(row)
+
+    def add(self, row: Constraint) -> None:
+        """Add a row, pairing it with the rows of the opposite sign."""
+        _pair(row, self.lows, self.highs, self.x)
+        if row.b > 0:
+            self.lows.append(row)
+        elif row.b < 0:
+            self.highs.append(row)
+
+    def empty(self) -> bool:
+        """Whether the rows so far have no common point; then every system
+        that extends them has none either."""
+        return self.x.empty()
+
+    def point(self, extra: Optional[Constraint] = None) -> Optional[tuple[Fraction, Fraction]]:
+        """A point of the rows so far, plus ``extra`` when given (which is
+        not kept), or None.
+
+        x is picked from the bounds on x; then each t row, with x = p/q
+        substituted and scaled by q, is linear in t alone."""
+        x_bounds = self.x
+        if extra is not None:
+            x_bounds = x_bounds.copy()
+            _pair(extra, self.lows, self.highs, x_bounds)
+        x = x_bounds.pick()
+        if x is None:
             return None
-    if low is None:
-        return ZERO if high is None else Fraction(high[0] - high[1], high[1])
-    if high is None:
-        return Fraction(low[0] + low[1], low[1]) if low_strict else Fraction(*low)
-    gap = high[0] * low[1] - low[0] * high[1]  # sign of high - low
-    if gap < 0 or (gap == 0 and (low_strict or high_strict)):
-        return None
-    if gap == 0:
-        return Fraction(*low)
-    return Fraction(low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1])
+        rows = self.lows + self.highs
+        if extra is not None:
+            rows.append(extra)
+        p, q = x.numerator, x.denominator
+        t = _Bounds().fold([(b * q, a * p + c * q, strict) for a, b, c, strict in rows]).pick()
+        if t is None:
+            return None
+        return x, t
+
+
+def _pair(row: Constraint, lows: list, highs: list, x: "_Bounds") -> None:
+    """Fold into ``x`` the bound on x of ``row`` (b = 0) or of its pairs
+    with the rows of the opposite sign.  A lower row t >= (-la x - lc)/lb
+    and an upper row t <= (ha x + hc)/(-hb) are compatible where
+    (lb*ha - hb*la) x + (lb*hc - hb*lc) >= 0, strict if either is."""
+    a, b, c, strict = row
+    if b > 0:
+        if highs:
+            x.fold([(b * ha - hb * a, b * hc - hb * c, strict or hs) for ha, hb, hc, hs in highs])
+    elif b < 0:
+        if lows:
+            x.fold([(lb * a - b * la, lb * c - b * lc, ls or strict) for la, lb, lc, ls in lows])
+    else:
+        x.fold(((a, c, strict),))
+
+
+class _Bounds:
+    """The tightest bounds of a one-variable system a*v + c >= 0 (> 0 where
+    strict), folded in one (a, c, strict) row at a time.
+
+    A bound is kept as (num, den) with den > 0 and compared by
+    cross-multiplication; of tied bounds the strict one wins.  ``dead`` is
+    set by a row without v that fails."""
+
+    __slots__ = ("low", "low_strict", "high", "high_strict", "dead")
+
+    def __init__(self, low=None, low_strict=False, high=None, high_strict=False, dead=False):
+        self.low = low
+        self.low_strict = low_strict
+        self.high = high
+        self.high_strict = high_strict
+        self.dead = dead
+
+    def copy(self) -> "_Bounds":
+        return _Bounds(self.low, self.low_strict, self.high, self.high_strict, self.dead)
+
+    def fold(self, rows) -> "_Bounds":
+        low, low_strict, high, high_strict = self.low, self.low_strict, self.high, self.high_strict
+        for a, c, strict in rows:
+            if a > 0:  # v >= -c/a
+                if low is None or -c * low[1] > low[0] * a:
+                    low, low_strict = (-c, a), strict
+                elif strict and -c * low[1] == low[0] * a:
+                    low_strict = True
+            elif a < 0:  # v <= c/(-a)
+                if high is None or c * high[1] < high[0] * -a:
+                    high, high_strict = (c, -a), strict
+                elif strict and c * high[1] == high[0] * -a:
+                    high_strict = True
+            elif c < 0 or (strict and c == 0):
+                self.dead = True
+        self.low, self.low_strict, self.high, self.high_strict = low, low_strict, high, high_strict
+        return self
+
+    def empty(self) -> bool:
+        if self.dead:
+            return True
+        low, high = self.low, self.high
+        if low is None or high is None:
+            return False
+        gap = high[0] * low[1] - low[0] * high[1]  # sign of high - low
+        return gap < 0 or (gap == 0 and (self.low_strict or self.high_strict))
+
+    def pick(self) -> Optional[Fraction]:
+        """A point of the system, or None: the lower bound, one past it,
+        one below the upper bound, or the midpoint, as the bounds allow."""
+        if self.empty():
+            return None
+        low, high = self.low, self.high
+        if low is None:
+            return ZERO if high is None else Fraction(high[0] - high[1], high[1])
+        if high is None:
+            return Fraction(low[0] + low[1], low[1]) if self.low_strict else Fraction(*low)
+        if high[0] * low[1] == low[0] * high[1]:
+            return Fraction(*low)
+        return Fraction(low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1])

@@ -197,8 +197,8 @@ def _factor(m: RtefMatrix, order: list[int], k: int) -> list[tuple]:
     in-degree times its out-degree.  When p goes, its self-loop l holds its
     loops through the states gone before it, and each live predecessor i
     folds m[i][p] . l* . m[p][j] into m[i][j].  Step p records l* (None
-    without a loop), l^omega when p < k, p's row scaled by l*, and the
-    pairs (i, m[i][p])."""
+    without a loop), l^omega off that l* when p < k, p's row scaled by l*,
+    and the pairs (i, m[i][p])."""
     succ = [dict(row) for row in m.succ]
     pred = [set() for _ in succ]
     for i, row in enumerate(succ):
@@ -218,7 +218,7 @@ def _factor(m: RtefMatrix, order: list[int], k: int) -> list[tuple]:
             for j, g in row.items():
                 succ[i][j] = succ[i].get(j, Rtef.bottom()).sup(f.compose(g))
                 pred[j].add(i)
-        steps.append((p, s, omega_of(loop) if p < k else None, row, folds))
+        steps.append((p, s, omega_of(loop, s) if p < k else None, row, folds))
     return steps
 
 

@@ -64,8 +64,9 @@ def _least(levels: Iterable[Optional[Fraction]]) -> Optional[Fraction]:
     return min((q for q in levels if q is not None), default=None)
 
 
-def omega_of(f: Rtef) -> OmegaVal:
-    """Endless iteration of one function.
+def omega_of(f: Rtef, star: Optional[Rtef] = None) -> OmegaVal:
+    """Endless iteration of one function; ``star``, when given, is
+    ``f.star()`` already computed by the caller.
 
     Finite horizons force vanishing delays, so only free (all-prices-zero)
     components can repeat forever; the support is any iteration prefix
@@ -74,7 +75,10 @@ def omega_of(f: Rtef) -> OmegaVal:
     pass can return at least its input.
     """
     free = [c for c in f.components if all(a.price == 0 for a in c.atoms)]
-    support = f.star().compose(Rtef.of(free)) if free else Rtef.bottom()
+    if free:
+        support = (f.star() if star is None else star).compose(Rtef.of(free))
+    else:
+        support = Rtef.bottom()
     threshold = _least(_self_sustain_threshold(c) for c in f.components)
     return OmegaVal(support, threshold)
 

@@ -131,14 +131,15 @@ def exact_only(monkeypatch):
         return energy_of(x)
 
     monkeypatch.setattr(algebra.Energy, "of", staticmethod(checked_of))
-    solve = algebra.feasible_point
+    # every point the solver returns, to the sweep and to feasible_point alike
+    solve = linear2d.Elimination.point
 
-    def checked_solve(cons):
-        point = solve(cons)
+    def checked_solve(self, extra=None):
+        point = solve(self, extra)
         _check(point is None or all(map(_exact, point)), "feasible point", point)
         return point
 
-    monkeypatch.setattr(algebra, "feasible_point", checked_solve)
+    monkeypatch.setattr(linear2d.Elimination, "point", checked_solve)
     yield
     algebra.leq_linear.cache_clear()
     algebra.component_cells.cache_clear()

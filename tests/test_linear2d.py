@@ -1,11 +1,12 @@
-"""The division-free two-variable solver against the ``Fraction`` oracle."""
+"""The division-free two-variable solver, one-shot and incremental, against
+the ``Fraction`` oracle."""
 
 import itertools
 import math
 import random
 from fractions import Fraction
 
-from rtenergy.linear2d import Constraint, feasible_point
+from rtenergy.linear2d import Constraint, Elimination, feasible_point
 from rtenergy.oracles import feasible_point_fractions
 
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
@@ -88,3 +89,53 @@ class TestAgainstFractionSolver:
         # x + t > 0 and x - t > 0: the open wedge right of the origin
         x, t = feasible_point([Constraint(1, 1, 0, strict=True), Constraint(1, -1, 0, strict=True)])
         assert x + t > 0 and x - t > 0
+
+
+def rand_int_row(rng, earlier):
+    """One integer row: strict or not, now and then without t (b = 0), with
+    neither variable (a = b = 0), or a positive multiple of an ``earlier``
+    row, which ties its bound."""
+    strict = rng.random() < 0.5
+    if earlier and rng.random() < 0.2:
+        cn = rng.choice(earlier)
+        k = rng.randint(1, 4)
+        return Constraint(k * cn.a, k * cn.b, k * cn.c, strict)
+    kind = rng.random()
+    a = 0 if kind < 0.15 or kind > 0.95 else rng.randint(-6, 6)
+    b = 0 if 0.15 <= kind < 0.35 or kind > 0.95 else rng.randint(-6, 6)
+    return Constraint(a, b, rng.randint(-20, 20), strict)
+
+
+class TestIncrementalElimination:
+    def test_against_fraction_solver(self):
+        # after every add, and for three one-row extensions of each system,
+        # the same point as the oracle on the same rows; once empty, every
+        # extension stays empty
+        rng = random.Random(89)
+        feasible = empty = 0
+        for _ in range(600):
+            elim = Elimination()
+            rows = []
+            was_empty = False
+            for _ in range(rng.randint(1, 10)):
+                row = rand_int_row(rng, rows)
+                elim.add(row)
+                rows.append(row)
+                want = feasible_point_fractions(rows)
+                assert elim.point() == want, rows
+                assert elim.empty() == (want is None), rows
+                assert not (was_empty and want is not None), rows
+                was_empty = want is None
+                for _ in range(3):
+                    extra = rand_int_row(rng, rows)
+                    got = elim.point(extra)
+                    assert got == feasible_point_fractions(rows + [extra]), (rows, extra)
+                    assert not (was_empty and got is not None), (rows, extra)
+                    if got is None:
+                        empty += 1
+                    else:
+                        feasible += 1
+                        assert all(holds(cn, *got) for cn in rows + [extra]), (rows, extra, got)
+                # an extension is not kept
+                assert elim.point() == want, rows
+        assert feasible > 1000 and empty > 1000

@@ -231,15 +231,34 @@ class TestLassoOmega:
         n = 10
         calls = []
 
-        def counting(f):
+        def counting(f, star=None):
             calls.append(f)
-            return omega_of(f)
+            return omega_of(f, star)
 
         monkeypatch.setattr(rtenergy.matrix, "omega_of", counting)
         rep = to_matrix_rep(parse_model(rand_model_text(random.Random(10), n, accepting=range(n))))
         assert rep.accepting_count == n
         mat_omega_accepting(rep.matrix, n)
         assert len(calls) == n
+
+    def test_one_star_per_loop(self, monkeypatch):
+        # the omega step of an accepting pivot reuses the loop's star
+        rng = random.Random(12)
+        stars = 0
+        star = Rtef.star
+
+        def counting(f):
+            nonlocal stars
+            stars += 1
+            return star(f)
+
+        monkeypatch.setattr(Rtef, "star", counting)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=range(n))))
+            stars = 0
+            steps = rtenergy.matrix._factor(rep.matrix, list(range(n)), n)
+            assert stars == sum(s is not None for _, s, *_ in steps)
 
 
 def omega_agree(got, want) -> bool:
@@ -304,9 +323,9 @@ class TestBuchiElimination:
         omegas, stars, composes = [], [], []
         real_compose = Rtef.compose
 
-        def counting_omega(f):
+        def counting_omega(f, star=None):
             omegas.append(1)
-            return omega_of(f)
+            return omega_of(f, star)
 
         def counting_compose(f, g):
             composes.append(1)

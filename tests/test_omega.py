@@ -178,6 +178,12 @@ def test_first_pass_then_iterate_is_iterate(f):
 
 @settings(max_examples=60, deadline=None)
 @given(rtefs)
+def test_given_star_is_the_star(f):
+    assert omega_of(f, f.star()) == omega_of(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rtefs)
 def test_iterate_in_blocks_of_two(f):
     assert same_on_grid(omega_of(f), omega_of(f.compose(f)))
 

@@ -3,10 +3,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from rtenergy import BOTTOM, Energy, Rtef
 import rtenergy.algebra
+import rtenergy.linear2d
 from rtenergy.algebra import leq_linear, order_witness
 from rtenergy.oracles import leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
 
@@ -200,21 +199,26 @@ class TestLineSweep:
         )
         assert order_witness(f, g) is None
 
-    def test_feasible_point_calls_polynomial(self, monkeypatch):
-        m = 12
-        f, g = tangent_family(m)
-        calls = 0
-        solve = rtenergy.algebra.feasible_point
+    def test_elimination_pairs_grow_polynomially(self, monkeypatch):
+        # Fourier-Motzkin pairs formed by the sweep: each doubling of m may
+        # grow them at most 8x (solving each system afresh grew them 10.9x
+        # and 12.9x, from 3,010 at m = 12); m = 12 is pinned exactly
+        pairs = 0
+        pair = rtenergy.linear2d._pair
 
-        def counted(cons):
-            nonlocal calls
-            calls += 1
-            if calls > m**3:
-                pytest.fail(f"more than {m**3} feasible_point calls")
-            return solve(cons)
+        def counted(row, lows, highs, x):
+            nonlocal pairs
+            pairs += len(highs) if row.b > 0 else len(lows) if row.b < 0 else 0
+            return pair(row, lows, highs, x)
 
-        monkeypatch.setattr(rtenergy.algebra, "feasible_point", counted)
-        assert order_witness(f, g) is None
+        monkeypatch.setattr(rtenergy.linear2d, "_pair", counted)
+        counts = []
+        for m in (12, 24, 48):
+            pairs = 0
+            assert order_witness(*tangent_family(m)) is None
+            counts.append(pairs)
+        assert counts[0] == 742, counts
+        assert counts[1] <= 8 * counts[0] and counts[2] <= 8 * counts[1], counts
 
 
 def coprime_pool(rng, n):
