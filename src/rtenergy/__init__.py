@@ -22,11 +22,10 @@ from .matrix import (
     mat_mul,
     mat_omega_accepting,
     mat_star,
-    mat_sup,
 )
 from .model import ModelError, RteaModel, Transition, parse_model, serialize_model, to_matrix_rep
 from .omega import OmegaVal, act, omega_of
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .regions import extract_regions, function_json, region_eval
 
 __version__ = "0.1.0"
@@ -51,13 +50,11 @@ __all__ = [
     "buchi_behavior",
     "extract_regions",
     "finite_behavior",
-    "format_rational",
     "function_json",
     "leq_linear",
     "mat_mul",
     "mat_omega_accepting",
     "mat_star",
-    "mat_sup",
     "normalize",
     "omega_of",
     "order_witness",

@@ -58,7 +58,7 @@ class Energy:
 
     @staticmethod
     def of(x) -> "Energy":
-        q = Fraction(x)
+        q = parse_rational(x) if isinstance(x, str) else Fraction(x)
         if q < 0:
             raise ValueError(f"energy must be non-negative: {q}")
         return Energy(1, q)
@@ -99,7 +99,7 @@ class Time:
 
     def __post_init__(self):
         if self.value is not None:
-            value = Fraction(self.value)
+            value = parse_rational(self.value) if isinstance(self.value, str) else Fraction(self.value)
             if value < 0:
                 raise ValueError(f"time must be non-negative: {value}")
             object.__setattr__(self, "value", value)
@@ -109,7 +109,7 @@ class Time:
         if isinstance(x, Time):
             return x
         if isinstance(x, str):
-            return TIME_INF if x.strip().lower() == "inf" else Time(parse_rational(x))
+            return TIME_INF if x.strip().lower() == "inf" else Time(x)
         return Time(Fraction(x))
 
     @property

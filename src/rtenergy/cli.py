@@ -15,7 +15,7 @@ from pathlib import Path
 from .algebra import Atom, Energy, Time, normalize
 from .matrix import buchi_behavior, finite_behavior, mat_star
 from .model import ModelError, RteaModel, parse_model, to_matrix_rep
-from .rational import format_rational, parse_rational
+from .rational import parse_rational
 from .regions import atoms_json, component_json, function_json
 
 
@@ -100,9 +100,9 @@ def _run_check(args) -> int:
         report["value"] = value.text()
     if args.verify:
         report["oracle"] = _oracle_report(kind, model, x0, horizon)
-    query = {"kind": kind, "model": args.model, "x0": format_rational(x0), "time": horizon.text()}
+    query = {"kind": kind, "model": args.model, "x0": str(x0), "time": horizon.text()}
     if target is not None:
-        query["target"] = format_rational(target)
+        query["target"] = str(target)
     report["query"] = query
     print(json.dumps(report))
     return 0 if report["answer"] else 1
@@ -126,7 +126,7 @@ def _oracle_report(kind: str, model: RteaModel, x0: Fraction, horizon: Time) -> 
     else:
         cfg = DpConfig(Fraction(1), 0)
     value = dp_lower_bound(model, x0, horizon.value, cfg)
-    return {"method": method, "delta": format_rational(cfg.delta), "value": value.text()}
+    return {"method": method, "delta": str(cfg.delta), "value": value.text()}
 
 
 def _run_dump(path: str, what: str) -> int:

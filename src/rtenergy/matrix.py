@@ -6,7 +6,6 @@ the dense grid of rows is built only when something asks for it."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -44,14 +43,6 @@ class RtefMatrix:
         succ = tuple({j: f for j, f in enumerate(r) if f.components} for r in rows)
         return RtefMatrix(widths.pop() if widths else 0, succ)
 
-    @staticmethod
-    def identity(n: int) -> "RtefMatrix":
-        return RtefMatrix(n, tuple({i: Rtef.one()} for i in range(n)))
-
-    @staticmethod
-    def zeros(n_rows: int, n_cols: int) -> "RtefMatrix":
-        return RtefMatrix(n_cols, tuple({} for _ in range(n_rows)))
-
     @cached_property
     def rows(self) -> tuple[tuple[Rtef, ...], ...]:
         bottom = Rtef.bottom()
@@ -65,14 +56,6 @@ class RtefMatrix:
         if self.n_rows != self.n_cols:
             raise ValueError("square matrix required")
         return self.n_rows
-
-
-def mat_sup(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
-    if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols):
-        raise ValueError("dimension mismatch in matrix supremum")
-    return RtefMatrix.of(
-        [[x.sup(y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-    )
 
 
 def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
@@ -90,52 +73,12 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(out)
 
 
-def _components(m: RtefMatrix) -> list[int]:
-    """Strongly connected component of each state, by one Tarjan pass that
-    keeps its own stack of successor iterators instead of recursing."""
-    n = m.dim()
-    index, low, comp = [-1] * n, [0] * n, [-1] * n
-    stack, count, label = [], 0, 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        work = [(root, iter(m.succ[root]))]
-        while work:
-            v, it = work[-1]
-            for u in it:
-                if index[u] < 0:
-                    index[u] = low[u] = count
-                    count += 1
-                    stack.append(u)
-                    work.append((u, iter(m.succ[u])))
-                    break
-                if comp[u] < 0:
-                    low[v] = min(low[v], index[u])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        u = stack.pop()
-                        comp[u] = label
-                        if u == v:
-                            break
-                    label += 1
-    return comp
-
-
-def _order(m: RtefMatrix, late: Sequence[bool], group: Sequence[int]) -> list[int]:
+def _order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
     """Greedy minimum-degree elimination order, the Markowitz rule of sparse
     direct solvers: play the elimination on the sparsity pattern alone and
     take, at each step, the live state with the least in-degree times
     out-degree, self-loops excluded, ties to the least index.  A ``late``
-    state is taken only once no state of its ``group`` that is not late is
-    left.
+    state is taken only once every state that is not late is gone.
 
     Each degree change pushes a fresh heap entry; an entry whose degree is
     no longer current is skipped when it comes up."""
@@ -149,16 +92,8 @@ def _order(m: RtefMatrix, late: Sequence[bool], group: Sequence[int]) -> list[in
         row.discard(i)
         for j in row:
             ins[j].add(i)
-    early = Counter(g for g, is_late in zip(group, late) if not is_late)
-    held = {}
-    for p in range(n):
-        if late[p]:
-            held.setdefault(group[p], []).append(p)
-
-    def ready(q):
-        return not late[q] or not early[group[q]]
-
-    heap = [(len(ins[p]) * len(outs[p]), p) for p in range(n) if ready(p)]
+    early = sum(not is_late for is_late in late)
+    heap = [(len(ins[p]) * len(outs[p]), p) for p in range(n) if not late[p] or not early]
     heapify(heap)
     order, gone = [], [False] * n
     while heap:
@@ -180,11 +115,11 @@ def _order(m: RtefMatrix, late: Sequence[bool], group: Sequence[int]) -> list[in
             col.discard(j)
         touched = into | out
         if not late[p]:
-            early[group[p]] -= 1
-            if not early[group[p]]:
-                touched.update(held.get(group[p], ()))
+            early -= 1
+            if not early:
+                touched.update(q for q in range(n) if late[q])
         for q in touched:
-            if ready(q):
+            if not late[q] or not early:
                 heappush(heap, (len(ins[q]) * len(outs[q]), q))
     return order
 
@@ -236,7 +171,9 @@ def _solve(steps: list[tuple], w: Sequence[OmegaVal], want: Sequence[int]) -> li
     states a run visits infinitely often lie in one component, and from
     some point on the run stays among them; let j be the last-eliminated of
     them, so the run stays among j and the states gone before j.  If one of
-    them is below k, so is j.  No closure is built and nothing recurses.
+    them is below k, so is j.  Every state p >= k before every state
+    p < k, the order of ``mat_omega_accepting``, meets that in every
+    component at once.  No closure is built and nothing recurses.
     """
     w = list(w)
     for p, s, omega, _, folds in steps:
@@ -262,7 +199,7 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
     """Reflexive-transitive closure, one factorization and one solve per
     column: column j is the support of M* . e_j, with e_j the goal at j."""
     n = m.dim()
-    steps = _factor(m, _order(m, [False] * n, [0] * n), 0)
+    steps = _factor(m, _order(m, [False] * n), 0)
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     cols = [_solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
@@ -270,15 +207,15 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     """Per-state truth of visiting the first ``k`` states infinitely often,
-    by one factorization in minimum-degree order, held to the rule of
-    ``_solve``: within each strongly connected component the non-accepting
-    states go first."""
+    by one factorization in minimum-degree order with the accepting states
+    held to the end, which keeps the rule of ``_solve`` without finding the
+    strongly connected components."""
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
-    steps = _factor(m, _order(m, [p < k for p in range(n)], _components(m)), k)
+    steps = _factor(m, _order(m, [p < k for p in range(n)]), k)
     return tuple(_solve(steps, [OmegaVal.false()] * n, range(n)))
 
 
@@ -301,10 +238,6 @@ class AutomatonRep:
         if self.state_names and len(self.state_names) != n:
             raise ValueError("state name count mismatch")
 
-    @property
-    def kappa(self) -> tuple[bool, ...]:
-        return tuple(i < self.accepting_count for i in range(self.matrix.dim()))
-
     def state_index(self, name: str) -> int:
         return self.state_names.index(name)
 
@@ -324,7 +257,7 @@ def finite_behavior(rep: AutomatonRep) -> Rtef:
         return Rtef.bottom()
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     w = [goal if j < rep.accepting_count else false for j in range(n)]
-    z = _solve(_factor(rep.matrix, _order(rep.matrix, rep.alpha, [0] * n), 0), w, initial)
+    z = _solve(_factor(rep.matrix, _order(rep.matrix, rep.alpha), 0), w, initial)
     out = Rtef.bottom()
     for i in initial:
         out = out.sup(z[i].support)

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .algebra import Atom, LinearRtef, Rtef
 from .matrix import AutomatonRep, RtefMatrix
-from .rational import NUMBER, Rational, format_rational, rational
+from .rational import NUMBER, Rational, rational
 
 
 class ModelError(ValueError):
@@ -58,9 +58,6 @@ class RteaModel:
     initial: str
     accepting: tuple[str, ...]
     transitions: tuple[Transition, ...]
-
-    def rate_of(self, name: str) -> Rational:
-        return dict(self.states)[name]
 
     @property
     def state_names(self) -> tuple[str, ...]:
@@ -194,11 +191,11 @@ def serialize_model(model: RteaModel) -> str:
             flags += " initial"
         if name in model.accepting:
             flags += " accepting"
-        lines.append(f"  state {name} rate {format_rational(rate)}{flags};")
+        lines.append(f"  state {name} rate {rate!s}{flags};")
     for tr in model.transitions:
         lines.append(
-            f"  trans {tr.src} -> {tr.dst} price {format_rational(tr.price)}"
-            f" bound {format_rational(tr.bound)};"
+            f"  trans {tr.src} -> {tr.dst} price {tr.price!s}"
+            f" bound {tr.bound!s};"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,27 +1,20 @@
-"""Brute-force reference implementations for the test suite.
+"""Brute-force references behind ``rtenergy check --verify``.
 
 Nothing here sits on the decision path: these are independent baselines the
-exact algebra is checked against.  The discretized ones are deliberate lower
-bounds; the schedule enumerator is exact.
+exact answer is checked against.  The grid dynamic program is a deliberate
+lower bound; the unroller's True is definitive and its False inconclusive.
+The references only the test suite uses live with it, in
+``tests/references.py``.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells, normalize
-from .linear2d import Constraint, feasible_point
-from .matrix import RtefMatrix, mat_mul, mat_sup
+from .algebra import BOTTOM, Energy
 from .model import RteaModel
-from .omega import OmegaVal, act, omega_of
-from .regions import _active_cell
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -97,77 +90,6 @@ def dp_lower_bound(model: RteaModel, x0: Fraction, horizon: Fraction, cfg: DpCon
     return out
 
 
-def compose_split_oracle(l1: LinearRtef, l2: LinearRtef, x: Energy, t: Fraction, grid: int) -> Energy:
-    """Best two-stage value over an even grid of budget splits.
-
-    A lower bound on the composition; exact whenever the optimal split lies
-    on the grid.
-    """
-    if grid <= 0:
-        raise ValueError("grid must be positive")
-    t = Fraction(t)
-    best = BOTTOM
-    for i in range(grid + 1):
-        t1 = t * i / grid
-        v = l2.eval(l1.eval(x, Time(t1)), Time(t - t1))
-        if best < v:
-            best = v
-    return best
-
-
-def exact_schedule_value(atoms: Sequence[Atom], x: Fraction, t: Fraction) -> Energy:
-    """Exact optimum over all delay assignments for one step sequence.
-
-    Solves the schedule polytope by vertex enumeration (the polytope is
-    bounded, so the linear objective peaks at a vertex).  Works on raw,
-    un-normalized sequences and is independent of the greedy evaluator.
-    """
-    x, t = Fraction(x), Fraction(t)
-    n = len(atoms)
-    if n == 0:
-        return Energy.of(x)
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []  # a . w >= c
-    for i in range(n):
-        unit = tuple(Fraction(int(j == i)) for j in range(n))
-        rows.append((unit, ZERO))
-    rows.append((tuple(Fraction(-1) for _ in range(n)), -t))
-    paid = ZERO
-    for i, a in enumerate(atoms):
-        # Fraction rates: _solve_square divides, and int / int is a float
-        coeffs = tuple(Fraction(atoms[j].rate) if j <= i else ZERO for j in range(n))
-        rows.append((coeffs, a.bound - x - paid))
-        paid += a.price
-    best: Optional[Fraction] = None
-    for picks in itertools.combinations(range(len(rows)), n):
-        point = _solve_square([rows[i][0] for i in picks], [rows[i][1] for i in picks])
-        if point is None:
-            continue
-        if all(sum(c * w for c, w in zip(coeffs, point)) >= rhs for coeffs, rhs in rows):
-            gain = sum(a.rate * w for a, w in zip(atoms, point))
-            if best is None or gain > best:
-                best = gain
-    if best is None:
-        return BOTTOM
-    return Energy.of(x + best + paid)
-
-
-def _solve_square(mat: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    n = len(rhs)
-    a = [list(row) + [v] for row, v in zip(mat, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def buchi_unroll(model: RteaModel, x0: Fraction, horizon: Fraction, repetitions: int) -> bool:
     """Semi-decision for endless accepting runs within a finite horizon.
 
@@ -209,356 +131,3 @@ def _free_cycle_at(model: RteaModel, state: str, level: Fraction) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return False
-
-
-def truncated_path_sum(m: RtefMatrix, max_length: int) -> RtefMatrix:
-    """Supremum of all path products up to ``max_length`` steps (plus the
-    identity), accumulated by repeated multiplication; a lower bound on the
-    closure that matches it once powers stabilize.
-
-    One unchanged accumulation step implies all longer paths are dominated
-    (acc*M <= acc from then on), so the loop may stop early without changing
-    the result.
-    """
-    acc = RtefMatrix.identity(m.dim())
-    power = acc
-    for _ in range(max_length):
-        power = mat_mul(power, m)
-        grown = mat_sup(acc, power)
-        if grown == acc:
-            break
-        acc = grown
-    return acc
-
-
-def star_subsets(f: Rtef) -> Rtef:
-    """Closure of ``f`` as the supremum of the compositions of every
-    rate-ordered subset of its non-identity components.
-
-    Makes 2^k - 1 ``normalize`` calls for k components and prunes only once
-    at the end; the reference ``Rtef.star`` is checked against.
-    """
-    loops = sorted(
-        (c for c in f.components if c.atoms),
-        key=lambda c: c.atoms[-1].rate,
-    )
-    comps = [LinearRtef()]
-    for r in range(1, len(loops) + 1):
-        for pick in itertools.combinations(loops, r):
-            comps.append(normalize(tuple(a for c in pick for a in c.atoms)))
-    return Rtef.of(comps).prune()
-
-
-def feasible_point_fractions(constraints: Sequence[Constraint]) -> Optional[tuple[Fraction, Fraction]]:
-    """``linear2d.feasible_point`` with every bound divided out as a
-    ``Fraction``: Fourier-Motzkin elimination of t, then the x interval,
-    then t at that x.  The reference the division-free solver is checked
-    against; it picks the same point."""
-    lows = [cn for cn in constraints if cn.b > 0]
-    highs = [cn for cn in constraints if cn.b < 0]
-    x_only = [cn for cn in constraints if cn.b == 0]
-    for lo in lows:
-        for hi in highs:
-            x_only.append(
-                Constraint(lo.b * hi.a - hi.b * lo.a, ZERO, lo.b * hi.c - hi.b * lo.c, lo.strict or hi.strict)
-            )
-    x = _interval_pick_fractions(x_only)
-    if x is None:
-        return None
-    t = _interval_pick_fractions([Constraint(cn.b, ZERO, cn.a * x + cn.c, cn.strict) for cn in lows + highs])
-    if t is None:
-        return None
-    return x, t
-
-
-def _interval_pick_fractions(constraints: list[Constraint]) -> Optional[Fraction]:
-    """A point of the one-variable system a*v + c >= 0, or None."""
-    low: Optional[Fraction] = None
-    low_strict = False
-    high: Optional[Fraction] = None
-    high_strict = False
-    for cn in constraints:
-        if cn.a == 0:
-            if cn.c < 0 or (cn.strict and cn.c == 0):
-                return None
-            continue
-        v = Fraction(-cn.c) / cn.a
-        if cn.a > 0:  # v >= bound
-            if low is None or v > low:
-                low, low_strict = v, cn.strict
-            elif v == low and cn.strict:
-                low_strict = True
-        else:  # v <= bound
-            if high is None or v < high:
-                high, high_strict = v, cn.strict
-            elif v == high and cn.strict:
-                high_strict = True
-    if low is None and high is None:
-        return ZERO
-    if low is None:
-        return high - 1
-    if high is None:
-        return low + 1 if low_strict else low
-    if low > high or (low == high and (low_strict or high_strict)):
-        return None
-    if low == high:
-        return low
-    return (low + high) / 2
-
-
-def violation_point_subsets(
-    fc: Cell, gcells: list[Cell], lo: Fraction, hi: Optional[Fraction]
-) -> Optional[tuple[Fraction, Fraction]]:
-    """A point of the strip [lo, hi) where f is defined and beats every g,
-    or None, by trying every subset of the g cells as the undefined ones.
-
-    Makes up to 2^m ``feasible_point`` calls for m cells; the reference the
-    line sweep in ``algebra._violation_point`` is checked against.
-    """
-    base = [
-        Constraint(ONE, ZERO, -lo),
-        Constraint(ZERO, ONE, ZERO),
-        Constraint(-fc.wait_x, ONE, -fc.wait_c),
-    ]
-    if hi is not None:
-        base.append(Constraint(-ONE, ZERO, hi, strict=True))
-    for picks in itertools.product((False, True), repeat=len(gcells)):
-        cons = list(base)
-        for gc, too_early in zip(gcells, picks):
-            if too_early:
-                # below g's feasibility boundary: t < wait_g(x)
-                cons.append(Constraint(gc.wait_x, -ONE, gc.wait_c, strict=True))
-            else:
-                # g defined but strictly below f: value_g < value_f
-                cons.append(
-                    Constraint(
-                        fc.value_x - gc.value_x,
-                        fc.value_t - gc.value_t,
-                        fc.value_c - gc.value_c,
-                        strict=True,
-                    )
-                )
-        point = feasible_point(cons)
-        if point is not None:
-            return point
-    return None
-
-
-def _strips_cut_set(fcomps, gcomps):
-    """The strips of ``algebra._strips``, from a sorted cut set of every
-    bound of both sides, each cell found by a scan of its component's list."""
-    cuts = {ZERO}
-    for l in (*fcomps, *gcomps):
-        cuts.update(a.bound for a in l.atoms)
-    cuts = sorted(cuts)
-    spans = [*zip(cuts, cuts[1:]), (cuts[-1], None)]
-    gcells = [component_cells(g) for g in gcomps]
-    for f in fcomps:
-        fcells = component_cells(f)
-        for lo, hi in spans:
-            fc = _active_cell(fcells, lo)
-            if fc.feasible:
-                active = [c for c in (_active_cell(cells, lo) for cells in gcells) if c.feasible]
-                yield fc, active, lo, hi
-
-
-def component_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
-    """The strips of ``algebra.component_cells`` computed in ``Fraction``s,
-    each as (lo, hi, feasible, coefficients, ints): the five coefficients
-    wait_x, wait_c, value_t, value_x, value_c, and from them ``Cell.ints``
-    over the lcm of their denominators.  The reference the integer walk is
-    checked against."""
-    if not l.atoms:
-        cells = [(ZERO, None, True, (ZERO, ZERO, ZERO, ONE, ZERO))]
-    else:
-        atoms = l.atoms
-        n = len(atoms)
-        rn, bn, price = (Fraction(v) for v in (atoms[-1].rate, atoms[-1].bound, atoms[-1].price))
-        bounds = [Fraction(a.bound) for a in atoms]
-        rates = [Fraction(a.rate) for a in atoms]
-        climb = [ZERO] * n  # time to raise the level from bounds[j] past the rest
-        for j in range(n - 2, -1, -1):
-            climb[j] = climb[j + 1] + (bounds[j + 1] - bounds[j]) / rates[j + 1]
-        cells = []
-        for j in range(n + 1):
-            lo = ZERO if j == 0 else bounds[j - 1]
-            hi = bounds[j] if j < n else None
-            if hi is not None and lo == hi:
-                continue
-            if j == n:
-                cells.append((lo, None, True, (ZERO, ZERO, rn, ONE, price)))
-            elif rates[j] == 0:
-                cells.append((lo, hi, False, (ZERO,) * 5))
-            else:
-                wx = -ONE / rates[j]
-                wc = bounds[j] / rates[j] + climb[j]
-                cells.append((lo, hi, True, (wx, wc, rn, -rn * wx, bn + price - rn * wc)))
-    out = []
-    for lo, hi, feasible, coeffs in cells:
-        d = math.lcm(*(q.denominator for q in coeffs))
-        out.append((lo, hi, feasible, coeffs, (d, *(q.numerator * (d // q.denominator) for q in coeffs))))
-    return tuple(out)
-
-
-def _covers_fractions(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
-    """``algebra._covers`` evaluated in ``Fraction``s at each endpoint."""
-    if not g.feasible or g.value_t < f.value_t:
-        return False
-    for x in (lo,) if hi is None else (lo, hi):
-        tf = max(ZERO, f.wait_x * x + f.wait_c)
-        tg = max(ZERO, g.wait_x * x + g.wait_c)
-        if tg > tf:
-            return False
-        gap = (
-            (g.value_t - f.value_t) * tf
-            + (g.value_x - f.value_x) * x
-            + (g.value_c - f.value_c)
-        )
-        if gap < 0:
-            return False
-    return True
-
-
-def leq_linear_cut_set(lhs: LinearRtef, rhs: LinearRtef) -> bool:
-    """``algebra.leq_linear`` on cut-set strips with ``Fraction`` endpoint
-    checks, uncached; the reference the integer strip kernel is checked
-    against."""
-    return lhs == rhs or all(
-        any(_covers_fractions(gc, fc, lo, hi) for gc in gcs)
-        for fc, gcs, lo, hi in _strips_cut_set((lhs,), (rhs,))
-    )
-
-
-def order_witness_cut_set(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:
-    """``algebra.order_witness`` on cut-set strips with ``Fraction``
-    endpoint checks; same strips in the same order, so the same witness."""
-    shared = set(g.components)
-    fcomps = [c for c in f.components if c not in shared]
-    for fc, gcs, lo, hi in _strips_cut_set(fcomps, g.components):
-        if any(_covers_fractions(gc, fc, lo, hi) for gc in gcs):
-            continue
-        point = _violation_point(fc, gcs, lo, hi)
-        if point is not None:
-            return (Energy.of(point[0]), Time(point[1]))
-    return None
-
-
-def _blocks(m: RtefMatrix, k: int):
-    """The four blocks of ``m`` split after its first ``k`` rows and columns."""
-    return (
-        RtefMatrix.of([r[:k] for r in m.rows[:k]]),
-        RtefMatrix.of([r[k:] for r in m.rows[:k]]),
-        RtefMatrix.of([r[:k] for r in m.rows[k:]]),
-        RtefMatrix.of([r[k:] for r in m.rows[k:]]),
-    )
-
-
-def _assemble(tl: RtefMatrix, tr: RtefMatrix, bl: RtefMatrix, br: RtefMatrix) -> RtefMatrix:
-    top = [ra + rb for ra, rb in zip(tl.rows, tr.rows)]
-    bottom = [ra + rb for ra, rb in zip(bl.rows, br.rows)]
-    return RtefMatrix.of(top + bottom)
-
-
-def mat_star_blocks(m: RtefMatrix) -> RtefMatrix:
-    """Reflexive-transitive closure by block recursion on the first row.
-
-    With e = (a v b d* c)*, the closure is [[e, e b d*], [d* c e, d* v
-    d* c e b d*]].  Recurses once per state; ``matrix.mat_star``, read off
-    the elimination solver, is checked against it.
-    """
-    n = m.dim()
-    if n == 1:
-        return RtefMatrix.of([[m.rows[0][0].star()]])
-    a, b, c, d = _blocks(m, 1)
-    dstar = mat_star_blocks(d)
-    bds = mat_mul(b, dstar)
-    estar = mat_star_blocks(mat_sup(a, mat_mul(bds, c)))
-    tr = mat_mul(estar, bds)
-    bl = mat_mul(mat_mul(dstar, c), estar)
-    br = mat_sup(dstar, mat_mul(bl, bds))
-    return _assemble(estar, tr, bl, br)
-
-
-def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:
-    """Entry i is the supremum over j of m[i][j] acting on vals[j]."""
-    out = []
-    for row in m.rows:
-        v = OmegaVal.false()
-        for f, w in zip(row, vals):
-            v = v.sup(act(f, w))
-        out.append(v)
-    return tuple(out)
-
-
-def _significant(m: RtefMatrix, k: int, omega_all) -> tuple[OmegaVal, ...]:
-    """Eliminate the states after the first ``k`` into the significant block
-    S = a v b d* c, take ``omega_all`` of S, and route the rest into it
-    through d* c."""
-    n = m.dim()
-    if not 0 <= k <= n:
-        raise ValueError("accepting count out of range")
-    if k == 0:
-        return (OmegaVal.false(),) * n
-    if k == n:
-        return omega_all(m)
-    a, b, c, d = _blocks(m, k)
-    dstar = mat_star_blocks(d)
-    head = omega_all(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
-    return (*head, *_act_rows(mat_mul(dstar, c), head))
-
-
-def mat_omega_lasso(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often,
-    by the lasso form on the significant block S: one closure S* plus one
-    ``omega_of`` per accepting j, S^omega[i] = sup_j S*[i][j] .
-    ((S S*)[j][j])^omega.  A reference for ``matrix.mat_omega_accepting``.
-    """
-    return _significant(m, k, _lasso_all_significant)
-
-
-def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
-    # an endless run visits some state j infinitely often, so it is a path
-    # to j followed by endless loops j -> j
-    n = s.dim()
-    sstar = mat_star_blocks(s)
-    loops = []
-    for j in range(n):
-        loop = Rtef.bottom()
-        for l in range(n):
-            loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
-        loops.append(omega_of(loop))
-    return _act_rows(sstar, loops)
-
-
-def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often,
-    by the first-row block recursion into both sub-blocks of the significant
-    block.
-
-    Makes 3 * 2^(k-1) - 2 ``omega_of`` calls; a reference for
-    ``matrix.mat_omega_accepting``.
-    """
-    return _significant(m, k, _omega_all_significant)
-
-
-def _omega_all_significant(m: RtefMatrix) -> tuple[OmegaVal, ...]:
-    n = m.dim()
-    if n == 1:
-        return (omega_of(m.rows[0][0]),)
-    a, b, c, d = _blocks(m, 1)
-    a00 = a.rows[0][0]
-    dstar = mat_star_blocks(d)
-    bds = mat_mul(b, dstar)
-    f = a00.sup(mat_mul(bds, c).rows[0][0])
-    head = omega_of(f)
-    frow = mat_mul(RtefMatrix.of([[f.star()]]), bds)
-    for j, w in enumerate(_omega_all_significant(d)):
-        head = head.sup(act(frow.rows[0][j], w))
-    g = mat_sup(d, mat_mul(mat_mul(c, RtefMatrix.of([[a00.star()]])), b))
-    gomega = _omega_all_significant(g)
-    gcol = mat_mul(mat_star_blocks(g), c)
-    a_omega = omega_of(a00)
-    tail = tuple(
-        gomega[i].sup(act(gcol.rows[i][0], a_omega)) for i in range(n - 1)
-    )
-    return (head, *tail)

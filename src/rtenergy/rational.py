@@ -43,8 +43,3 @@ def rational(value) -> Rational:
         return int(value)
     q = parse_rational(value) if type(value) is str else Fraction(value)
     return q.numerator if q.denominator == 1 else q
-
-
-def format_rational(value: Rational) -> str:
-    """Canonical text form: integers bare, everything else as "p/q"."""
-    return str(value)

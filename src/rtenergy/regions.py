@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import BOTTOM, INFINITY, Atom, Cell, Energy, LinearRtef, Rtef, Time, component_cells
-from .rational import format_rational
 
 
 def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
@@ -58,26 +57,26 @@ def region_eval(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:
 
 def piece_json(c: Cell) -> dict:
     out = {
-        "x_low": format_rational(c.lo),
-        "x_high": "inf" if c.hi is None else format_rational(c.hi),
+        "x_low": str(c.lo),
+        "x_high": "inf" if c.hi is None else str(c.hi),
     }
     if not c.feasible:
         out["infeasible"] = True
         return out
     out["boundary"] = {
-        "slope": format_rational(c.wait_x),
-        "t_at_x_low": format_rational(c.wait_x * c.lo + c.wait_c),
+        "slope": str(c.wait_x),
+        "t_at_x_low": str(c.wait_x * c.lo + c.wait_c),
     }
     out["value"] = {
-        "t": format_rational(c.value_t),
-        "x": format_rational(c.value_x),
-        "c": format_rational(c.value_c),
+        "t": str(c.value_t),
+        "x": str(c.value_x),
+        "c": str(c.value_c),
     }
     return out
 
 
 def atoms_json(atoms: tuple[Atom, ...]) -> list:
-    return [[format_rational(a.rate), format_rational(a.price), format_rational(a.bound)] for a in atoms]
+    return [[str(a.rate), str(a.price), str(a.bound)] for a in atoms]
 
 
 def component_json(l: LinearRtef) -> dict:

@@ -18,8 +18,9 @@ from rtenergy import (
     normalize,
     parse_model,
 )
-from rtenergy.matrix import RtefMatrix, mat_mul, mat_sup
-from rtenergy.oracles import _assemble, _blocks
+from rtenergy.matrix import RtefMatrix, mat_mul
+
+from references import _assemble, _blocks, mat_sup
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -58,7 +59,7 @@ def precedes(lhs: LinearRtef, rhs: LinearRtef) -> bool:
 
 
 def mat_star_half(m: RtefMatrix) -> RtefMatrix:
-    """The block closure of ``rtenergy.oracles.mat_star_blocks`` pivoting on
+    """The block closure of ``references.mat_star_blocks`` pivoting on
     the upper half instead of the first row; the pivot must not change the
     result."""
     n = m.dim()

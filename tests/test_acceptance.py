@@ -24,7 +24,7 @@ from rtenergy import (
     to_matrix_rep,
 )
 from rtenergy.omega import act, omega_of
-from rtenergy.oracles import DpConfig, buchi_unroll, dp_lower_bound, truncated_path_sum
+from rtenergy.oracles import DpConfig, buchi_unroll, dp_lower_bound
 from rtenergy.regions import extract_regions
 
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     rtef,
     sample_points,
 )
+from references import truncated_path_sum
 
 
 def ok(number: int, text: str):

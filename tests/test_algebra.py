@@ -18,7 +18,6 @@ from rtenergy import (
     normalize,
 )
 from rtenergy import algebra
-from rtenergy.oracles import component_cells_fractions, compose_split_oracle, exact_schedule_value, star_subsets
 from rtenergy.regions import extract_regions
 
 from helpers import (
@@ -38,6 +37,7 @@ from helpers import (
     rand_rtef,
     rtef,
 )
+from references import component_cells_fractions, compose_split_oracle, exact_schedule_value, star_subsets
 
 
 class TestValues:

@@ -10,10 +10,10 @@ from time import perf_counter
 
 from rtenergy import Rtef, finite_behavior, parse_model, to_matrix_rep
 from rtenergy.cli import main
-from rtenergy.oracles import mat_star_blocks
 from rtenergy.regions import function_json
 
 from helpers import MODELS, lin
+from references import mat_star_blocks
 
 SAT = str(MODELS / "satellite.rtea")
 PUMP = str(MODELS / "pump.rtea")

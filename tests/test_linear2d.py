@@ -7,7 +7,8 @@ import random
 from fractions import Fraction
 
 from rtenergy.linear2d import Constraint, Elimination, feasible_point
-from rtenergy.oracles import feasible_point_fractions
+
+from references import feasible_point_fractions
 
 DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
 

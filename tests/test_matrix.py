@@ -22,20 +22,12 @@ from rtenergy import (
     mat_mul,
     mat_omega_accepting,
     mat_star,
-    mat_sup,
     omega_of,
     parse_model,
     to_matrix_rep,
 )
 import rtenergy.matrix
-from rtenergy.oracles import (
-    DpConfig,
-    dp_lower_bound,
-    mat_omega_lasso,
-    mat_omega_recursive,
-    mat_star_blocks,
-    truncated_path_sum,
-)
+from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.regions import function_json
 
 from helpers import (
@@ -49,6 +41,15 @@ from helpers import (
     rand_model_text,
     rtef,
     sample_points,
+)
+from references import (
+    identity,
+    mat_omega_lasso,
+    mat_omega_recursive,
+    mat_star_blocks,
+    mat_sup,
+    truncated_path_sum,
+    zeros,
 )
 
 
@@ -77,7 +78,7 @@ class TestMatMul:
     def test_identity_neutral(self):
         rng = random.Random(1)
         m = rand_matrix(rng, 3)
-        eye = RtefMatrix.identity(3)
+        eye = identity(3)
         assert mat_mul(eye, m) == m or entries_equal(mat_mul(eye, m), m)
         assert entries_equal(mat_mul(m, eye), m)
         # the dense rows are derived from the successor maps and back
@@ -87,23 +88,23 @@ class TestMatMul:
     def test_bottom_annihilates(self):
         rng = random.Random(2)
         m = rand_matrix(rng, 3)
-        z = RtefMatrix.zeros(3, 3)
+        z = zeros(3, 3)
         assert mat_mul(m, z) == z
         assert mat_mul(z, m) == z
-        wide = RtefMatrix.zeros(2, 3)
+        wide = zeros(2, 3)
         assert wide.succ == ({}, {}) and (wide.n_rows, wide.n_cols) == (2, 3)
         assert RtefMatrix.of(wide.rows) == wide
 
     def test_nilpotent_product(self):
         up = RtefMatrix.of([[Rtef.bottom(), rtef(F1)], [Rtef.bottom(), Rtef.bottom()]])
-        z = RtefMatrix.zeros(2, 2)
+        z = zeros(2, 2)
         assert mat_mul(up, z) == z
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            mat_mul(RtefMatrix.zeros(2, 3), RtefMatrix.zeros(2, 3))
+            mat_mul(zeros(2, 3), zeros(2, 3))
         with pytest.raises(ValueError):
-            mat_sup(RtefMatrix.zeros(2, 3), RtefMatrix.zeros(3, 3))
+            mat_sup(zeros(2, 3), zeros(3, 3))
         with pytest.raises(ValueError):
             RtefMatrix.of([[rtef(F1), Rtef.bottom()], [rtef(F1)]])
         with pytest.raises(ValueError):
@@ -133,7 +134,7 @@ class TestMatStar:
         for _ in range(10):
             m = rand_matrix(rng, 3)
             star = mat_star(m)
-            rhs = mat_sup(RtefMatrix.identity(3), mat_mul(m, star))
+            rhs = mat_sup(identity(3), mat_mul(m, star))
             for i in range(3):
                 for j in range(3):
                     for x, t in sample_points():
@@ -382,11 +383,10 @@ class TestBehaviors:
 
     def test_rep_validation(self):
         with pytest.raises(ValueError):
-            AutomatonRep((True,), RtefMatrix.identity(2), 1)
+            AutomatonRep((True,), identity(2), 1)
         with pytest.raises(ValueError):
-            AutomatonRep((True, False), RtefMatrix.identity(2), 3)
-        rep = AutomatonRep((True, False), RtefMatrix.identity(2), 1)
-        assert rep.kappa == (True, False)
+            AutomatonRep((True, False), identity(2), 3)
+        AutomatonRep((True, False), identity(2), 1)
 
     def test_matrix_layer_supports_several_initial_states(self):
         # the text format insists on one initial state; the matrix form does not
@@ -495,6 +495,13 @@ def reaches(m: RtefMatrix, i: int) -> set[int]:
     return seen
 
 
+def scc_labels(m: RtefMatrix) -> list[int]:
+    """The strongly connected component of each state, by brute force: the
+    least state that it reaches and that reaches it."""
+    reach = [reaches(m, i) for i in range(m.dim())]
+    return [min(j for j in reach[i] if i in reach[j]) for i in range(m.dim())]
+
+
 def per_scc_rule_holds(order, comp, k) -> bool:
     """No accepting state (index < k) before a non-accepting state of its
     own strongly connected component."""
@@ -515,8 +522,7 @@ def ring_and_chain(n: int):
 
 
 class TestEliminationOrder:
-    """The minimum-degree order and the strongly connected components it
-    is held to."""
+    """The minimum-degree order and the late states it holds to the end."""
 
     def reps(self):
         # n = 1..12 random automata with random accepting sets, then
@@ -535,38 +541,26 @@ class TestEliminationOrder:
     def test_permutation_with_initial_states_last(self):
         for rep in self.reps():
             n = rep.matrix.dim()
-            order = rtenergy.matrix._order(rep.matrix, rep.alpha, [0] * n)
+            order = rtenergy.matrix._order(rep.matrix, rep.alpha)
             assert sorted(order) == list(range(n))
             initial = {i for i in range(n) if rep.alpha[i]}
             assert set(order[n - len(initial):]) == initial
-            free = rtenergy.matrix._order(rep.matrix, [False] * n, [0] * n)
+            free = rtenergy.matrix._order(rep.matrix, [False] * n)
             assert sorted(free) == list(range(n))
 
-    def test_components_are_mutual_reachability(self):
-        for rep in self.reps():
-            m = rep.matrix
-            n = m.dim()
-            comp = rtenergy.matrix._components(m)
-            reach = [reaches(m, i) for i in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    assert (comp[i] == comp[j]) == (j in reach[i] and i in reach[j])
-
-    def test_per_scc_rule_and_determinism(self):
-        beyond_global = 0
+    def test_late_states_last_and_determinism(self):
+        # the accepting states of mat_omega_accepting, then a random late
+        # set that need not be a leading block
+        rng = random.Random(2034)
         for rep in self.reps():
             m, k = rep.matrix, rep.accepting_count
             n = m.dim()
-            comp = rtenergy.matrix._components(m)
-            order = rtenergy.matrix._order(m, [p < k for p in range(n)], comp)
-            assert sorted(order) == list(range(n))
-            assert per_scc_rule_holds(order, comp, k)
-            assert order == rtenergy.matrix._order(m, [p < k for p in range(n)], comp)
-            assert comp == rtenergy.matrix._components(m)
-            beyond_global += not per_scc_rule_holds(order, [0] * n, k)
-        # the per-SCC rule is weaker than "non-accepting first" on many reps
-        print(f"{beyond_global} of 150 orders break the global rule")
-        assert beyond_global > 20
+            for late in ([p < k for p in range(n)], [rng.random() < 0.3 for _ in range(n)]):
+                order = rtenergy.matrix._order(m, late)
+                assert sorted(order) == list(range(n))
+                count = sum(late)
+                assert all(late[p] for p in order[n - count:])
+                assert order == rtenergy.matrix._order(m, late)
 
     def test_least_degree_first(self):
         # a hub 0 with five spokes in and out: index order fills the whole
@@ -574,10 +568,9 @@ class TestEliminationOrder:
         # are gone, the hub and the last spoke tie and the hub goes first
         f = Rtef.of([lin((1, -1, 1))])
         hub = RtefMatrix(6, ({j: f for j in range(1, 6)},) + tuple({0: f} for _ in range(5)))
-        assert rtenergy.matrix._order(hub, [False] * 6, [0] * 6) == [1, 2, 3, 4, 0, 5]
-        # a late state waits for the early states of its own group only
-        assert rtenergy.matrix._order(hub, [True] + [False] * 5, [0] * 6) == [1, 2, 3, 4, 5, 0]
-        assert rtenergy.matrix._order(hub, [True] + [False] * 5, [1] + [0] * 5) == [1, 2, 3, 4, 0, 5]
+        assert rtenergy.matrix._order(hub, [False] * 6) == [1, 2, 3, 4, 0, 5]
+        # a late state waits for every state that is not late
+        assert rtenergy.matrix._order(hub, [True] + [False] * 5) == [1, 2, 3, 4, 5, 0]
 
     def test_no_recursion_on_10000_states(self):
         n = 10_000
@@ -586,14 +579,10 @@ class TestEliminationOrder:
         # far below the depth a recursive pass over either graph would need
         sys.setrecursionlimit(len(inspect.stack()) + 50)
         try:
-            ring_comp = rtenergy.matrix._components(ring)
-            chain_comp = rtenergy.matrix._components(chain)
-            ring_order = rtenergy.matrix._order(ring, [p < 1 for p in range(n)], ring_comp)
-            chain_order = rtenergy.matrix._order(chain, [False] * n, [0] * n)
+            ring_order = rtenergy.matrix._order(ring, [p < 1 for p in range(n)])
+            chain_order = rtenergy.matrix._order(chain, [False] * n)
         finally:
             sys.setrecursionlimit(limit)
-        assert len(set(ring_comp)) == 1
-        assert sorted(chain_comp) == list(range(n))
         assert ring_order[-1] == 0 and sorted(ring_order) == list(range(n))
         assert sorted(chain_order) == list(range(n))
 
@@ -680,7 +669,7 @@ class TestSolverOrder:
         beyond_global = 0
         for rng, rep in self.reps():
             k = rep.accepting_count
-            comp = rtenergy.matrix._components(rep.matrix)
+            comp = scc_labels(rep.matrix)
             order = per_scc_order(rng, comp, k)
             assert per_scc_rule_holds(order, comp, k)
             oracles = [mat_omega_accepting]
@@ -697,7 +686,7 @@ class TestSolverOrder:
         broken = missed = 0
         for rng, rep in self.reps():
             k = rep.accepting_count
-            comp = rtenergy.matrix._components(rep.matrix)
+            comp = scc_labels(rep.matrix)
             order = per_scc_order(rng, comp, k, accepting_first=True)
             if not per_scc_rule_holds(order, comp, k):
                 broken += 1
@@ -742,8 +731,7 @@ class TestFactorOnce:
             accepting = rng.sample(range(n), rng.randint(0, n))
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
             k = rep.accepting_count
-            comp = rtenergy.matrix._components(rep.matrix)
-            order = rtenergy.matrix._order(rep.matrix, [p < k for p in range(n)], comp)
+            order = rtenergy.matrix._order(rep.matrix, [p < k for p in range(n)])
             goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
             j = rng.randrange(n)
             w1 = [goal if i < k else false for i in range(n)]
@@ -822,7 +810,7 @@ class TestMinimumDegreeAgainstFormerOrders:
             for i in initial:
                 want_buchi = want_buchi.sup(ref[i])
             assert omega_agree(buchi_behavior(rep), want_buchi)
-            differ += rtenergy.matrix._order(m, rep.alpha, [0] * n) != reverse_index_order(rep)
+            differ += rtenergy.matrix._order(m, rep.alpha) != reverse_index_order(rep)
         # the orders themselves differ on most of the corpus
         print(f"reach order differs on {differ} of 66 reps")
         assert differ > 30

@@ -88,14 +88,15 @@ class TestParse:
         assert len(m.transitions) == 7
         assert m.initial == "closed"
         assert m.accepting == ("operational",)
-        assert m.rate_of("half") == 2
-        assert m.rate_of("half_r") == 4
+        rates = dict(m.states)
+        assert rates["half"] == 2
+        assert rates["half_r"] == 4
         prices = sorted(tr.price for tr in m.transitions)
         assert prices.count(Fraction(-20)) == 4 and prices.count(Fraction(-10)) == 3
 
     def test_number_forms(self):
         m = parse_model("rtea { state a rate 5/2 initial accepting; trans a -> a price -2.5 bound 5/2; }")
-        assert m.rate_of("a") == Fraction(5, 2)
+        assert m.states == (("a", Fraction(5, 2)),)
         assert m.transitions[0].price == Fraction(-5, 2)
 
     def test_non_ascii_digits_rejected(self):
@@ -125,6 +126,16 @@ class TestParse:
             with pytest.raises(ValueError):
                 rational(text)
         assert atom("5/2", "-2.5", " 3 ") == atom(Fraction(5, 2), Fraction(-5, 2), 3)
+
+    def test_energy_and_time_text_held_to_the_literal_grammar(self):
+        # Fraction itself reads exponents and digit separators, so text
+        # must pass the literal grammar first
+        for text in ("1e3", "1_000", "1e999999999"):
+            for make in (Energy.of, Time, Time.of):
+                with pytest.raises(ValueError, match="not a rational literal"):
+                    make(text)
+        assert Energy.of(" 5/2 ") == Energy.of(Fraction(5, 2))
+        assert Time("2.5") == Time.of("5/2") == Time(Fraction(5, 2))
 
     def test_comments_and_whitespace(self):
         m = parse_model("rtea{state a rate 0 initial accepting;#x\n}")

@@ -19,9 +19,9 @@ from rtenergy import (
     normalize,
     omega_of,
 )
-from rtenergy.oracles import exact_schedule_value
 
 from helpers import SAMPLE_TS, SAMPLE_XS, lin, rand_rtef, rtef, sample_points
+from references import exact_schedule_value
 
 PUMP = rtef(lin((1, 0, 5)))
 PUMP_LEAK = rtef(lin((1, -1, 5)))

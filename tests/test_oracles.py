@@ -6,15 +6,10 @@ from fractions import Fraction
 import pytest
 
 from rtenergy import BOTTOM, Energy, LinearRtef, Time, finite_behavior, parse_model, to_matrix_rep
-from rtenergy.oracles import (
-    DpConfig,
-    buchi_unroll,
-    compose_split_oracle,
-    dp_lower_bound,
-    exact_schedule_value,
-)
+from rtenergy.oracles import DpConfig, buchi_unroll, dp_lower_bound
 
 from helpers import F1, F2, SAT_TOP_NF, load_model, rand_model_text
+from references import compose_split_oracle, exact_schedule_value
 
 
 class TestDpLowerBound:

@@ -7,7 +7,6 @@ from rtenergy import BOTTOM, Energy, Rtef
 import rtenergy.algebra
 import rtenergy.linear2d
 from rtenergy.algebra import leq_linear, order_witness
-from rtenergy.oracles import leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
 
 from helpers import (
     A,
@@ -21,6 +20,7 @@ from helpers import (
     rtef,
     sample_points,
 )
+from references import leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
 
 
 class TestOrderCounterexample:
