@@ -265,10 +265,16 @@ def finite_behavior(rep: AutomatonRep) -> Rtef:
 
 
 def buchi_behavior(rep: AutomatonRep) -> OmegaVal:
-    """Truth of an endless run visiting accepting states infinitely often."""
-    vec = mat_omega_accepting(rep.matrix, rep.accepting_count)
+    """Truth of an endless run visiting accepting states infinitely often:
+    the factorization of ``mat_omega_accepting``, back-substituted only at
+    the initial states, where ``_solve`` is exact."""
+    n, k = rep.matrix.dim(), rep.accepting_count
+    initial = [i for i in range(n) if rep.alpha[i]]
     out = OmegaVal.false()
-    for i, init in enumerate(rep.alpha):
-        if init:
-            out = out.sup(vec[i])
+    if not initial or k == 0:
+        return out
+    steps = _factor(rep.matrix, _order(rep.matrix, [p < k for p in range(n)]), k)
+    z = _solve(steps, [out] * n, initial)
+    for i in initial:
+        out = out.sup(z[i])
     return out

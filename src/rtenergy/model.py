@@ -17,6 +17,12 @@ Semantic rules: states are unique, exactly one is initial, rates are
 non-negative, prices non-positive, and every bound covers its price.
 Numbers are kept exact: an ``int`` when integral, a ``Fraction`` otherwise
 (``rational.rational``).
+
+A document is read with one regex match per item, each taking the item's
+fields and the whitespace and comments in front of it.  When a match or a
+check fails, the token parser reads the document again and names the first
+error with its line and column; it accepts the same documents and builds the
+same models.
 """
 
 from __future__ import annotations
@@ -64,16 +70,37 @@ class RteaModel:
         return tuple(n for n, _ in self.states)
 
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every token
+# the token parser's pattern, compiled through re's cache on the first error
+_TOKEN = r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every token
     (?: (?P<num>""" + NUMBER + r""")
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>->|[{};])
       | (?P<eof>\Z)
       | (?P<bad>.)
-    )""",
-    re.VERBOSE,
+    )"""
+
+# Whitespace and comments.  A comment must run to the end of its line: with
+# a bare \#[^\n]* backtracking could end it early and read the rest of the
+# line as an item.  No possessive quantifiers or atomic groups (Python 3.11+).
+_SEP = r"\s*(?:\#[^\n]*(?:\n\s*|\Z))*"
+# a name or keyword is the whole word, as the tokenizer reads it
+_END = r"(?![A-Za-z0-9_])"
+_NAME = r"([A-Za-z_][A-Za-z0-9_]*)" + _END + _SEP
+_NUM = "(" + NUMBER + ")" + _SEP
+
+
+def _kw(word: str) -> str:
+    return word + _END + _SEP
+
+
+_HEAD_RE = re.compile(_SEP + _kw("rtea") + r"\{")
+# groups: state name, rate, initial, accepting; trans source, target, price, bound
+_ITEM_RE = re.compile(
+    _SEP
+    + "(?:" + _kw("state") + _NAME + _kw("rate") + _NUM + "(?:(" + _kw("initial") + "))?(?:(" + _kw("accepting") + "))?"
+    + "|" + _kw("trans") + _NAME + "->" + _SEP + _NAME + _kw("price") + _NUM + _kw("bound") + _NUM + ");"
 )
+_TAIL_RE = re.compile(_SEP + r"\}" + _SEP + r"\Z")
 
 
 def _position(text: str, off: int) -> tuple[int, int]:
@@ -90,7 +117,8 @@ class _Parser:
         # the whole text is tokenized first, so a bad character is reported
         # ahead of any grammar error in front of it; the parser stops at the
         # first "eof" (finditer repeats it after trailing whitespace)
-        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in _TOKEN_RE.finditer(text)]
+        tokens = re.finditer(_TOKEN, text, re.VERBOSE)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in tokens]
         bad = next((tok for tok in self.tokens if tok[0] == "bad"), None)
         if bad is not None:
             raise self.error("syntax", f"unexpected character {bad[1]!r}", bad[2])
@@ -178,9 +206,52 @@ class _Parser:
         return RteaModel(tuple(states), initial, tuple(accepting), tuple(tr for tr, _ in transitions))
 
 
+def _parse_items(text: str) -> Optional[RteaModel]:
+    """The model of ``text`` read with one match per item, or None when a
+    match or a check fails; ``_Parser`` then names the first error."""
+    m = _HEAD_RE.match(text)
+    if m is None:
+        return None
+    pos = m.end()
+    states: list[tuple[str, Rational]] = []
+    seen: set[str] = set()
+    initial: Optional[str] = None
+    accepting: list[str] = []
+    transitions: list[Transition] = []
+    try:
+        while (m := _ITEM_RE.match(text, pos)) is not None:
+            pos = m.end()
+            name, rate, is_initial, is_accepting, src, dst, price, bound = m.groups()
+            if name is not None:
+                rate = rational(rate)
+                if name in seen or rate < 0:
+                    return None
+                if is_initial:
+                    if initial is not None:
+                        return None
+                    initial = name
+                if is_accepting:
+                    accepting.append(name)
+                seen.add(name)
+                states.append((name, rate))
+            else:
+                price, bound = rational(price), rational(bound)
+                if price > 0 or bound < -price:
+                    return None
+                transitions.append(Transition(src, price, bound, dst))
+    except ValueError:
+        return None  # a literal such as 1/0
+    if _TAIL_RE.match(text, pos) is None or initial is None:
+        return None
+    if any(tr.src not in seen or tr.dst not in seen for tr in transitions):
+        return None
+    return RteaModel(tuple(states), initial, tuple(accepting), tuple(transitions))
+
+
 def parse_model(text: str) -> RteaModel:
     """Parse and validate one model document."""
-    return _Parser(text).parse()
+    model = _parse_items(text)
+    return model if model is not None else _Parser(text).parse()
 
 
 def serialize_model(model: RteaModel) -> str:
@@ -218,6 +289,7 @@ def to_matrix_rep(model: RteaModel) -> AutomatonRep:
     succ = tuple({} for _ in order)
     for tr in model.transitions:
         row, j = succ[index[tr.src]], index[tr.dst]
-        row[j] = row.get(j, Rtef.bottom()).sup(Rtef((LinearRtef((Atom(rate[tr.src], tr.price, tr.bound),)),)))
+        f = Rtef((LinearRtef((Atom(rate[tr.src], tr.price, tr.bound),)),))
+        row[j] = f if j not in row else row[j].sup(f)
     alpha = tuple(name == model.initial for name in order)
     return AutomatonRep(alpha, RtefMatrix(len(order), succ), len(accepting), tuple(order))

@@ -296,6 +296,25 @@ class TestBuchiElimination:
                 want = want.sup(vec[i])
             assert omega_agree(buchi_behavior(rep), want)
 
+    def test_initial_states_alone_equal_the_full_vector(self):
+        # buchi_behavior back-substitutes only the initial states; the sup of
+        # the full vector over them must be the same value, not just agree
+        rng = random.Random(2032)
+        for i in range(180):
+            n = rng.randint(1, 8)
+            accepting = (None, rng.sample(range(n), rng.randint(1, n)), range(n))[i % 3]
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+            if i % 2:
+                starts = rng.sample(range(n), rng.randint(1, n))
+                rep = AutomatonRep(tuple(j in starts for j in range(n)), rep.matrix, rep.accepting_count)
+            vec = mat_omega_accepting(rep.matrix, rep.accepting_count)
+            want = OmegaVal.false()
+            for j in range(n):
+                if rep.alpha[j]:
+                    want = want.sup(vec[j])
+            got = buchi_behavior(rep)
+            assert (got.support, got.threshold) == (want.support, want.threshold)
+
     def test_loops_before_leaving_for_good(self):
         # the run from p gains energy on loops p -> q -> p, then leaves for
         # the free loop at a, which is eliminated before p
