@@ -578,8 +578,6 @@ def leq_linear(lhs: LinearRtef, rhs: LinearRtef) -> bool:
     One cursor walks each cell list; a strip ends at the nearer right edge
     of the two current cells, and the first strip where f is defined and
     not covered decides."""
-    if lhs == rhs:
-        return True
     fcells, gcells = component_cells(lhs), component_cells(rhs)
     i = j = 0
     lo = 0

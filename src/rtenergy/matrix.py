@@ -78,7 +78,9 @@ def _order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
     direct solvers: play the elimination on the sparsity pattern alone and
     take, at each step, the live state with the least in-degree times
     out-degree, self-loops excluded, ties to the least index.  A ``late``
-    state is taken only once every state that is not late is gone.
+    state is taken only once every state that is not late is gone: the heap
+    key leads with the flag, so a late state sorts after every state that
+    is not.
 
     Each degree change pushes a fresh heap entry; an entry whose degree is
     no longer current is skipped when it comes up."""
@@ -92,12 +94,11 @@ def _order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
         row.discard(i)
         for j in row:
             ins[j].add(i)
-    early = sum(not is_late for is_late in late)
-    heap = [(len(ins[p]) * len(outs[p]), p) for p in range(n) if not late[p] or not early]
+    heap = [(late[p], len(ins[p]) * len(outs[p]), p) for p in range(n)]
     heapify(heap)
     order, gone = [], [False] * n
     while heap:
-        key, p = heappop(heap)
+        _, key, p = heappop(heap)
         into, out = ins[p], outs[p]
         if gone[p] or key != len(into) * len(out):
             continue
@@ -113,14 +114,8 @@ def _order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
             col.discard(p)
             col |= into
             col.discard(j)
-        touched = into | out
-        if not late[p]:
-            early -= 1
-            if not early:
-                touched.update(q for q in range(n) if late[q])
-        for q in touched:
-            if not late[q] or not early:
-                heappush(heap, (len(ins[q]) * len(outs[q]), q))
+        for q in into | out:
+            heappush(heap, (late[q], len(ins[q]) * len(outs[q]), q))
     return order
 
 
@@ -213,8 +208,6 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
-    if k == 0:
-        return (OmegaVal.false(),) * n
     steps = _factor(m, _order(m, [p < k for p in range(n)]), k)
     return tuple(_solve(steps, [OmegaVal.false()] * n, range(n)))
 
@@ -242,39 +235,35 @@ class AutomatonRep:
         return self.state_names.index(name)
 
 
+def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: Sequence[OmegaVal]) -> OmegaVal:
+    """sup over the initial states i of z[i], z = M* . w v M^omega through
+    the first ``k`` states: one factorization in minimum-degree order with
+    the ``late`` states held to the end, one solve back-substituted only at
+    the initial states, where ``_solve`` is exact."""
+    initial = [i for i, start in enumerate(rep.alpha) if start]
+    z = _solve(_factor(rep.matrix, _order(rep.matrix, late), k), w, initial)
+    out = OmegaVal.false()
+    for i in initial:
+        out = out.sup(z[i])
+    return out
+
+
 def finite_behavior(rep: AutomatonRep) -> Rtef:
     """Best finite run alpha . M* . kappa, solved from the goal backwards.
 
     The column y = M* kappa is ``_solve`` with w = kappa and no omega part:
     without a threshold, ``act`` and ``OmegaVal.sup`` are ``compose`` and
-    ``sup`` on the support.  The states go in minimum-degree order with the
-    initial ones held to the end, so only the initial states are
-    back-substituted.
+    ``sup`` on the support.  The initial states are the late ones, so only
+    they are back-substituted.
     """
-    n = rep.matrix.dim()
-    initial = [i for i in range(n) if rep.alpha[i]]
-    if not initial or rep.accepting_count == 0:
-        return Rtef.bottom()
+    n, k = rep.matrix.dim(), rep.accepting_count
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
-    w = [goal if j < rep.accepting_count else false for j in range(n)]
-    z = _solve(_factor(rep.matrix, _order(rep.matrix, rep.alpha), 0), w, initial)
-    out = Rtef.bottom()
-    for i in initial:
-        out = out.sup(z[i].support)
-    return out
+    return _initial_sup(rep, rep.alpha, 0, [goal if j < k else false for j in range(n)]).support
 
 
 def buchi_behavior(rep: AutomatonRep) -> OmegaVal:
     """Truth of an endless run visiting accepting states infinitely often:
-    the factorization of ``mat_omega_accepting``, back-substituted only at
-    the initial states, where ``_solve`` is exact."""
+    the factorization of ``mat_omega_accepting``, the accepting states late,
+    solved with w = false."""
     n, k = rep.matrix.dim(), rep.accepting_count
-    initial = [i for i in range(n) if rep.alpha[i]]
-    out = OmegaVal.false()
-    if not initial or k == 0:
-        return out
-    steps = _factor(rep.matrix, _order(rep.matrix, [p < k for p in range(n)]), k)
-    z = _solve(steps, [out] * n, initial)
-    for i in initial:
-        out = out.sup(z[i])
-    return out
+    return _initial_sup(rep, [p < k for p in range(n)], k, [OmegaVal.false()] * n)

@@ -390,30 +390,26 @@ def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:
     return tuple(out)
 
 
-def _significant(m: RtefMatrix, k: int, omega_all) -> tuple[OmegaVal, ...]:
-    """Eliminate the states after the first ``k`` into the significant block
-    S = a v b d* c, take ``omega_all`` of S, and route the rest into it
-    through d* c."""
+def mat_omega_lasso(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
+    """Per-state truth of visiting the first ``k`` states infinitely often.
+
+    Eliminate the states after the first ``k`` into the significant block
+    S = a v b d* c, take the lasso form on S: one closure S* plus one
+    ``omega_of`` per accepting j, S^omega[i] = sup_j S*[i][j] .
+    ((S S*)[j][j])^omega, and route the rest into it through d* c.  A
+    reference for ``matrix.mat_omega_accepting``.
+    """
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
     if k == 0:
         return (OmegaVal.false(),) * n
     if k == n:
-        return omega_all(m)
+        return _lasso_all_significant(m)
     a, b, c, d = _blocks(m, k)
     dstar = mat_star_blocks(d)
-    head = omega_all(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
+    head = _lasso_all_significant(mat_sup(a, mat_mul(mat_mul(b, dstar), c)))
     return (*head, *_act_rows(mat_mul(dstar, c), head))
-
-
-def mat_omega_lasso(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often,
-    by the lasso form on the significant block S: one closure S* plus one
-    ``omega_of`` per accepting j, S^omega[i] = sup_j S*[i][j] .
-    ((S S*)[j][j])^omega.  A reference for ``matrix.mat_omega_accepting``.
-    """
-    return _significant(m, k, _lasso_all_significant)
 
 
 def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
@@ -428,37 +424,3 @@ def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
             loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
         loops.append(omega_of(loop))
     return _act_rows(sstar, loops)
-
-
-def mat_omega_recursive(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
-    """Per-state truth of visiting the first ``k`` states infinitely often,
-    by the first-row block recursion into both sub-blocks of the significant
-    block.
-
-    Makes 3 * 2^(k-1) - 2 ``omega_of`` calls; a reference for
-    ``matrix.mat_omega_accepting``.
-    """
-    return _significant(m, k, _omega_all_significant)
-
-
-def _omega_all_significant(m: RtefMatrix) -> tuple[OmegaVal, ...]:
-    n = m.dim()
-    if n == 1:
-        return (omega_of(m.rows[0][0]),)
-    a, b, c, d = _blocks(m, 1)
-    a00 = a.rows[0][0]
-    dstar = mat_star_blocks(d)
-    bds = mat_mul(b, dstar)
-    f = a00.sup(mat_mul(bds, c).rows[0][0])
-    head = omega_of(f)
-    frow = mat_mul(RtefMatrix.of([[f.star()]]), bds)
-    for j, w in enumerate(_omega_all_significant(d)):
-        head = head.sup(act(frow.rows[0][j], w))
-    g = mat_sup(d, mat_mul(mat_mul(c, RtefMatrix.of([[a00.star()]])), b))
-    gomega = _omega_all_significant(g)
-    gcol = mat_mul(mat_star_blocks(g), c)
-    a_omega = omega_of(a00)
-    tail = tuple(
-        gomega[i].sup(act(gcol.rows[i][0], a_omega)) for i in range(n - 1)
-    )
-    return (head, *tail)

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from rtenergy import BOTTOM, Energy, Rtef
+from rtenergy import BOTTOM, Energy, Rtef, finite_behavior, to_matrix_rep
 import rtenergy.algebra
 import rtenergy.linear2d
 from rtenergy.algebra import leq_linear, order_witness
@@ -12,8 +12,10 @@ from helpers import (
     A,
     F1,
     F2,
+    MODELS,
     ev,
     lin,
+    load_model,
     rand_coprime_linear,
     rand_linear,
     rand_rtef,
@@ -242,8 +244,17 @@ class TestIntegerStripKernel:
                 got = leq_linear.__wrapped__(a, b)  # uncached: the kernel itself
                 assert got == leq_linear_cut_set(a, b), (a, b)
                 holding += got
-        # 11,025 pairs, 105 of them trivial (a == b)
+        # 11,025 pairs, 105 of them a component against itself
         assert 1000 < holding < 10000
+        # the walk alone holds each component against itself: 1,000 random
+        # ones, half over coprime denominators, and the bundled models'
+        # behavior components
+        rng = random.Random(99)
+        corpus = [rand_linear(rng) for _ in range(500)] + [rand_coprime_linear(rng) for _ in range(500)]
+        for path in sorted(MODELS.glob("*.rtea")):
+            corpus += finite_behavior(to_matrix_rep(load_model(path.name))).components
+        assert len(corpus) > 1000
+        assert all(leq_linear.__wrapped__(c, c) for c in corpus)
 
     def test_order_witness_against_fraction_oracle(self):
         rng = random.Random(98)
