@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from rtenergy.algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells, normalize
+from rtenergy.algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells
 from rtenergy.linear2d import Constraint, feasible_point
 from rtenergy.matrix import RtefMatrix, mat_mul
 from rtenergy.omega import OmegaVal, act, omega_of
@@ -56,6 +56,28 @@ def compose_split_oracle(l1: LinearRtef, l2: LinearRtef, x: Energy, t: Fraction,
         if best < v:
             best = v
     return best
+
+
+def normalize_two_pass(seq: Sequence[Atom]) -> LinearRtef:
+    """Staircase form of an arbitrary step sequence in two passes: any step
+    whose rate does not exceed its predecessor's is absorbed into the
+    predecessor (left to right, to a fixpoint), then one sweep defers every
+    price onto the final step.  The reference ``algebra._splice`` and
+    ``normalize`` are checked against; it treats its input as an arbitrary
+    sequence, so it does not rely on either operand being a staircase."""
+    atoms = list(seq)
+    i = 0
+    while i + 1 < len(atoms):
+        a, b = atoms[i], atoms[i + 1]
+        if a.rate >= b.rate:
+            atoms[i : i + 2] = [Atom(a.rate, a.price + b.price, max(a.bound, b.bound - a.price))]
+        else:
+            i += 1
+    for i in range(len(atoms) - 1):
+        a, b = atoms[i], atoms[i + 1]
+        atoms[i] = Atom(a.rate, 0, a.bound)
+        atoms[i + 1] = Atom(b.rate, a.price + b.price, max(a.bound, b.bound - a.price))
+    return LinearRtef(tuple(atoms))
 
 
 def exact_schedule_value(atoms: Sequence[Atom], x: Fraction, t: Fraction) -> Energy:
@@ -135,8 +157,8 @@ def star_subsets(f: Rtef) -> Rtef:
     """Closure of ``f`` as the supremum of the compositions of every
     rate-ordered subset of its non-identity components.
 
-    Makes 2^k - 1 ``normalize`` calls for k components and prunes only once
-    at the end; the reference ``Rtef.star`` is checked against.
+    Makes 2^k - 1 ``normalize_two_pass`` calls for k components and prunes
+    only once at the end; the reference ``Rtef.star`` is checked against.
     """
     loops = sorted(
         (c for c in f.components if c.atoms),
@@ -145,7 +167,7 @@ def star_subsets(f: Rtef) -> Rtef:
     comps = [LinearRtef()]
     for r in range(1, len(loops) + 1):
         for pick in itertools.combinations(loops, r):
-            comps.append(normalize(tuple(a for c in pick for a in c.atoms)))
+            comps.append(normalize_two_pass(tuple(a for c in pick for a in c.atoms)))
     return Rtef.of(comps).prune()
 
 

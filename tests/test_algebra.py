@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rtenergy import (
+    Atom,
     BOTTOM,
     Energy,
     INFINITY,
@@ -32,12 +33,20 @@ from helpers import (
     ev,
     lin,
     precedes,
+    rand_atom,
+    rand_coprime_atom,
     rand_coprime_linear,
     rand_linear,
     rand_rtef,
     rtef,
 )
-from references import component_cells_fractions, compose_split_oracle, exact_schedule_value, star_subsets
+from references import (
+    component_cells_fractions,
+    compose_split_oracle,
+    exact_schedule_value,
+    normalize_two_pass,
+    star_subsets,
+)
 
 
 class TestValues:
@@ -211,6 +220,101 @@ class TestNormalize:
 
     def test_idempotent_on_normal_forms(self):
         assert normalize(SAT_TOP_NF.atoms) == SAT_TOP_NF
+
+
+FLOWER_RATES = tuple(Fraction(2) ** e for e in range(-3, 6))  # 1/8 .. 32
+
+
+def flower_atom(rng: random.Random) -> Atom:
+    """A step at a power-of-two rate, or at rate 0, over small integers."""
+    rate = rng.choice((Fraction(0),) + FLOWER_RATES)
+    price = -rng.randint(0, 3)
+    return Atom(rate, price, -price + rng.randint(0, 3))
+
+
+def raw_atom_pool(rng: random.Random) -> list[Atom]:
+    """Steps over halves, over coprime denominators and at flower rates."""
+    return (
+        [rand_atom(rng) for _ in range(100)]
+        + [rand_coprime_atom(rng) for _ in range(100)]
+        + [flower_atom(rng) for _ in range(100)]
+    )
+
+
+def staircase_pool(rng: random.Random) -> list[LinearRtef]:
+    """Distinct staircases of up to four steps, built by the two-pass
+    reference: the identity, many led by a zero-rate step, and ones whose
+    leading steps sit at or below a fast final rate of another."""
+    steps = raw_atom_pool(rng)
+    pool = {LinearRtef(): None}
+    while len(pool) < 330:
+        pool.setdefault(normalize_two_pass(rng.sample(steps, rng.randint(1, 4))), None)
+    return list(pool)
+
+
+class TestSplice:
+    """``algebra._splice`` and ``normalize``, its fold over one-step
+    components, against the two-pass concatenation they replaced."""
+
+    def test_against_two_pass(self):
+        pool = staircase_pool(random.Random(2501))
+        identities = 0
+        seen = dict.fromkeys(("zero_first", "absorb_two", "equal_rate", "absorb_all"), 0)
+        for a in pool:
+            for b in pool:
+                assert algebra._splice(a, b) == normalize_two_pass(a.atoms + b.atoms), (a, b)
+                if not (a.atoms and b.atoms):
+                    identities += 1
+                    continue
+                top = a.atoms[-1].rate
+                absorbed = [x for x in b.atoms if x.rate <= top]
+                seen["zero_first"] += a.atoms[0].rate == 0 and b.atoms[0].rate == 0
+                seen["absorb_two"] += len(absorbed) >= 2
+                seen["equal_rate"] += any(x.rate == top for x in absorbed)
+                seen["absorb_all"] += len(absorbed) == len(b.atoms) >= 2
+        assert len(pool) ** 2 >= 100_000
+        # the identity against every staircase, on either side
+        assert identities == 2 * len(pool) - 1
+        assert min(seen.values()) > 1000, seen
+
+    def test_normalize_against_two_pass(self):
+        rng = random.Random(2502)
+        steps = raw_atom_pool(rng)
+        for _ in range(100_000):
+            seq = rng.choices(steps, k=rng.randint(0, 6))
+            assert normalize(seq) == normalize_two_pass(seq), seq
+
+    def test_compose_against_two_pass(self):
+        rng = random.Random(2503)
+        pool = staircase_pool(rng)
+        singles = 0
+        for case in range(1500):
+            f = Rtef.of(rng.sample(pool, 1 + case % 3)).prune()
+            g = Rtef.of(rng.sample(pool, 1 + case // 3 % 3)).prune()
+            want = Rtef.of(normalize_two_pass(a.atoms + b.atoms) for a in f.components for b in g.components)
+            assert f.compose(g) == want.prune(), (f, g)
+            singles += len(f.components) == len(g.components) == 1
+        assert singles > 100
+
+    def test_reuses_head_and_builds_few_atoms(self, monkeypatch):
+        pool = staircase_pool(random.Random(2504))
+        built = 0
+
+        def counted(*fields):
+            nonlocal built
+            built += 1
+            return Atom(*fields)
+
+        monkeypatch.setattr(algebra, "Atom", counted)
+        for a in pool[:60]:
+            for b in pool:
+                built = 0
+                out = algebra._splice(a, b)
+                if not a.atoms or not b.atoms:
+                    assert out is (b if not a.atoms else a) and built == 0
+                    continue
+                assert all(x is y for x, y in zip(out.atoms, a.atoms[:-1]))
+                assert built <= len(b.atoms) + 1, (a, b)
 
 
 class TestEvalLinear:
@@ -459,22 +563,24 @@ class TestStarProduct:
             # equal copy led by a no-op Atom(0, 0, 0) can survive in the oracle
             assert star.leq(want) and want.leq(star), (case, f)
 
-    def test_normalize_calls_polynomial(self, monkeypatch):
+    def test_splice_calls_polynomial(self, monkeypatch):
         k = 12
         frontier = Rtef.of([lin((i, -i, i)) for i in range(1, k + 1)])
         assert frontier.prune() == frontier
         calls = 0
+        splice = algebra._splice
 
-        def counted(seq):
+        def counted(a, b):
             # fail at the first excess call: a 2^k expansion would go on to
             # spend minutes pruning
             nonlocal calls
             calls += 1
-            assert calls <= k * k, "normalize called more than k^2 times"
-            return normalize(seq)
+            assert calls <= k * k, "_splice called more than k^2 times"
+            return splice(a, b)
 
-        monkeypatch.setattr(algebra, "normalize", counted)
+        monkeypatch.setattr(algebra, "_splice", counted)
         star = frontier.star()
+        assert calls > 0
         assert frontier.leq(star) and Rtef.one().leq(star)
 
 

@@ -256,6 +256,14 @@ class TestNormalize:
         slopes = [p["boundary"]["slope"] for p in report["normalized"]["pieces"] if "boundary" in p]
         assert slopes == ["-1/2", "-1/5"]
 
+    def test_chain_golden(self, capsys):
+        # the bytes were written while normalize still ran two passes over
+        # the raw steps: splicing one step at a time must not change them
+        golden = Path(__file__).resolve().parent / "golden" / "satellite_top_path_normalize.json"
+        code, out, _ = run(capsys, "normalize", "--model", CHAIN)
+        assert code == 0
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_branching_model_rejected(self, capsys):
         code, _, err = run(capsys, "normalize", "--model", SAT)
         assert code == 2
