@@ -73,69 +73,46 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     return RtefMatrix.of(out)
 
 
-def _order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
-    """Greedy minimum-degree elimination order, the Markowitz rule of sparse
-    direct solvers: play the elimination on the sparsity pattern alone and
-    take, at each step, the live state with the least in-degree times
-    out-degree, self-loops excluded, ties to the least index.  A ``late``
-    state is taken only once every state that is not late is gone: the heap
-    key leads with the flag, so a late state sorts after every state that
-    is not.
+def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
+    """The half of solving z = M* . w v M^omega that never reads w, so one
+    factorization serves every right-hand side, as LU does: state
+    elimination of M on copies of the successor maps and on predecessor
+    sets, both kept to the live states, so a pivot costs its in-degree
+    times its out-degree.  When p goes, its self-loop l holds its loops
+    through the states gone before it, and each live predecessor i folds
+    m[i][p] . l* . m[p][j] into m[i][j].  Step p records l* (None without a
+    loop), l^omega off that l* when p < k, p's row scaled by l*, and the
+    pairs (i, m[i][p]).
 
-    Each degree change pushes a fresh heap entry; an entry whose degree is
-    no longer current is skipped when it comes up."""
+    Each pivot is the live state with the least key (late[p], in-degree
+    times out-degree, p), self-loops excluded from both degrees: the
+    greedy minimum-degree order of sparse direct solvers, the Markowitz
+    rule, read off the live pattern.  With boolean ``late`` flags a late
+    state goes only once every state that is not late is gone; distinct
+    ranks give that order outright.  Each degree change pushes a fresh
+    heap entry; an entry whose degree is no longer current is skipped when
+    it comes up."""
     # imported here, so that starting the command line does not load it
     from heapq import heapify, heappop, heappush
 
-    n = m.dim()
-    outs = [set(row) for row in m.succ]
-    ins = [set() for _ in range(n)]
-    for i, row in enumerate(outs):
-        row.discard(i)
-        for j in row:
-            ins[j].add(i)
-    heap = [(late[p], len(ins[p]) * len(outs[p]), p) for p in range(n)]
-    heapify(heap)
-    order, gone = [], [False] * n
-    while heap:
-        _, key, p = heappop(heap)
-        into, out = ins[p], outs[p]
-        if gone[p] or key != len(into) * len(out):
-            continue
-        gone[p] = True
-        order.append(p)
-        for i in into:
-            row = outs[i]
-            row.discard(p)
-            row |= out
-            row.discard(i)
-        for j in out:
-            col = ins[j]
-            col.discard(p)
-            col |= into
-            col.discard(j)
-        for q in into | out:
-            heappush(heap, (late[q], len(ins[q]) * len(outs[q]), q))
-    return order
-
-
-def _factor(m: RtefMatrix, order: list[int], k: int) -> list[tuple]:
-    """The half of solving z = M* . w v M^omega that never reads w, so one
-    factorization serves every right-hand side, as LU does: state
-    elimination of M in ``order`` on copies of the successor maps and on
-    predecessor sets, both kept to the live states, so a pivot costs its
-    in-degree times its out-degree.  When p goes, its self-loop l holds its
-    loops through the states gone before it, and each live predecessor i
-    folds m[i][p] . l* . m[p][j] into m[i][j].  Step p records l* (None
-    without a loop), l^omega off that l* when p < k, p's row scaled by l*,
-    and the pairs (i, m[i][p])."""
     succ = [dict(row) for row in m.succ]
     pred = [set() for _ in succ]
     for i, row in enumerate(succ):
         for j in row:
             pred[j].add(i)
-    steps = []
-    for p in order:
+
+    def key(q):
+        return late[q], (len(pred[q]) - (q in pred[q])) * (len(succ[q]) - (q in succ[q])), q
+
+    heap = [key(q) for q in range(len(succ))]
+    heapify(heap)
+    steps, gone = [], [False] * len(succ)
+    while heap:
+        entry = heappop(heap)
+        p = entry[2]
+        if gone[p] or entry != key(p):
+            continue
+        gone[p] = True
         row = succ[p]
         loop = row.pop(p, Rtef.bottom())
         pred[p].discard(p)
@@ -149,6 +126,8 @@ def _factor(m: RtefMatrix, order: list[int], k: int) -> list[tuple]:
                 succ[i][j] = succ[i].get(j, Rtef.bottom()).sup(f.compose(g))
                 pred[j].add(i)
         steps.append((p, s, omega_of(loop, s) if p < k else None, row, folds))
+        for q in pred[p] | row.keys():
+            heappush(heap, key(q))
     return steps
 
 
@@ -194,7 +173,7 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
     """Reflexive-transitive closure, one factorization and one solve per
     column: column j is the support of M* . e_j, with e_j the goal at j."""
     n = m.dim()
-    steps = _factor(m, _order(m, [False] * n), 0)
+    steps = _factor(m, [False] * n, 0)
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     cols = [_solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
@@ -208,7 +187,7 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
-    steps = _factor(m, _order(m, [p < k for p in range(n)]), k)
+    steps = _factor(m, [p < k for p in range(n)], k)
     return tuple(_solve(steps, [OmegaVal.false()] * n, range(n)))
 
 
@@ -241,7 +220,7 @@ def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: Sequence[Om
     the ``late`` states held to the end, one solve back-substituted only at
     the initial states, where ``_solve`` is exact."""
     initial = [i for i, start in enumerate(rep.alpha) if start]
-    z = _solve(_factor(rep.matrix, _order(rep.matrix, late), k), w, initial)
+    z = _solve(_factor(rep.matrix, late, k), w, initial)
     out = OmegaVal.false()
     for i in initial:
         out = out.sup(z[i])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from rtenergy.algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells
@@ -399,6 +400,49 @@ def mat_star_blocks(m: RtefMatrix) -> RtefMatrix:
     bl = mat_mul(mat_mul(dstar, c), estar)
     br = mat_sup(dstar, mat_mul(bl, bds))
     return _assemble(estar, tr, bl, br)
+
+
+def min_degree_order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
+    """Greedy minimum-degree elimination order, the Markowitz rule of sparse
+    direct solvers, played on the sparsity pattern alone, on sets, before
+    any function is composed: take, at each step, the live state with the
+    least in-degree times out-degree, self-loops excluded, ties to the
+    least index, a ``late`` state only once every state that is not late is
+    gone.  A reference for the pivots ``matrix._factor`` picks from its own
+    live maps.
+
+    Each degree change pushes a fresh heap entry; an entry whose degree is
+    no longer current is skipped when it comes up."""
+    n = m.dim()
+    outs = [set(row) for row in m.succ]
+    ins = [set() for _ in range(n)]
+    for i, row in enumerate(outs):
+        row.discard(i)
+        for j in row:
+            ins[j].add(i)
+    heap = [(late[p], len(ins[p]) * len(outs[p]), p) for p in range(n)]
+    heapify(heap)
+    order, gone = [], [False] * n
+    while heap:
+        _, key, p = heappop(heap)
+        into, out = ins[p], outs[p]
+        if gone[p] or key != len(into) * len(out):
+            continue
+        gone[p] = True
+        order.append(p)
+        for i in into:
+            row = outs[i]
+            row.discard(p)
+            row |= out
+            row.discard(i)
+        for j in out:
+            col = ins[j]
+            col.discard(p)
+            col |= into
+            col.discard(j)
+        for q in into | out:
+            heappush(heap, (late[q], len(ins[q]) * len(outs[q]), q))
+    return order
 
 
 def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:

@@ -48,6 +48,7 @@ from references import (
     mat_omega_lasso,
     mat_star_blocks,
     mat_sup,
+    min_degree_order,
     truncated_path_sum,
     zeros,
 )
@@ -64,6 +65,22 @@ def rand_matrix(rng: random.Random, n: int, fill=0.6, max_atoms=2) -> RtefMatrix
                 row.append(Rtef.bottom())
         rows.append(row)
     return RtefMatrix.of(rows)
+
+
+def factor_in_order(m: RtefMatrix, order: list[int], k: int) -> list[tuple]:
+    """``_factor`` with the pivots in ``order``: each state's place in the
+    order is its ``late`` rank, which leads the heap key."""
+    rank = [0] * len(order)
+    for t, p in enumerate(order):
+        rank[p] = t
+    steps = rtenergy.matrix._factor(m, rank, k)
+    assert [p for p, *_ in steps] == order
+    return steps
+
+
+def pivots(m: RtefMatrix, late) -> list[int]:
+    """The order in which ``_factor`` picks its pivots."""
+    return [p for p, *_ in rtenergy.matrix._factor(m, late, 0)]
 
 
 def entries_equal(a: RtefMatrix, b: RtefMatrix) -> bool:
@@ -242,7 +259,7 @@ class TestLassoOmega:
             n = rng.randint(2, 8)
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=range(n))))
             stars = 0
-            steps = rtenergy.matrix._factor(rep.matrix, list(range(n)), n)
+            steps = factor_in_order(rep.matrix, list(range(n)), n)
             assert stars == sum(s is not None for _, s, *_ in steps)
 
 
@@ -568,11 +585,11 @@ class TestEliminationOrder:
     def test_permutation_with_initial_states_last(self):
         for rep in self.reps():
             n = rep.matrix.dim()
-            order = rtenergy.matrix._order(rep.matrix, rep.alpha)
+            order = pivots(rep.matrix, rep.alpha)
             assert sorted(order) == list(range(n))
             initial = {i for i in range(n) if rep.alpha[i]}
             assert set(order[n - len(initial):]) == initial
-            free = rtenergy.matrix._order(rep.matrix, [False] * n)
+            free = pivots(rep.matrix, [False] * n)
             assert sorted(free) == list(range(n))
 
     def test_late_states_last_and_determinism(self):
@@ -583,11 +600,11 @@ class TestEliminationOrder:
             m, k = rep.matrix, rep.accepting_count
             n = m.dim()
             for late in ([p < k for p in range(n)], [rng.random() < 0.3 for _ in range(n)]):
-                order = rtenergy.matrix._order(m, late)
+                order = pivots(m, late)
                 assert sorted(order) == list(range(n))
                 count = sum(late)
                 assert all(late[p] for p in order[n - count:])
-                assert order == rtenergy.matrix._order(m, late)
+                assert order == pivots(m, late)
 
     def test_least_degree_first(self):
         # a hub 0 with five spokes in and out: index order fills the whole
@@ -595,16 +612,17 @@ class TestEliminationOrder:
         # are gone, the hub and the last spoke tie and the hub goes first
         f = Rtef.of([lin((1, -1, 1))])
         hub = RtefMatrix(6, ({j: f for j in range(1, 6)},) + tuple({0: f} for _ in range(5)))
-        assert rtenergy.matrix._order(hub, [False] * 6) == [1, 2, 3, 4, 0, 5]
+        assert pivots(hub, [False] * 6) == [1, 2, 3, 4, 0, 5]
         # a late state waits for every state that is not late
-        assert rtenergy.matrix._order(hub, [True] + [False] * 5) == [1, 2, 3, 4, 5, 0]
+        assert pivots(hub, [True] + [False] * 5) == [1, 2, 3, 4, 5, 0]
 
     def test_orders_pinned(self):
         # the bundled models and 240 random automata at n = 3..20, every
         # other one with random initial states, each with the initial, the
         # accepting and no states late; the digest was recorded before the
-        # late rule became part of the heap key, and a changed order may
-        # change the dump bytes
+        # late rule became part of the heap key and before the factorization
+        # picked its own pivots, and a changed order may change the dump
+        # bytes
         rng = random.Random(2035)
         reps = [to_matrix_rep(load_model(path.name)) for path in sorted(MODELS.glob("*.rtea"))]
         for i in range(240):
@@ -619,7 +637,7 @@ class TestEliminationOrder:
         for rep in reps:
             n, k = rep.matrix.dim(), rep.accepting_count
             for late in (rep.alpha, [p < k for p in range(n)], [False] * n):
-                digest.update(repr(rtenergy.matrix._order(rep.matrix, late)).encode())
+                digest.update(repr(pivots(rep.matrix, late)).encode())
         assert digest.hexdigest()[:16] == "d002e95ed824ac05"
 
     def test_no_recursion_on_10000_states(self):
@@ -629,12 +647,77 @@ class TestEliminationOrder:
         # far below the depth a recursive pass over either graph would need
         sys.setrecursionlimit(len(inspect.stack()) + 50)
         try:
-            ring_order = rtenergy.matrix._order(ring, [p < 1 for p in range(n)])
-            chain_order = rtenergy.matrix._order(chain, [False] * n)
+            ring_order = pivots(ring, [p < 1 for p in range(n)])
+            chain_order = pivots(chain, [False] * n)
         finally:
             sys.setrecursionlimit(limit)
         assert ring_order[-1] == 0 and sorted(ring_order) == list(range(n))
         assert sorted(chain_order) == list(range(n))
+
+    def test_pivots_equal_the_order_on_sets(self):
+        # min_degree_order plays the elimination on the sparsity pattern
+        # alone; the pivots read off the live maps must be the same, on this
+        # corpus and on 12 random automata at n = 50..150
+        rng = random.Random(2036)
+        reps = list(self.reps())
+        for _ in range(12):
+            n = rng.randint(50, 150)
+            reps.append(to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=rng.sample(range(n), n // 10)))))
+        for rep in reps:
+            n, k = rep.matrix.dim(), rep.accepting_count
+            for late in (rep.alpha, [p < k for p in range(n)], [False] * n):
+                assert pivots(rep.matrix, late) == min_degree_order(rep.matrix, late)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Runs a behavior and returns its pivots and ``Rtef.compose`` calls."""
+    calls = {"pivots": 0, "compose": 0}
+    factor, compose = rtenergy.matrix._factor, Rtef.compose
+
+    def counting_factor(*args):
+        steps = factor(*args)
+        calls["pivots"] += len(steps)
+        return steps
+
+    def counting_compose(f, g):
+        calls["compose"] += 1
+        return compose(f, g)
+
+    monkeypatch.setattr(rtenergy.matrix, "_factor", counting_factor)
+    monkeypatch.setattr(Rtef, "compose", counting_compose)
+
+    def run(behavior, rep):
+        calls.update(pivots=0, compose=0)
+        behavior(rep)
+        return calls["pivots"], calls["compose"]
+
+    return run
+
+
+class TestGrowthCounted:
+    """Growth in operations, which do not depend on the host's speed."""
+
+    def test_chains_and_rings_are_linear(self, counted):
+        f = Rtef.of([lin((1, -1, 1))])
+        for n in (1200, 2400, 4800):
+            ring, _ = ring_and_chain(n)
+            # n - 1 -> n - 2 -> ... -> 0, the goal
+            chain = RtefMatrix(n, tuple({i - 1: f} if i else {} for i in range(n)))
+            start = tuple(i == n - 1 for i in range(n))
+            assert counted(finite_behavior, AutomatonRep(start, chain, 1)) == (n, n - 1)
+            assert counted(finite_behavior, AutomatonRep(start, ring, 1)) == (n, n + 2)
+            assert counted(buchi_behavior, AutomatonRep(start, ring, 1)) == (n, n + 2)
+
+    def test_random_automata_pinned(self, counted):
+        # recorded while the order was still played on the sparsity
+        # pattern before the factorization; reach fills in past n = 100
+        rng = random.Random(2036)
+        for n, reach, buchi in ((50, 67, 93), (100, 182, 353), (200, 5450, 10524)):
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n)))
+            assert counted(finite_behavior, rep) == (n, reach)
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=rng.sample(range(n), n // 10))))
+            assert counted(buchi_behavior, rep) == (n, buchi)
 
 
 def per_scc_order(rng: random.Random, comp, k: int, accepting_first=False) -> list[int]:
@@ -684,7 +767,7 @@ class TestSolverOrder:
             order = rng.sample(range(n), n)
             early += order[0] in initial
             w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
-            z = rtenergy.matrix._solve(rtenergy.matrix._factor(rep.matrix, order, 0), w, initial)
+            z = rtenergy.matrix._solve(factor_in_order(rep.matrix, order, 0), w, initial)
             got = Rtef.bottom()
             for i in initial:
                 alone = AutomatonRep(tuple(j == i for j in range(n)), rep.matrix, k)
@@ -701,14 +784,14 @@ class TestSolverOrder:
             n, k = rep.matrix.dim(), rep.accepting_count
             order = rng.sample(range(k, n), n - k) + rng.sample(range(k), k)
             want = rng.sample(range(n), rng.randint(1, n))
-            steps = rtenergy.matrix._factor(rep.matrix, order, k)
+            steps = factor_in_order(rep.matrix, order, k)
             z = rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, want)
             ref = mat_omega_accepting(rep.matrix, k)
             assert all(omega_agree(z[i], ref[i]) for i in want)
 
     def omega_as_references(self, rep, order, oracles) -> bool:
         n, k = rep.matrix.dim(), rep.accepting_count
-        steps = rtenergy.matrix._factor(rep.matrix, order, k)
+        steps = factor_in_order(rep.matrix, order, k)
         z = rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, range(n))
         return all(all(omega_agree(g, r) for g, r in zip(z, oracle(rep.matrix, k))) for oracle in oracles)
 
@@ -781,15 +864,15 @@ class TestFactorOnce:
             accepting = rng.sample(range(n), rng.randint(0, n))
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
             k = rep.accepting_count
-            order = rtenergy.matrix._order(rep.matrix, [p < k for p in range(n)])
+            order = min_degree_order(rep.matrix, [p < k for p in range(n)])
             goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
             j = rng.randrange(n)
             w1 = [goal if i < k else false for i in range(n)]
             w2 = [OmegaVal(Rtef.one(), Fraction(rng.randint(0, 9))) if i == j else false for i in range(n)]
-            steps = rtenergy.matrix._factor(rep.matrix, order, k)
+            steps = factor_in_order(rep.matrix, order, k)
             got = [rtenergy.matrix._solve(steps, w, range(n)) for w in (w1, w2, w1)]
             fresh = [
-                rtenergy.matrix._solve(rtenergy.matrix._factor(rep.matrix, order, k), w, range(n))
+                rtenergy.matrix._solve(factor_in_order(rep.matrix, order, k), w, range(n))
                 for w in (w1, w2, w1)
             ]
             assert got == fresh
@@ -807,7 +890,7 @@ def finite_in_reverse_index_order(rep: AutomatonRep) -> Rtef:
     n, k = rep.matrix.dim(), rep.accepting_count
     initial = [i for i in range(n) if rep.alpha[i]]
     w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
-    steps = rtenergy.matrix._factor(rep.matrix, reverse_index_order(rep), 0)
+    steps = factor_in_order(rep.matrix, reverse_index_order(rep), 0)
     z = rtenergy.matrix._solve(steps, w, initial)
     out = Rtef.bottom()
     for i in initial:
@@ -819,7 +902,7 @@ def omega_non_accepting_first(m: RtefMatrix, k: int) -> list[OmegaVal]:
     """``mat_omega_accepting`` in its former order: every non-accepting
     state, then every accepting one, each group in index order."""
     n = m.dim()
-    steps = rtenergy.matrix._factor(m, [*range(k, n), *range(k)], k)
+    steps = factor_in_order(m, [*range(k, n), *range(k)], k)
     return rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, range(n))
 
 
@@ -827,7 +910,7 @@ def star_in_index_order(m: RtefMatrix) -> RtefMatrix:
     """``mat_star`` in its former order: the states eliminated in index
     order."""
     n = m.dim()
-    steps = rtenergy.matrix._factor(m, list(range(n)), 0)
+    steps = factor_in_order(m, list(range(n)), 0)
     goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
     cols = [rtenergy.matrix._solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
@@ -860,7 +943,7 @@ class TestMinimumDegreeAgainstFormerOrders:
             for i in initial:
                 want_buchi = want_buchi.sup(ref[i])
             assert omega_agree(buchi_behavior(rep), want_buchi)
-            differ += rtenergy.matrix._order(m, rep.alpha) != reverse_index_order(rep)
+            differ += pivots(m, rep.alpha) != reverse_index_order(rep)
         # the orders themselves differ on most of the corpus
         print(f"reach order differs on {differ} of 66 reps")
         assert differ > 30
