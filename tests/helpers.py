@@ -101,6 +101,32 @@ def rand_linear(rng: random.Random, max_atoms=3, allow_identity=True) -> LinearR
     return normalize([rand_atom(rng) for _ in range(rng.randint(lo, max_atoms))])
 
 
+def rand_near_pair(rng: random.Random, max_atoms=4) -> tuple[LinearRtef, LinearRtef]:
+    """A component and a copy of it moved a little, in random order: some
+    bounds lowered, a rate or a price shifted, and an atom dropped or
+    inserted.  Such pairs sit near the edge of the order, where the
+    dominance tests of pruning spend their time."""
+    c = rand_linear(rng, max_atoms, allow_identity=False)
+    steps = []
+    for rate, price, bound in c.atoms:
+        roll = rng.random()
+        if roll < 0.35:
+            bound = max(-price, bound - rand_frac(rng, 0, 2))
+        elif roll < 0.5:
+            rate = max(Fraction(0), rate + rng.choice((-1, Fraction(-1, 2), Fraction(1, 2), 1)))
+        elif roll < 0.6:
+            price = min(Fraction(0), price + rng.choice((-1, Fraction(-1, 2), Fraction(1, 2), 1)))
+            bound = max(bound, -price)
+        steps.append(Atom(rate, price, bound))
+    roll = rng.random()
+    if roll < 0.25 and len(steps) > 1:
+        del steps[rng.randrange(len(steps))]
+    elif roll < 0.5:
+        steps.insert(rng.randrange(len(steps) + 1), rand_atom(rng))
+    d = normalize(steps)
+    return (c, d) if rng.random() < 0.5 else (d, c)
+
+
 def rand_rtef(rng: random.Random, max_comps=3, max_atoms=3, allow_empty=True) -> Rtef:
     lo = 0 if allow_empty else 1
     return Rtef.of([rand_linear(rng, max_atoms) for _ in range(rng.randint(lo, max_comps))])

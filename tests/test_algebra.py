@@ -3,6 +3,7 @@ import dataclasses
 import fractions
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,11 @@ from rtenergy import (
     Rtef,
     TIME_INF,
     Time,
+    buchi_behavior,
+    finite_behavior,
     normalize,
+    parse_model,
+    to_matrix_rep,
 )
 from rtenergy import algebra
 from rtenergy.regions import extract_regions
@@ -37,6 +42,9 @@ from helpers import (
     rand_coprime_atom,
     rand_coprime_linear,
     rand_linear,
+    rand_mixed_model_text,
+    rand_model_text,
+    rand_near_pair,
     rand_rtef,
     rtef,
 )
@@ -455,14 +463,16 @@ class TestMergeSup:
             assert set(got.components) <= set(want.components)
 
     def test_compares_only_across_operands(self, monkeypatch):
+        # counted at _leq, which sees every pair; leq_linear sees only the
+        # pairs its atom rules leave open
         asked = []
-        cached = algebra.leq_linear
+        leq = algebra._leq
 
         def counted(lhs, rhs):
             asked.append((lhs, rhs))
-            return cached(lhs, rhs)
+            return leq(lhs, rhs)
 
-        monkeypatch.setattr(algebra, "leq_linear", counted)
+        monkeypatch.setattr(algebra, "_leq", counted)
         total = 0
         for a, b in self._pairs(2033, 200):
             left, right = set(a.components), set(b.components)
@@ -509,6 +519,96 @@ class TestTailRejection:
         assert not algebra._leq(one, leak)  # price 0 above -1
         assert not algebra._leq(lin((2, 0, 0)), one)  # rate 2 above 0
         assert not algebra._leq(lin((2, -1, 1)), lin((1, 0, 0)))
+
+
+def _decided_by(c, d, holds, fell_back) -> str:
+    """Which step of ``algebra._leq`` answered: its tail test, one of its
+    three atom rules, or ``leq_linear`` (with the answer it gave)."""
+    if fell_back:
+        return "walk holds" if holds else "walk fails"
+    if holds:
+        return "climb rates"
+    (rc, pc), (rd, pd) = algebra._tail(c), algebra._tail(d)
+    if not (rc <= rd and pc <= pd):
+        return "tail"
+    return "last bound" if d.atoms[-1].bound > c.atoms[-1].bound else "first bound"
+
+
+class TestAtomRules:
+    """``algebra._leq``'s atom rules against the strip walk they stand in
+    front of, ``leq_linear`` without its cache."""
+
+    @staticmethod
+    def _decide(monkeypatch, pairs) -> Counter:
+        exact = algebra.leq_linear.__wrapped__
+        walked = []
+
+        def walk(lhs, rhs):
+            walked.append((lhs, rhs))
+            return exact(lhs, rhs)
+
+        monkeypatch.setattr(algebra, "leq_linear", walk)
+        seen = Counter()
+        for c, d in pairs:
+            walked.clear()
+            holds = algebra._leq(c, d)
+            assert holds == exact(c, d), (c, d)
+            seen[_decided_by(c, d, holds, bool(walked))] += 1
+        return seen
+
+    def test_near_dominance(self, monkeypatch):
+        rng = random.Random(2037)
+        pairs = [rand_near_pair(rng) for _ in range(1500)]
+        seen = self._decide(monkeypatch, pairs + [(d, c) for c, d in pairs])
+        # near copies that hold almost all pass the climb-rate rule: the
+        # walk is left mostly with pairs that fail
+        assert seen["climb rates"] > 700 and seen["last bound"] > 100 and seen["first bound"] > 25, seen
+        assert seen["walk fails"] > 60, seen
+
+    def test_random_components(self, monkeypatch):
+        rng = random.Random(2038)
+        seen = self._decide(monkeypatch, [(rand_linear(rng, 4), rand_linear(rng, 4)) for _ in range(2000)])
+        assert seen["climb rates"] > 100 and seen["last bound"] > 30 and seen["first bound"] > 10, seen
+        assert seen["walk holds"] > 50 and seen["walk fails"] > 20, seen
+
+    def test_pairs_that_pruning_compares(self, monkeypatch):
+        # every pair _undominated hands to _leq while solving reach and
+        # Buchi on random automata
+        asked, leq = set(), algebra._leq
+
+        def record(lhs, rhs):
+            asked.add((lhs, rhs))
+            return leq(lhs, rhs)
+
+        rng = random.Random(2039)
+        with monkeypatch.context() as patched:
+            patched.setattr(algebra, "_leq", record)
+            for n in range(3, 41):
+                for text in (rand_model_text(rng, n), rand_mixed_model_text(rng, n)):
+                    rep = to_matrix_rep(parse_model(text))
+                    finite_behavior(rep)
+                    buchi_behavior(rep)
+        seen = self._decide(monkeypatch, asked)
+        assert seen["climb rates"] > 600 and seen["last bound"] > 75 and seen["first bound"] > 90, seen
+        assert seen["walk holds"] > 50 and seen["walk fails"] > 45, seen
+
+    def test_single_atoms_never_reach_the_walk(self, monkeypatch):
+        # one atom a side: c <= d iff r <= r', p <= p' and b' <= b
+        exact = algebra.leq_linear.__wrapped__
+        rng = random.Random(2040)
+        pairs = [(LinearRtef((rand_atom(rng),)), LinearRtef((rand_atom(rng),))) for _ in range(1000)]
+        pairs += [(c, d) for c, d in (rand_near_pair(rng, 1) for _ in range(1000)) if len(c.atoms) == len(d.atoms) == 1]
+        want = [exact(c, d) for c, d in pairs]
+
+        def refuse(lhs, rhs):
+            raise AssertionError("the atom rules should have decided")
+
+        monkeypatch.setattr(algebra, "leq_linear", refuse)
+        for (c, d), holds in zip(pairs, want):
+            assert algebra._leq(c, d) == holds, (c, d)
+            (r, p, b), (r2, p2, b2) = c.atoms[0], d.atoms[0]
+            assert holds == (r <= r2 and p <= p2 and b2 <= b), (c, d)
+        assert 100 < sum(want) < len(want) - 100
 
 
 class TestPrune:

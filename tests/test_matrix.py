@@ -28,6 +28,7 @@ from rtenergy import (
     to_matrix_rep,
 )
 import rtenergy.matrix
+from rtenergy.algebra import leq_linear
 from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.regions import function_json
 
@@ -710,14 +711,25 @@ class TestGrowthCounted:
             assert counted(buchi_behavior, AutomatonRep(start, ring, 1)) == (n, n + 2)
 
     def test_random_automata_pinned(self, counted):
-        # recorded while the order was still played on the sparsity
-        # pattern before the factorization; reach fills in past n = 100
+        # pivots and compose calls recorded while the order was still played
+        # on the sparsity pattern before the factorization; reach fills in
+        # past n = 100.  Strip walks (leq_linear cache misses) recorded with
+        # _leq's atom rules, each below its count with the tail test alone
         rng = random.Random(2036)
-        for n, reach, buchi in ((50, 67, 93), (100, 182, 353), (200, 5450, 10524)):
+        cases = (
+            (50, (67, 0, 9), (93, 5, 14)),
+            (100, (182, 4, 49), (353, 27, 170)),
+            (200, (5450, 2643, 11542), (10524, 7976, 30152)),
+        )
+        for n, (reach, reach_walks, reach_tail), (buchi, buchi_walks, buchi_tail) in cases:
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n)))
+            leq_linear.cache_clear()
             assert counted(finite_behavior, rep) == (n, reach)
+            assert leq_linear.cache_info().misses == reach_walks < reach_tail
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=rng.sample(range(n), n // 10))))
+            leq_linear.cache_clear()
             assert counted(buchi_behavior, rep) == (n, buchi)
+            assert leq_linear.cache_info().misses == buchi_walks < buchi_tail
 
 
 def per_scc_order(rng: random.Random, comp, k: int, accepting_first=False) -> list[int]:
