@@ -18,11 +18,12 @@ non-negative, prices non-positive, and every bound covers its price.
 Numbers are kept exact: an ``int`` when integral, a ``Fraction`` otherwise
 (``rational.rational``).
 
-A document is read with one regex match per item, each taking the item's
-fields and the whitespace and comments in front of it.  When a match or a
-check fails, the token parser reads the document again and names the first
-error with its line and column; it accepts the same documents and builds the
-same models.
+A document is read in one pass, one regex match per item, and each item's
+fields are checked as they are read.  Where the head or an item is cut
+short, a regex built from the same table of steps takes its longest
+well-formed prefix, whose fields get the same checks; the error names the
+first missing step and the token in its place, with line and column.  A
+character that starts no token is reported first, wherever it stands.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class RteaModel:
         return tuple(n for n, _ in self.states)
 
 
-# the token parser's pattern, compiled through re's cache on the first error
+# the token grammar, compiled through re's cache on the first error: where a
+# diagnostic stands and what it says was found there
 _TOKEN = r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every token
     (?: (?P<num>""" + NUMBER + r""")
       | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
@@ -85,22 +87,61 @@ _TOKEN = r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every to
 _SEP = r"\s*(?:\#[^\n]*(?:\n\s*|\Z))*"
 # a name or keyword is the whole word, as the tokenizer reads it
 _END = r"(?![A-Za-z0-9_])"
-_NAME = r"([A-Za-z_][A-Za-z0-9_]*)" + _END + _SEP
-_NUM = "(" + NUMBER + ")" + _SEP
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*" + _END
 
 
-def _kw(word: str) -> str:
-    return word + _END + _SEP
-
-
-_HEAD_RE = re.compile(_SEP + _kw("rtea") + r"\{")
-# groups: state name, rate, initial, accepting; trans source, target, price, bound
-_ITEM_RE = re.compile(
-    _SEP
-    + "(?:" + _kw("state") + _NAME + _kw("rate") + _NUM + "(?:(" + _kw("initial") + "))?(?:(" + _kw("accepting") + "))?"
-    + "|" + _kw("trans") + _NAME + "->" + _SEP + _NAME + _kw("price") + _NUM + _kw("bound") + _NUM + ");"
+# The head and each item kind as steps: a pattern, which whitespace and
+# comments follow, and what a diagnostic expects when the step is missing
+# (None for an optional step).  A field is a named group.
+_HEAD = (("rtea" + _END, "'rtea'"), (r"\{", "'{'"))
+_STATE = (
+    ("state" + _END, "'state'"),
+    (f"(?P<name>{_NAME})", "a name"),
+    ("rate" + _END, "'rate'"),
+    (f"(?P<rate>{NUMBER})", "a number"),
+    (f"(?P<initial>initial{_END})", None),
+    (f"(?P<accepting>accepting{_END})", None),
+    (";", "';'"),
 )
-_TAIL_RE = re.compile(_SEP + r"\}" + _SEP + r"\Z")
+_TRANS = (
+    ("trans" + _END, "'trans'"),
+    (f"(?P<src>{_NAME})", "a name"),
+    ("->", "'->'"),
+    (f"(?P<dst>{_NAME})", "a name"),
+    ("price" + _END, "'price'"),
+    (f"(?P<price>{NUMBER})", "a number"),
+    ("bound" + _END, "'bound'"),
+    (f"(?P<bound>{NUMBER})", "a number"),
+    (";", "';'"),
+)
+
+
+def _joined(steps) -> str:
+    """The whole of ``steps``, the optional ones in optional groups."""
+    return "".join(p + _SEP if expected else f"(?:{p}{_SEP})?" for p, expected in steps)
+
+
+def _chained(steps) -> str:
+    """The longest well-formed prefix of ``steps``: each step is optional only
+    after the one before it and is a group of its own (a field is one
+    already), so a match's ``lastindex`` is the last step it took."""
+    chain = ""
+    for p, expected in reversed(steps):
+        step = (p if p[0] == "(" else f"({p})") + _SEP
+        chain = f"(?:{step}{chain})?" if expected else f"(?:{step})?{chain}"
+    return chain
+
+
+_HEAD_RE = re.compile(_SEP + _joined(_HEAD))
+_ITEM_RE = re.compile(f"(?:{_joined(_STATE)}|{_joined(_TRANS)})")
+_TAIL_RE = re.compile(r"\}" + _SEP + r"\Z")
+# in group order: name, rate, initial, accepting, src, dst, price, bound
+_FIELDS = tuple(_ITEM_RE.groupindex)
+# compiled through re's cache on the first error.  An item's keyword is not
+# optional ([:-1] drops its "?"): a first branch that matched empty would
+# hide the second.
+_HEAD_PREFIX = _SEP + _chained(_HEAD)
+_ITEM_PREFIX = f"(?:{_chained(_STATE)[:-1]}|{_chained(_TRANS)[:-1]})?"
 
 
 def _position(text: str, off: int) -> tuple[int, int]:
@@ -108,150 +149,104 @@ def _position(text: str, off: int) -> tuple[int, int]:
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-class _Parser:
-    """Recursive descent over ``(kind, text, offset)`` tokens."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        # the whole text is tokenized first, so a bad character is reported
-        # ahead of any grammar error in front of it; the parser stops at the
-        # first "eof" (finditer repeats it after trailing whitespace)
-        tokens = re.finditer(_TOKEN, text, re.VERBOSE)
-        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in tokens]
-        bad = next((tok for tok in self.tokens if tok[0] == "bad"), None)
-        if bad is not None:
-            raise self.error("syntax", f"unexpected character {bad[1]!r}", bad[2])
-
-    def error(self, code: str, message: str, off: int) -> ModelError:
-        return ModelError(code, message, *_position(self.text, off))
-
-    def take(self, kind: Optional[str] = None, text: Optional[str] = None) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if text is not None and tok[1] != text:
-            raise self.error("syntax", f"expected {text!r}, found {tok[1]!r}", tok[2])
-        if kind is not None and tok[0] != kind:
-            what = "a name" if kind == "word" else "a number"
-            raise self.error("syntax", f"expected {what}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def accept(self, text: str) -> bool:
-        if self.tokens[self.pos][1] != text:
-            return False
-        self.pos += 1
-        return True
-
-    def number(self) -> tuple[Rational, int]:
-        _, text, off = self.take("num")
-        try:
-            return rational(text), off
-        except (ValueError, ZeroDivisionError):
-            raise self.error("syntax", f"bad number literal {text!r}", off) from None
-
-    def parse(self) -> RteaModel:
-        self.take(text="rtea")
-        self.take(text="{")
-        states: list[tuple[str, Rational]] = []
-        seen: set[str] = set()
-        initial: Optional[str] = None
-        accepting: list[str] = []
-        transitions: list[tuple[Transition, int]] = []  # with the source's offset
-        while not self.accept("}"):
-            kind, word, off = self.take()
-            if word == "state":
-                _, name, name_off = self.take("word")
-                if name in seen:
-                    raise self.error("duplicate-state", f"state {name!r} declared twice", name_off)
-                seen.add(name)
-                self.take(text="rate")
-                rate, rate_off = self.number()
-                if rate < 0:
-                    raise self.error("negative-rate", f"state {name!r} has rate {rate}", rate_off)
-                if self.accept("initial"):
-                    if initial is not None:
-                        raise self.error("multiple-initial", f"second initial state {name!r}", name_off)
-                    initial = name
-                if self.accept("accepting"):
-                    accepting.append(name)
-                self.take(text=";")
-                states.append((name, rate))
-            elif word == "trans":
-                _, src, src_off = self.take("word")
-                self.take(text="->")
-                dst = self.take("word")[1]
-                self.take(text="price")
-                price, price_off = self.number()
-                if price > 0:
-                    raise self.error("positive-price", f"transition price {price} is positive", price_off)
-                self.take(text="bound")
-                bound, bound_off = self.number()
-                if bound < -price:
-                    raise self.error("bound-below-price", f"bound {bound} cannot cover price {price}", bound_off)
-                self.take(text=";")
-                transitions.append((Transition(src, price, bound, dst), src_off))
-            elif kind == "word":
-                raise self.error("syntax", f"expected 'state' or 'trans', found {word!r}", off)
-            else:
-                raise self.error("syntax", f"expected 'state', 'trans' or '}}', found {word!r}", off)
-        kind, text, off = self.take()
-        if kind != "eof":
-            raise self.error("syntax", f"trailing input {text!r}", off)
-        if initial is None:
-            raise ModelError("missing-initial", "no state is marked initial")
-        for tr, off in transitions:
-            for endpoint in (tr.src, tr.dst):
-                if endpoint not in seen:
-                    raise self.error("undeclared-state", f"transition endpoint {endpoint!r} not declared", off)
-        return RteaModel(tuple(states), initial, tuple(accepting), tuple(tr for tr, _ in transitions))
+def _token(text: str, pos: int) -> tuple[str, str, int]:
+    """Kind, text and offset of the token at ``pos``."""
+    m = re.compile(_TOKEN, re.VERBOSE).match(text, pos)
+    return m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)
 
 
-def _parse_items(text: str) -> Optional[RteaModel]:
-    """The model of ``text`` read with one match per item, or None when a
-    match or a check fails; ``_Parser`` then names the first error."""
+def _error(text: str, code: str, message: str, off: Optional[int] = None) -> ModelError:
+    """The diagnostic of ``text``: the first character that starts no token,
+    wherever it stands, or else ``code: message`` at offset ``off``."""
+    for tok in re.finditer(_TOKEN, text, re.VERBOSE):
+        if tok.lastgroup == "bad":
+            code, message, off = "syntax", f"unexpected character {tok['bad']!r}", tok.start("bad")
+            break
+    return ModelError(code, message) if off is None else ModelError(code, message, *_position(text, off))
+
+
+def _expected(text: str, m: re.Match, steps) -> ModelError:
+    """The error of prefix match ``m`` over ``steps``: the first step it
+    lacks, and the token found in its place."""
+    expected = next(e for _, e in steps[m.lastindex or 0 :] if e)
+    _, found, off = _token(text, m.end())
+    return _error(text, "syntax", f"expected {expected}, found {found!r}", off)
+
+
+def parse_model(text: str) -> RteaModel:
+    """Parse and validate one model document."""
     m = _HEAD_RE.match(text)
     if m is None:
-        return None
+        raise _expected(text, re.compile(_HEAD_PREFIX).match(text), _HEAD)
     pos = m.end()
     states: list[tuple[str, Rational]] = []
     seen: set[str] = set()
     initial: Optional[str] = None
     accepting: list[str] = []
     transitions: list[Transition] = []
-    try:
-        while (m := _ITEM_RE.match(text, pos)) is not None:
-            pos = m.end()
-            name, rate, is_initial, is_accepting, src, dst, price, bound = m.groups()
-            if name is not None:
-                rate = rational(rate)
-                if name in seen or rate < 0:
-                    return None
+    pending: list[re.Match] = []  # transitions read before a state they name
+    whole = True
+    while whole:
+        m = _ITEM_RE.match(text, pos)
+        whole = m is not None
+        if whole:
+            fields = m.groups()
+        else:  # the longest well-formed prefix, whose fields get the same checks
+            m = re.compile(_ITEM_PREFIX).match(text, pos)
+            fields = m.group(*_FIELDS)
+        name, rate, is_initial, is_accepting, src, dst, price, bound = fields
+        if name is not None:
+            if name in seen:
+                raise _error(text, "duplicate-state", f"state {name!r} declared twice", m.start("name"))
+            seen.add(name)
+            if rate is not None:
+                try:
+                    rate = rational(rate)
+                except ValueError:
+                    raise _error(text, "syntax", f"bad number literal {rate!r}", m.start("rate")) from None
+                if rate < 0:
+                    raise _error(text, "negative-rate", f"state {name!r} has rate {rate}", m.start("rate"))
                 if is_initial:
                     if initial is not None:
-                        return None
+                        raise _error(text, "multiple-initial", f"second initial state {name!r}", m.start("name"))
                     initial = name
                 if is_accepting:
                     accepting.append(name)
-                seen.add(name)
                 states.append((name, rate))
-            else:
-                price, bound = rational(price), rational(bound)
-                if price > 0 or bound < -price:
-                    return None
+        elif price is not None:
+            try:
+                price = rational(price)
+            except ValueError:
+                raise _error(text, "syntax", f"bad number literal {price!r}", m.start("price")) from None
+            if price > 0:
+                raise _error(text, "positive-price", f"transition price {price} is positive", m.start("price"))
+            if bound is not None:
+                try:
+                    bound = rational(bound)
+                except ValueError:
+                    raise _error(text, "syntax", f"bad number literal {bound!r}", m.start("bound")) from None
+                if bound < -price:
+                    raise _error(text, "bound-below-price", f"bound {bound} cannot cover price {price}", m.start("bound"))
                 transitions.append(Transition(src, price, bound, dst))
-    except ValueError:
-        return None  # a literal such as 1/0
-    if _TAIL_RE.match(text, pos) is None or initial is None:
-        return None
-    if any(tr.src not in seen or tr.dst not in seen for tr in transitions):
-        return None
+                if src not in seen or dst not in seen:
+                    pending.append(m)
+        pos = m.end()
+    if m.lastindex is not None:  # an item that stops short
+        raise _expected(text, m, _STATE + _TRANS)
+    if _TAIL_RE.match(text, pos) is None:
+        kind, found, off = _token(text, pos)
+        if found == "}":
+            _, found, off = _token(text, off + 1)
+            raise _error(text, "syntax", f"trailing input {found!r}", off)
+        expected = "'state' or 'trans'" if kind == "word" else "'state', 'trans' or '}'"
+        raise _error(text, "syntax", f"expected {expected}, found {found!r}", off)
+    if initial is None:
+        raise _error(text, "missing-initial", "no state is marked initial")
+    for m in pending:
+        endpoint = m["src"] if m["src"] not in seen else m["dst"]
+        if endpoint not in seen:
+            raise _error(text, "undeclared-state", f"transition endpoint {endpoint!r} not declared", m.start("src"))
     return RteaModel(tuple(states), initial, tuple(accepting), tuple(transitions))
-
-
-def parse_model(text: str) -> RteaModel:
-    """Parse and validate one model document."""
-    model = _parse_items(text)
-    return model if model is not None else _Parser(text).parse()
 
 
 def serialize_model(model: RteaModel) -> str:

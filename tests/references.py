@@ -1,7 +1,8 @@
 """Brute-force reference implementations for the test suite.
 
 Nothing here sits on the decision path: these are independent baselines the
-exact algebra is checked against, and the dense matrix helpers they need.
+exact algebra and the ``.rtea`` reader are checked against, and the dense
+matrix helpers they need.
 The discretized ones are deliberate lower bounds; the schedule enumerator
 is exact.  The references ``rtenergy check --verify`` runs stay in
 ``rtenergy.oracles``.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
@@ -18,7 +20,9 @@ from typing import Optional, Sequence
 from rtenergy.algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells
 from rtenergy.linear2d import Constraint, feasible_point
 from rtenergy.matrix import RtefMatrix, mat_mul
+from rtenergy.model import _TOKEN, ModelError, RteaModel, Transition, _position
 from rtenergy.omega import OmegaVal, act, omega_of
+from rtenergy.rational import Rational, rational
 from rtenergy.regions import _active_cell
 
 ZERO = Fraction(0)
@@ -490,3 +494,108 @@ def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
             loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
         loops.append(omega_of(loop))
     return _act_rows(sstar, loops)
+
+
+class _Parser:
+    """Recursive descent over ``(kind, text, offset)`` tokens."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        # the whole text is tokenized first, so a bad character is reported
+        # ahead of any grammar error in front of it; the parser stops at the
+        # first "eof" (finditer repeats it after trailing whitespace)
+        tokens = re.finditer(_TOKEN, text, re.VERBOSE)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)) for m in tokens]
+        bad = next((tok for tok in self.tokens if tok[0] == "bad"), None)
+        if bad is not None:
+            raise self.error("syntax", f"unexpected character {bad[1]!r}", bad[2])
+
+    def error(self, code: str, message: str, off: int) -> ModelError:
+        return ModelError(code, message, *_position(self.text, off))
+
+    def take(self, kind: Optional[str] = None, text: Optional[str] = None) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if text is not None and tok[1] != text:
+            raise self.error("syntax", f"expected {text!r}, found {tok[1]!r}", tok[2])
+        if kind is not None and tok[0] != kind:
+            what = "a name" if kind == "word" else "a number"
+            raise self.error("syntax", f"expected {what}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.pos][1] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def number(self) -> tuple[Rational, int]:
+        _, text, off = self.take("num")
+        try:
+            return rational(text), off
+        except (ValueError, ZeroDivisionError):
+            raise self.error("syntax", f"bad number literal {text!r}", off) from None
+
+    def parse(self) -> RteaModel:
+        self.take(text="rtea")
+        self.take(text="{")
+        states: list[tuple[str, Rational]] = []
+        seen: set[str] = set()
+        initial: Optional[str] = None
+        accepting: list[str] = []
+        transitions: list[tuple[Transition, int]] = []  # with the source's offset
+        while not self.accept("}"):
+            kind, word, off = self.take()
+            if word == "state":
+                _, name, name_off = self.take("word")
+                if name in seen:
+                    raise self.error("duplicate-state", f"state {name!r} declared twice", name_off)
+                seen.add(name)
+                self.take(text="rate")
+                rate, rate_off = self.number()
+                if rate < 0:
+                    raise self.error("negative-rate", f"state {name!r} has rate {rate}", rate_off)
+                if self.accept("initial"):
+                    if initial is not None:
+                        raise self.error("multiple-initial", f"second initial state {name!r}", name_off)
+                    initial = name
+                if self.accept("accepting"):
+                    accepting.append(name)
+                self.take(text=";")
+                states.append((name, rate))
+            elif word == "trans":
+                _, src, src_off = self.take("word")
+                self.take(text="->")
+                dst = self.take("word")[1]
+                self.take(text="price")
+                price, price_off = self.number()
+                if price > 0:
+                    raise self.error("positive-price", f"transition price {price} is positive", price_off)
+                self.take(text="bound")
+                bound, bound_off = self.number()
+                if bound < -price:
+                    raise self.error("bound-below-price", f"bound {bound} cannot cover price {price}", bound_off)
+                self.take(text=";")
+                transitions.append((Transition(src, price, bound, dst), src_off))
+            elif kind == "word":
+                raise self.error("syntax", f"expected 'state' or 'trans', found {word!r}", off)
+            else:
+                raise self.error("syntax", f"expected 'state', 'trans' or '}}', found {word!r}", off)
+        kind, text, off = self.take()
+        if kind != "eof":
+            raise self.error("syntax", f"trailing input {text!r}", off)
+        if initial is None:
+            raise ModelError("missing-initial", "no state is marked initial")
+        for tr, off in transitions:
+            for endpoint in (tr.src, tr.dst):
+                if endpoint not in seen:
+                    raise self.error("undeclared-state", f"transition endpoint {endpoint!r} not declared", off)
+        return RteaModel(tuple(states), initial, tuple(accepting), tuple(tr for tr, _ in transitions))
+
+
+def token_parse_model(text: str) -> RteaModel:
+    """``parse_model`` as a recursive descent over tokens: the same models,
+    and the same first error with the same code, message and position.  A
+    reference for the one-pass reader of ``rtenergy.model``."""
+    return _Parser(text).parse()

@@ -11,6 +11,7 @@ from rtenergy import (
     LinearRtef,
     ModelError,
     Rtef,
+    RteaModel,
     TIME_INF,
     Time,
     extract_regions,
@@ -22,11 +23,11 @@ from rtenergy import (
     to_matrix_rep,
 )
 from rtenergy import rational as rational_module
-from rtenergy.model import _Parser, _parse_items
 from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.rational import parse_rational, rational
 
 from helpers import MODELS, A, SAT_TOP_NF, lin, load_model, rand_mixed_model_text, rand_model_text, rtef
+from references import token_parse_model
 
 
 def err_code(text: str) -> str:
@@ -45,7 +46,8 @@ def summary(m) -> tuple:
 
 
 # Each input with its parse summary or (code, str(error), line, column),
-# recorded from the parser that tracked line and column per token.
+# recorded from the parser that tracked line and column per token; the rows
+# after the first 34 from the token parser (``references.token_parse_model``).
 DIAGNOSTICS = [
     ('', ('syntax', "syntax: expected 'rtea', found '' at 1:1", 1, 1)),
     ('rtea {', ('syntax', "syntax: expected 'state', 'trans' or '}', found '' at 1:7", 1, 7)),
@@ -81,6 +83,25 @@ DIAGNOSTICS = [
     ('\ufeffrtea { state a rate 0 initial accepting; }', ('syntax', "syntax: unexpected character '\\ufeff' at 1:1", 1, 1)),
     ('rtea { state a rate 0 initial accepting; trans a->a price 0 bound 0; }', ((('a', '0'),), 'a', ('a',), (('a', 'a', '0', '0'),))),
     ('rtea {\n  #state s0 rate 1 initial accepting;\n}', ('missing-initial', 'missing-initial: no state is marked initial', None, None)),
+    # a head without '{', a missing keyword, name or number in a transition,
+    # a semantic error and a bad character each ahead of a later syntax
+    # error, a bad bound literal, the missing initial state ahead of an
+    # undeclared endpoint, and two pitfalls of a regex reader: a word split
+    # before a keyword, and two keywords run together
+    ('rtea state a rate 0 initial accepting; }', ('syntax', "syntax: expected '{', found 'state' at 1:6", 1, 6)),
+    ('rtea { state a rate 0 initial accepting; trans a -> a bound 0; }', ('syntax', "syntax: expected 'price', found 'bound' at 1:55", 1, 55)),
+    ('rtea { state a rate 0 initial accepting; trans a -> a price 0 0; }', ('syntax', "syntax: expected 'bound', found '0' at 1:63", 1, 63)),
+    ('rtea { state a rate 0 initial accepting; trans 5 -> a price 0 bound 0; }', ('syntax', "syntax: expected a name, found '5' at 1:48", 1, 48)),
+    ('rtea { state a rate 0 initial accepting; trans a -> ; }', ('syntax', "syntax: expected a name, found ';' at 1:53", 1, 53)),
+    ('rtea { state a rate -1 x; }', ('negative-rate', "negative-rate: state 'a' has rate -1 at 1:21", 1, 21)),
+    ('rtea { state a rate 0 initial; state b rate 0 initial x; }', ('multiple-initial', "multiple-initial: second initial state 'b' at 1:38", 1, 38)),
+    ('rtea { state a rate -1 initial accepting; } $', ('syntax', "syntax: unexpected character '$' at 1:45", 1, 45)),
+    ('rtea { state a rate 0 initial accepting; trans a -> a price 0 bound 1/0; }', ('syntax', "syntax: bad number literal '1/0' at 1:69", 1, 69)),
+    ('rtea { state a rate 0 accepting; trans a -> b price 0 bound 0; }', ('missing-initial', 'missing-initial: no state is marked initial', None, None)),
+    ('rtea { state arate 0 initial; }', ('syntax', "syntax: expected 'rate', found '0' at 1:20", 1, 20)),
+    ('rtea { state a rate 0 initialaccepting; }', ('syntax', "syntax: expected ';', found 'initialaccepting' at 1:23", 1, 23)),
+    # a state's rate is checked ahead of its initial flag
+    ('rtea { state a rate 0 initial; state b rate -1 initial; }', ('negative-rate', "negative-rate: state 'b' has rate -1 at 1:45", 1, 45)),
 ]
 
 
@@ -244,55 +265,43 @@ def mutate(rng: random.Random, text: str) -> str:
     return text
 
 
-def token_parse(text: str):
-    """The token parser's model of ``text``, or None when it rejects it."""
+def outcome(parse, text: str):
+    """``parse(text)``, or its error as (code, str(error), line, column)."""
     try:
-        return _Parser(text).parse()
-    except ModelError:
-        return None
+        return parse(text)
+    except ModelError as e:
+        return (e.code, str(e), e.line, e.column)
 
 
 class TestItemParser:
-    """``parse_model`` reads a document with one match per item and falls
-    back to the token parser, which names the first error."""
+    """``parse_model`` gives the token parser's full outcome: the same model,
+    or the same first error with the same code, message, line and column."""
 
     def test_agrees_with_token_parser_on_mutated_texts(self):
         rng = random.Random(2323)
         sources = [rand_model_text(rng, rng.randint(1, 4)) for _ in range(30)]
         sources += [rand_mixed_model_text(rng, rng.randint(2, 4)) for _ in range(10)]
         sources += [path.read_text(encoding="utf-8") for path in sorted(MODELS.glob("*.rtea"))]
-        sources += [text for text, _ in DIAGNOSTICS]
+        # the first 34 rows only: each row added as a source would redraw all
+        # 20,000 texts
+        sources += [text for text, _ in DIAGNOSTICS[:34]]
         valid = 0
         for _ in range(20_000):
             text = mutate(rng, rng.choice(sources))
-            got, want = _parse_items(text), token_parse(text)
-            assert got is None or got == want, text
-            # the same documents pass: a valid one read by the token parser
-            # would silently lose the gain
-            assert (got is None) == (want is None), text
-            valid += want is not None
+            want = outcome(token_parse_model, text)
+            assert outcome(parse_model, text) == want, text
+            valid += isinstance(want, RteaModel)
         # enough of the edits keep a valid document for the models to be compared
         assert valid >= 1_000
 
-    def test_valid_texts_take_the_item_path(self):
+    def test_valid_texts_agree_with_token_parser(self):
         rng = random.Random(23)
         texts = [rand_model_text(rng, rng.randint(1, 12)) for _ in range(300)]
         texts += [rand_mixed_model_text(rng, rng.randint(2, 8)) for _ in range(100)]
         texts += [path.read_text(encoding="utf-8") for path in sorted(MODELS.glob("*.rtea"))]
         texts += [text for text, want in DIAGNOSTICS if isinstance(want[0], tuple)]
         for text in texts:
-            model = _parse_items(text)
-            assert model is not None, text
-            assert model == _Parser(text).parse() == parse_model(text)
-
-    def test_rejected_texts_reach_the_token_parser(self):
-        for text, want in DIAGNOSTICS:
-            if not isinstance(want[0], tuple):
-                assert _parse_items(text) is None, text
-        # a pitfall of a regex reader besides the comment cut short by
-        # backtracking (in DIAGNOSTICS): a word split before a keyword
-        assert _parse_items("rtea { state arate 0 initial; }") is None
-        assert _parse_items("rtea { state a rate 0 initialaccepting; }") is None
+            assert parse_model(text) == token_parse_model(text), text
 
 
 class TestToMatrixRep:

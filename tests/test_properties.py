@@ -1,9 +1,11 @@
 """Law-level properties of the algebra, driven by hypothesis.
 
 The acceptance suite re-runs seeded 200-case versions of these; here the
-emphasis is on shrinking power, so example counts stay moderate.
+emphasis is on shrinking power, so example counts stay moderate.  The
+Kleene laws are also checked with the exact order on seeded triples.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from rtenergy.algebra import leq_linear
 from helpers import precedes
 from references import exact_schedule_value
 
-rates = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 2)])
+RATES = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 2)]
+rates = st.sampled_from(RATES)
 atoms = st.builds(
     lambda r, p, e: Atom(r, -Fraction(p, 2), Fraction(p, 2) + Fraction(e, 2)),
     rates,
@@ -99,6 +102,39 @@ def test_star_is_locally_closed(f):
     assert acc.leq(more) and more.leq(acc)
     star = f.star()
     assert star.leq(acc) and acc.leq(star)
+
+
+def random_rtef(rng: random.Random) -> Rtef:
+    """A draw of ``rtefs`` from a seeded generator."""
+
+    def atom() -> Atom:
+        p, e = rng.randint(0, 6), rng.randint(0, 8)
+        return Atom(rng.choice(RATES), -Fraction(p, 2), Fraction(p, 2) + Fraction(e, 2))
+
+    return Rtef.of([normalize([atom() for _ in range(rng.randint(0, 3))]) for _ in range(rng.randint(0, 3))])
+
+
+def test_kleene_laws_hold_exactly():
+    # each law as two sides that the exact order must put below each other
+    rng = random.Random(7)
+    one = Rtef.one()
+    for _ in range(500):
+        f, g, h = (random_rtef(rng) for _ in range(3))
+        fs = f.star()
+        laws = {
+            "associativity": (f.compose(g).compose(h), f.compose(g.compose(h))),
+            "left distributivity": (f.compose(g.sup(h)), f.compose(g).sup(f.compose(h))),
+            "right distributivity": (f.sup(g).compose(h), f.compose(h).sup(g.compose(h))),
+            "left unfolding": (one.sup(f.compose(fs)), fs),
+            "right unfolding": (one.sup(fs.compose(f)), fs),
+            "f*f* = f*": (fs.compose(fs), fs),
+            "f** = f*": (fs.star(), fs),
+            "denesting": (f.sup(g).star(), fs.compose(g.compose(fs).star())),
+            "sliding": (f.compose(g).star().compose(f), f.compose(g.compose(f).star())),
+            "fixpoint": (h.sup(f.compose(fs.compose(h))), fs.compose(h)),
+        }
+        for law, (lhs, rhs) in laws.items():
+            assert lhs.leq(rhs) and rhs.leq(lhs), (law, f, g, h)
 
 
 @settings(max_examples=80, deadline=None)
