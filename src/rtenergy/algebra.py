@@ -22,8 +22,9 @@ from .linear2d import Constraint, Elimination
 from .rational import Rational, parse_rational, rational
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
-# working sets one cold pass of a perfbench workload needs (126 and 154 on
-# reach_random at seed 1; flower_closure needs 628 and 574).
+# working sets one cold pass of a perfbench workload needs (69 and 108 on
+# reach_random at seed 1; flower_closure needs 0 and 136, the cells all for
+# its export).
 LEQ_LINEAR_CACHE_SIZE = 2**17
 COMPONENT_CELLS_CACHE_SIZE = 2**14
 
@@ -343,7 +344,10 @@ class Rtef:
         Component c goes when some other d has c <= d and either d comes
         first in sort order or d <= c fails; of mutually equivalent
         components the first in sort order stays.  The result has no
-        component below another, which is what ``sup`` relies on.
+        component below another, which is what ``sup`` relies on.  The
+        rule only asks whether such a d exists, so ``_undominated`` tries
+        the candidates in tail order and stops at the first whose final
+        rate and price sort below c's.
         """
         if len(self.components) <= 1:
             return self
@@ -387,16 +391,14 @@ def _tail(c: LinearRtef) -> tuple[Rational, Rational]:
     return last.rate, last.price
 
 
-def _leq(c: LinearRtef, d: LinearRtef) -> bool:
-    """``leq_linear(c, d)``, decided from the atoms where that is cheap.
+def _atom_leq(c: LinearRtef, d: LinearRtef) -> Optional[bool]:
+    """Whether c <= d, for a pair that passed the tail test (c's final rate
+    and price at most d's), decided from the atoms where that is cheap:
+    True or False when decided, None when only ``leq_linear`` can tell.
 
-    Above every bound and at t = 0, c is x + price; as t grows it gains
-    rate per unit.  So c <= d needs c's final rate and price to be at most
-    d's, a test that rejects most pairs without the cached comparison.
-
-    Past that tail test, with neither side the identity, c has rates
-    r_1..r_n, bounds b_1..b_n and price p, and d has r'_1..r'_m, b'_1..b'_m
-    and p'.  Three rules decide most of the rest in O(n + m):
+    With neither side the identity, c has rates r_1..r_n, bounds
+    b_1..b_n and price p, and d has r'_1..r'_m, b'_1..b'_m and p'.  Three
+    rules decide most such pairs in O(n + m):
 
     1. Reject if b'_m > b_n: at t = 0 and x = b_n, c is b_n + p and d,
        which would still have to climb, is bottom.
@@ -418,15 +420,11 @@ def _leq(c: LinearRtef, d: LinearRtef) -> bool:
        + r_n (t - W_c) + p = c.  At t = inf both are suprema over finite t.
 
     With one atom on each side, rules 1 and 3 are exact: c <= d iff the
-    tail test holds and b' <= b.  Every other pair goes to ``leq_linear``.
+    tail test holds and b' <= b.  Every other pair is left open.
     """
-    rc, pc = _tail(c)
-    rd, pd = _tail(d)
-    if not (rc <= rd and pc <= pd):
-        return False
     cs, ds = c.atoms, d.atoms
     if not cs or not ds:
-        return leq_linear(c, d)
+        return None
     if ds[-1].bound > cs[-1].bound:
         return False
     if ds[0].rate == 0 and ds[0].bound > (cs[0].bound if cs[0].rate == 0 else 0):
@@ -436,25 +434,78 @@ def _leq(c: LinearRtef, d: LinearRtef) -> bool:
         while cs[i].bound < bound:
             i += 1
         if rate < cs[i].rate:
-            return leq_linear(c, d)
+            return None
     return True
+
+
+def _leq(c: LinearRtef, d: LinearRtef) -> bool:
+    """``leq_linear(c, d)``, walked only where the tail test and
+    ``_atom_leq`` leave it open.
+
+    Above every bound and at t = 0, c is x + price; as t grows it gains
+    rate per unit.  So c <= d needs c's final rate and price to be at most
+    d's, a tail test that rejects most pairs without the cached comparison.
+    """
+    rc, pc = _tail(c)
+    rd, pd = _tail(d)
+    if not (rc <= rd and pc <= pd):
+        return False
+    holds = _atom_leq(c, d)
+    return leq_linear(c, d) if holds is None else holds
 
 
 def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
     """The components of the sorted, duplicate-free ``comps`` that survive
-    ``Rtef.prune``'s rule.  ``side`` restricts the comparisons to pairs
-    whose bit masks are disjoint (``sup``: 1 left only, 2 right only, 3
-    both); without it every pair is compared."""
-    keep = []
-    for i, c in enumerate(comps):
-        for j, d in enumerate(comps):
-            if j == i or (side and side[i] & side[j]):
-                continue
-            if _leq(c, d) and (j < i or not _leq(d, c)):
+    ``Rtef.prune``'s rule: c goes iff some other d has c <= d and either d
+    comes first in sort order or d <= c fails.  ``side`` restricts the
+    comparisons to pairs whose bit masks are disjoint (``sup``: 1 left only,
+    2 right only, 3 both); without it every pair is compared.
+
+    The rule asks only whether such a d exists, so the candidates for each
+    c may be tried in any order.  They are tried in tail order: ranked once
+    by (final rate, final price), descending.  c <= d needs d's tail to be
+    at least c's in both parts (``_leq``'s tail test), so the scan of c
+    stops at the first candidate whose tail sorts below c's, a lower final
+    rate or the same rate and a lower price: no later one passes the test.
+    c is kept unless a candidate before that dominates it.  A candidate
+    with a lower price is skipped; the others are decided by
+    ``_atom_leq``, and the pairs it leaves open are walked
+    (``leq_linear``) only after the scan, and only when no candidate was
+    proven to dominate c.  Two components have nothing to rank and take
+    one direct check.
+    """
+    if len(comps) == 2:
+        c, d = comps
+        if side and side[0] & side[1]:
+            return tuple(comps)
+        # d goes if d <= c, as c sorts first; else c goes if c <= d
+        if _leq(d, c):
+            return (c,)
+        return (d,) if _leq(c, d) else tuple(comps)
+    tails = [_tail(c) for c in comps]
+    rank = sorted(range(len(comps)), key=tails.__getitem__, reverse=True)
+
+    def dominated(i: int, c: LinearRtef) -> bool:
+        tail = tails[i]
+        price = tail[1]
+        walks = []
+        for j in rank:
+            if tails[j] < tail:
                 break
-        else:
-            keep.append(c)
-    return tuple(keep)
+            if tails[j][1] < price or j == i or side and side[i] & side[j]:
+                continue
+            d = comps[j]
+            holds = _atom_leq(c, d)
+            if holds is None:
+                walks.append(j)
+            elif holds and (j < i or not _leq(d, c)):
+                return True
+        for j in walks:
+            if leq_linear(c, comps[j]) and (j < i or not _leq(comps[j], c)):
+                return True
+        return False
+
+    return tuple([c for i, c in enumerate(comps) if not dominated(i, c)])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,18 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
-from rtenergy.algebra import Atom, BOTTOM, Cell, Energy, LinearRtef, Rtef, Time, _violation_point, component_cells
+from rtenergy.algebra import (
+    Atom,
+    BOTTOM,
+    Cell,
+    Energy,
+    LinearRtef,
+    Rtef,
+    Time,
+    _leq,
+    _violation_point,
+    component_cells,
+)
 from rtenergy.linear2d import Constraint, feasible_point
 from rtenergy.matrix import RtefMatrix, mat_mul
 from rtenergy.model import _TOKEN, ModelError, RteaModel, Transition, _position
@@ -174,6 +185,23 @@ def star_subsets(f: Rtef) -> Rtef:
         for pick in itertools.combinations(loops, r):
             comps.append(normalize_two_pass(tuple(a for c in pick for a in c.atoms)))
     return Rtef.of(comps).prune()
+
+
+def undominated_all_pairs(comps, side=None) -> tuple[LinearRtef, ...]:
+    """``algebra._undominated`` as an all-pairs scan: each component is
+    compared with every other in sort order, each pair through ``_leq``
+    in full, and the first dominator found ends its scan.  The reference
+    the tail-order scan is checked against."""
+    keep = []
+    for i, c in enumerate(comps):
+        for j, d in enumerate(comps):
+            if j == i or (side and side[i] & side[j]):
+                continue
+            if _leq(c, d) and (j < i or not _leq(d, c)):
+                break
+        else:
+            keep.append(c)
+    return tuple(keep)
 
 
 def feasible_point_fractions(constraints: Sequence[Constraint]) -> Optional[tuple[Fraction, Fraction]]:

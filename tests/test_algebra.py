@@ -54,6 +54,7 @@ from references import (
     exact_schedule_value,
     normalize_two_pass,
     star_subsets,
+    undominated_all_pairs,
 )
 
 
@@ -415,6 +416,16 @@ def _free_led(c: LinearRtef) -> LinearRtef:
     return LinearRtef((A(0, 0, 0),) + c.atoms)
 
 
+def recorded(note, decide):
+    """``decide``, passing each pair it is asked about to ``note`` first."""
+
+    def record(lhs, rhs):
+        note((lhs, rhs))
+        return decide(lhs, rhs)
+
+    return record
+
+
 class TestMergeSup:
     """``Rtef.sup`` merges two pruned operands, comparing only across them."""
 
@@ -463,16 +474,11 @@ class TestMergeSup:
             assert set(got.components) <= set(want.components)
 
     def test_compares_only_across_operands(self, monkeypatch):
-        # counted at _leq, which sees every pair; leq_linear sees only the
-        # pairs its atom rules leave open
+        # recorded where the dominance scan decides a pair past the tail
+        # test: from the atoms (_atom_leq) or by a walk (leq_linear)
         asked = []
-        leq = algebra._leq
-
-        def counted(lhs, rhs):
-            asked.append((lhs, rhs))
-            return leq(lhs, rhs)
-
-        monkeypatch.setattr(algebra, "_leq", counted)
+        for name in ("_atom_leq", "leq_linear"):
+            monkeypatch.setattr(algebra, name, recorded(asked.append, getattr(algebra, name)))
         total = 0
         for a, b in self._pairs(2033, 200):
             left, right = set(a.components), set(b.components)
@@ -572,17 +578,14 @@ class TestAtomRules:
         assert seen["walk holds"] > 50 and seen["walk fails"] > 20, seen
 
     def test_pairs_that_pruning_compares(self, monkeypatch):
-        # every pair _undominated hands to _leq while solving reach and
-        # Buchi on random automata
-        asked, leq = set(), algebra._leq
-
-        def record(lhs, rhs):
-            asked.add((lhs, rhs))
-            return leq(lhs, rhs)
-
-        rng = random.Random(2039)
+        # every pair the dominance scan takes past the tail test, to decide
+        # it from the atoms or by a walk, while solving reach and Buchi on
+        # random automata
+        asked = set()
         with monkeypatch.context() as patched:
-            patched.setattr(algebra, "_leq", record)
+            for name in ("_atom_leq", "leq_linear"):
+                patched.setattr(algebra, name, recorded(asked.add, getattr(algebra, name)))
+            rng = random.Random(2039)
             for n in range(3, 41):
                 for text in (rand_model_text(rng, n), rand_mixed_model_text(rng, n)):
                     rep = to_matrix_rep(parse_model(text))
@@ -622,6 +625,64 @@ class TestPrune:
 
     def test_duplicates_collapse(self):
         assert Rtef.of([LinearRtef(), LinearRtef()]) == Rtef.one()
+
+
+class TestTailOrderScan:
+    """``algebra._undominated``'s tail-order scan against the all-pairs scan
+    it replaced, ``references.undominated_all_pairs``."""
+
+    @staticmethod
+    def _agree(lists) -> Counter:
+        seen = Counter()
+        for comps, side in lists:
+            got = algebra._undominated(comps, side)
+            assert got == undominated_all_pairs(comps, side), (comps, side)
+            seen["two" if len(comps) == 2 else "ranked" if len(comps) > 2 else "one"] += 1
+            seen["dropped"] += len(got) < len(comps)
+        return seen
+
+    def test_merge_unions(self):
+        # ties, shared components and free-led copies; with sup's side
+        # masks and as plain prune lists
+        lists = []
+        for a, b in TestMergeSup._pairs(2031, 600):
+            left, right = set(a.components), set(b.components)
+            comps = sorted(left | right, key=lambda c: c.atoms)
+            lists.append((comps, [(c in left) | (c in right) << 1 for c in comps]))
+            lists.append((comps, None))
+        seen = self._agree(lists)
+        assert seen["two"] > 100 and seen["ranked"] > 500 and seen["dropped"] > 300, seen
+
+    def test_lists_that_solving_prunes(self, monkeypatch):
+        # solved with the reference, so the lists do not depend on the scan
+        lists = []
+
+        def record(comps, side=None):
+            lists.append((tuple(comps), side))
+            return undominated_all_pairs(comps, side)
+
+        rng = random.Random(2041)
+        with monkeypatch.context() as patched:
+            patched.setattr(algebra, "_undominated", record)
+            for n in range(3, 41):
+                for text in (rand_model_text(rng, n), rand_mixed_model_text(rng, n)):
+                    finite_behavior(to_matrix_rep(parse_model(text)))
+        seen = self._agree(lists)
+        assert seen["two"] > 300 and seen["ranked"] > 100 and seen["dropped"] > 300, seen
+
+    def test_random_lists(self):
+        rng = random.Random(2042)
+        lists = []
+        for case in range(600):
+            comps = list(rand_rtef(rng, max_comps=12).components)
+            if case % 2 and comps:
+                # a pointwise-equal copy, which sorts first
+                c = rng.choice(comps)
+                if c.is_identity or c.atoms[0].rate > 0:
+                    comps.append(_free_led(c))
+            lists.append((tuple(sorted(set(comps), key=lambda c: c.atoms)), None))
+        seen = self._agree(lists)
+        assert seen["two"] > 20 and seen["ranked"] > 400 and seen["dropped"] > 300, seen
 
 
 class TestStar:

@@ -189,9 +189,10 @@ class TestEval:
 class TestDump:
     def test_mixed_literal_behavior_golden(self, capsys):
         # pump_ratio's bytes were written when every value was a Fraction:
-        # storing integral values as ints must not change them; the other
-        # models' bytes were written before the late rule became part of
-        # the elimination order's heap key
+        # storing integral values as ints must not change them; flower's
+        # before the dominance scan ran in tail order; the other models'
+        # bytes were written before the late rule became part of the
+        # elimination order's heap key
         for path in sorted(MODELS.glob("*.rtea")):
             golden = Path(__file__).resolve().parent / "golden" / f"{path.stem}_behavior.json"
             code, out, _ = run(capsys, "dump", "--model", str(path), "--what", "behavior")
@@ -201,8 +202,9 @@ class TestDump:
     def test_closure_golden(self, capsys):
         # two_loops' and satellite's bytes were written when the closure ran
         # one elimination per column: one factorization for all columns must
-        # not change them; the other models' bytes were written before the
-        # late rule became part of the elimination order's heap key
+        # not change them; flower's before the dominance scan ran in tail
+        # order; the other models' bytes were written before the late rule
+        # became part of the elimination order's heap key
         for path in sorted(MODELS.glob("*.rtea")):
             golden = Path(__file__).resolve().parent / "golden" / f"{path.stem}_star.json"
             code, out, _ = run(capsys, "dump", "--model", str(path), "--what", "star")

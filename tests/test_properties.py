@@ -2,7 +2,8 @@
 
 The acceptance suite re-runs seeded 200-case versions of these; here the
 emphasis is on shrinking power, so example counts stay moderate.  The
-Kleene laws are also checked with the exact order on seeded triples.
+Kleene laws and the omega laws are also checked with the exact order on
+seeded triples.
 """
 
 import random
@@ -13,6 +14,7 @@ import hypothesis.strategies as st
 
 from rtenergy import Atom, BOTTOM, Energy, Rtef, TIME_INF, Time, normalize
 from rtenergy.algebra import leq_linear
+from rtenergy.omega import act, omega_of
 
 from helpers import precedes
 from references import exact_schedule_value
@@ -135,6 +137,25 @@ def test_kleene_laws_hold_exactly():
         }
         for law, (lhs, rhs) in laws.items():
             assert lhs.leq(rhs) and rhs.leq(lhs), (law, f, g, h)
+
+
+def test_omega_laws_hold_exactly():
+    # the supports put below each other by the exact order, the thresholds
+    # equal; v and w are omega powers, since act only meets those
+    rng = random.Random(7)
+    for _ in range(500):
+        f, g, h = (random_rtef(rng) for _ in range(3))
+        v, w = omega_of(h), omega_of(g)
+        laws = {
+            "omega unfolding": (omega_of(f), act(f, omega_of(f))),
+            "omega rotation": (omega_of(f.compose(g)), act(f, omega_of(g.compose(f)))),
+            "act of a product": (act(f.compose(g), v), act(f, act(g, v))),
+            "act of a supremum": (act(f.sup(g), v), act(f, v).sup(act(g, v))),
+            "act on a supremum": (act(f, v.sup(w)), act(f, v).sup(act(f, w))),
+        }
+        for law, (lhs, rhs) in laws.items():
+            assert lhs.support.leq(rhs.support) and rhs.support.leq(lhs.support), (law, f, g, h)
+            assert lhs.threshold == rhs.threshold, (law, f, g, h)
 
 
 @settings(max_examples=80, deadline=None)
