@@ -22,9 +22,9 @@ from .linear2d import Constraint, Elimination
 from .rational import Rational, parse_rational, rational
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
-# working sets one cold pass of a perfbench workload needs (69 and 108 on
+# working sets one cold pass of a perfbench workload needs (69 and 199 on
 # reach_random at seed 1; flower_closure needs 0 and 136, the cells all for
-# its export).
+# its answers, which eval and the export read alike).
 LEQ_LINEAR_CACHE_SIZE = 2**17
 COMPONENT_CELLS_CACHE_SIZE = 2**14
 
@@ -200,35 +200,16 @@ class LinearRtef:
 
         Greedy schedule: wait the minimum at each step to meet its threshold,
         spend every leftover instant in the final (fastest) state.  Infinite
-        time takes the supremum over finite budgets.
+        time takes the supremum over finite budgets: infinity once the final
+        rate is positive, else x plus the price of the lone zero-rate step.
+        A zero-rate step above the current level is never met: bottom.
+
+        On the strip of ``component_cells`` holding x those waits add up to
+        the affine boundary wait_x*x + wait_c, and the greedy value is the
+        cell's affine form, so the schedule is read off that cell
+        (``_eval_cells``); the step-by-step loop is a test oracle.
         """
-        if x.is_bottom:
-            return BOTTOM
-        if x.is_infinite:
-            return INFINITY
-        if not self.atoms:
-            return x
-        first = self.atoms[0]
-        last = self.atoms[-1]
-        if t.is_infinite:
-            if first.rate == 0 and x.value < first.bound:
-                return BOTTOM
-            if last.rate > 0:
-                return INFINITY
-            return Energy.of(x.value + last.price)  # lone zero-rate step
-        cur = x.value
-        rem = t.value
-        for a in self.atoms:
-            if cur < a.bound:
-                if a.rate == 0:
-                    return BOTTOM
-                # exact even when both sides are ints, where / is a float
-                wait = Fraction(a.bound - cur, a.rate)
-                if wait > rem:
-                    return BOTTOM
-                cur = a.bound
-                rem -= wait
-        return Energy.of(cur + last.rate * rem + last.price)
+        return _eval_cells((component_cells(self),), x, t)
 
     def __repr__(self):
         return "LinearRtef(" + " ".join(repr(a) for a in self.atoms) + ")"
@@ -308,7 +289,7 @@ class Rtef:
         return not self.components
 
     def eval(self, x: Energy, t: Time) -> Energy:
-        return max((c.eval(x, t) for c in self.components), default=BOTTOM)
+        return _eval_cells([component_cells(c) for c in self.components], x, t)
 
     def compose(self, other: "Rtef") -> "Rtef":
         """Sequential composition: split the time budget optimally."""
@@ -509,8 +490,8 @@ def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Cell decomposition: per x-strip affine data used by the order decision and
-# by the region exporter.
+# Cell decomposition: per x-strip affine data used by the order decision, by
+# evaluation and by the region exporter.
 
 class Cell(NamedTuple):
     """One vertical strip of a component's domain.
@@ -523,8 +504,9 @@ class Cell(NamedTuple):
     denominator d > 0, then the numerators over d of wait_x, wait_c,
     value_t, value_x and value_c, reduced by their gcd, so equal data gives
     equal ``ints``.  The five coefficients are read-only ``Fraction``
-    properties, computed from ``ints`` on each read; equality, hashing and
-    the repr see the four fields only.
+    properties, computed from ``ints`` on each read, for callers; the
+    library itself reads ``ints``.  Equality, hashing and the repr see the
+    four fields only.
     """
 
     lo: Rational
@@ -605,6 +587,49 @@ def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
             )
         )
     return tuple(reversed(cells))
+
+
+def _eval_cells(tables, x: Energy, t: Time) -> Energy:
+    """The best value over the cell lists ``tables`` (one per component) at
+    (x, t), read in integers.
+
+    With x = p/q, the cell holding x is the first whose right edge lies
+    above it, as the cells cover [0, inf) in order.  With t = u/v and the
+    cell's ``ints`` (d, wx, wc, vt, vx, vc), t meets the wait iff
+    u*d*q >= (wx*p + wc*q)*v, and the value is
+    (vt*u*q + (vx*p + vc*q)*v) / (d*q*v); at t = inf it is infinity if
+    vt > 0, else (vx*p + vc*q) / (d*q).  The best value is kept as a
+    numerator over a positive denominator (den 0: none yet) and compared by
+    cross-multiplication, so only the answer becomes a ``Fraction``.
+    """
+    if x.is_bottom or not tables:
+        return BOTTOM
+    if x.is_infinite:
+        return INFINITY
+    p, q = x.value.numerator, x.value.denominator
+    endless = t.value is None
+    if not endless:
+        u, v = t.value.numerator, t.value.denominator
+    num = den = 0
+    for cells in tables:
+        for c in cells:
+            hi = c.hi
+            if hi is None or p * hi.denominator < hi.numerator * q:
+                break
+        if not c.feasible:
+            continue
+        d, wx, wc, vt, vx, vc = c.ints
+        if endless:
+            if vt > 0:
+                return INFINITY
+            n, m = vx * p + vc * q, d * q
+        elif u * d * q < (wx * p + wc * q) * v:
+            continue
+        else:
+            n, m = vt * u * q + (vx * p + vc * q) * v, d * q * v
+        if not den or n * den > num * m:
+            num, den = n, m
+    return Energy.of(Fraction(num, den)) if den else BOTTOM
 
 
 def _strips(fcomps, gcomps):

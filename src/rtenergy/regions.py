@@ -9,9 +9,9 @@ consumers can plot or re-check behaviors without this library.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
-from .algebra import BOTTOM, INFINITY, Atom, Cell, Energy, LinearRtef, Rtef, Time, component_cells
+from .algebra import Atom, Cell, Energy, LinearRtef, Rtef, Time, _eval_cells, component_cells
 
 
 def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
@@ -24,35 +24,22 @@ def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
     cells = component_cells(l)
     if len(cells) >= 2:
         a, b = cells[-2:]
-        if a.feasible and b.feasible and (a.value_t, a.value_x, a.value_c) == (b.value_t, b.value_x, b.value_c):
+        da, db = a.ints[0], b.ints[0]
+        if a.feasible and b.feasible and all(m * db == n * da for m, n in zip(a.ints[3:], b.ints[3:])):
             return cells[:-2] + (a._replace(hi=None),)
     return cells
 
 
-def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
-    for c in cells:
-        if c.lo <= x and (c.hi is None or x < c.hi):
-            return c
-    raise AssertionError("cells cover [0, inf)")
-
-
 def region_eval(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:
-    """Evaluate through the exported strip table; must agree with the greedy
-    evaluator everywhere (tested, not assumed)."""
-    if x.is_bottom:
-        return BOTTOM
-    if x.is_infinite:
-        return INFINITY
-    c = _active_cell(cells, x.value)
-    if not c.feasible:
-        return BOTTOM
-    if t.is_infinite:
-        if c.value_t > 0:
-            return INFINITY
-        return Energy.of(c.value_x * x.value + c.value_c)
-    if t.value < c.wait_x * x.value + c.wait_c:
-        return BOTTOM
-    return Energy.of(c.value_t * t.value + c.value_x * x.value + c.value_c)
+    """Evaluate through the exported strip table, with the reader behind
+    ``Rtef.eval``."""
+    return _eval_cells((cells,), x, t)
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d (d > 0) printed as ``str(Fraction(n, d))`` prints it."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def piece_json(c: Cell) -> dict:
@@ -63,14 +50,16 @@ def piece_json(c: Cell) -> dict:
     if not c.feasible:
         out["infeasible"] = True
         return out
+    d, wx, wc, vt, vx, vc = c.ints
+    p, q = c.lo.numerator, c.lo.denominator
     out["boundary"] = {
-        "slope": str(c.wait_x),
-        "t_at_x_low": str(c.wait_x * c.lo + c.wait_c),
+        "slope": _ratio(wx, d),
+        "t_at_x_low": _ratio(wx * p + wc * q, d * q),
     }
     out["value"] = {
-        "t": str(c.value_t),
-        "x": str(c.value_x),
-        "c": str(c.value_c),
+        "t": _ratio(vt, d),
+        "x": _ratio(vx, d),
+        "c": _ratio(vc, d),
     }
     return out
 

@@ -22,6 +22,7 @@ from rtenergy.algebra import (
     BOTTOM,
     Cell,
     Energy,
+    INFINITY,
     LinearRtef,
     Rtef,
     Time,
@@ -34,7 +35,6 @@ from rtenergy.matrix import RtefMatrix, mat_mul
 from rtenergy.model import _TOKEN, ModelError, RteaModel, Transition, _position
 from rtenergy.omega import OmegaVal, act, omega_of
 from rtenergy.rational import Rational, rational
-from rtenergy.regions import _active_cell
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,6 +94,96 @@ def normalize_two_pass(seq: Sequence[Atom]) -> LinearRtef:
         atoms[i] = Atom(a.rate, 0, a.bound)
         atoms[i + 1] = Atom(b.rate, a.price + b.price, max(a.bound, b.bound - a.price))
     return LinearRtef(tuple(atoms))
+
+
+def greedy_eval(l: LinearRtef, x: Energy, t: Time) -> Energy:
+    """``LinearRtef.eval`` spelled out step by step: wait the minimum at each
+    step to meet its threshold, spend every leftover instant in the final
+    (fastest) state; infinite time takes the supremum over finite budgets.
+    The reference the integer strip reader is checked against."""
+    if x.is_bottom:
+        return BOTTOM
+    if x.is_infinite:
+        return INFINITY
+    if not l.atoms:
+        return x
+    first = l.atoms[0]
+    last = l.atoms[-1]
+    if t.is_infinite:
+        if first.rate == 0 and x.value < first.bound:
+            return BOTTOM
+        if last.rate > 0:
+            return INFINITY
+        return Energy.of(x.value + last.price)  # lone zero-rate step
+    cur = x.value
+    rem = t.value
+    for a in l.atoms:
+        if cur < a.bound:
+            if a.rate == 0:
+                return BOTTOM
+            # exact even when both sides are ints, where / is a float
+            wait = Fraction(a.bound - cur, a.rate)
+            if wait > rem:
+                return BOTTOM
+            cur = a.bound
+            rem -= wait
+    return Energy.of(cur + last.rate * rem + last.price)
+
+
+def greedy_wait(l: LinearRtef, x: Fraction) -> Optional[Fraction]:
+    """The total wait of the greedy schedule from level x: the least t at
+    which ``greedy_eval`` is not bottom, or None when a zero-rate step lies
+    above x."""
+    cur, total = x, ZERO
+    for a in l.atoms:
+        if cur < a.bound:
+            if a.rate == 0:
+                return None
+            total += Fraction(a.bound - cur, a.rate)
+            cur = a.bound
+    return total
+
+
+def piece_json_fractions(c: Cell) -> dict:
+    """``regions.piece_json`` printed from the cell's ``Fraction``
+    coefficients, each by ``str``."""
+    out = {
+        "x_low": str(c.lo),
+        "x_high": "inf" if c.hi is None else str(c.hi),
+    }
+    if not c.feasible:
+        out["infeasible"] = True
+        return out
+    out["boundary"] = {
+        "slope": str(c.wait_x),
+        "t_at_x_low": str(c.wait_x * c.lo + c.wait_c),
+    }
+    out["value"] = {
+        "t": str(c.value_t),
+        "x": str(c.value_x),
+        "c": str(c.value_c),
+    }
+    return out
+
+
+def function_json_fractions(f: Rtef) -> dict:
+    """``regions.function_json`` read through the ``Fraction`` properties of
+    the cells: the last two strips of a component merge when their values
+    are equal as ``Fraction``s, and each piece is ``piece_json_fractions``."""
+    comps = []
+    for l in f.components:
+        cells = component_cells(l)
+        if len(cells) >= 2:
+            a, b = cells[-2:]
+            if a.feasible and b.feasible and (a.value_t, a.value_x, a.value_c) == (b.value_t, b.value_x, b.value_c):
+                cells = cells[:-2] + (a._replace(hi=None),)
+        comps.append(
+            {
+                "atoms": [[str(a.rate), str(a.price), str(a.bound)] for a in l.atoms],
+                "pieces": [piece_json_fractions(c) for c in cells],
+            }
+        )
+    return {"components": comps}
 
 
 def exact_schedule_value(atoms: Sequence[Atom], x: Fraction, t: Fraction) -> Energy:
@@ -297,6 +387,13 @@ def violation_point_subsets(
         if point is not None:
             return point
     return None
+
+
+def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
+    for c in cells:
+        if c.lo <= x and (c.hi is None or x < c.hi):
+            return c
+    raise AssertionError("cells cover [0, inf)")
 
 
 def _strips_cut_set(fcomps, gcomps):

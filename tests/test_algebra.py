@@ -52,6 +52,8 @@ from references import (
     component_cells_fractions,
     compose_split_oracle,
     exact_schedule_value,
+    greedy_eval,
+    greedy_wait,
     normalize_two_pass,
     star_subsets,
     undominated_all_pairs,
@@ -376,6 +378,74 @@ class TestEvalLinear:
                         assert t < 2**40, (c, x)
                 else:
                     assert all(c.eval(x, Time(t)) == BOTTOM for t in SAMPLE_TS), (c, x)
+
+
+def reader_points(f: Rtef):
+    """x = 0, every bound and bound +- 1/7; at each x, t = 0, every
+    component's total greedy wait W(x), W(x) +- 1/11 and t = inf; then
+    x = bot and x = inf."""
+    xs = {Fraction(0)}
+    for c in f.components:
+        for a in c.atoms:
+            xs.update(x for x in (a.bound - Fraction(1, 7), a.bound, a.bound + Fraction(1, 7)) if x >= 0)
+    for x in sorted(xs):
+        ts = {Fraction(0)}
+        for c in f.components:
+            w = greedy_wait(c, x)
+            if w is not None:
+                ts.update(t for t in (w - Fraction(1, 11), w, w + Fraction(1, 11)) if t >= 0)
+        for t in sorted(ts):
+            yield Energy.of(x), Time(t)
+        yield Energy.of(x), TIME_INF
+    for t in (Time(0), Time(Fraction(5, 3)), TIME_INF):
+        yield BOTTOM, t
+        yield INFINITY, t
+
+
+class TestCellReader:
+    """``Rtef.eval`` and ``LinearRtef.eval`` read the integer strip table;
+    the step-by-step greedy schedule (``references.greedy_eval``) and the
+    schedule polytope (``exact_schedule_value``) are the oracles."""
+
+    def test_against_greedy(self):
+        # the 1,000-draw stream of TestCellIntegers, as functions: random
+        # ones, coprime components, and int/Fraction mixes as parsed
+        rng = random.Random(61)
+        cases = [Rtef()]  # bottom everywhere, at x = inf too
+        for i in range(1000):
+            if i % 3 == 0:
+                f = rand_rtef(rng)
+            elif i % 3 == 1:
+                f = Rtef.of(rand_coprime_linear(rng) for _ in range(rng.randint(1, 3)))
+            else:
+                comps = [rand_linear(rng) for _ in range(rng.randint(1, 3))]
+                f = Rtef.of(as_parsed(c) if rng.random() < 0.5 else c for c in comps)
+            cases.append(f)
+        waits = 0
+        for f in cases:
+            for x, t in reader_points(f):
+                want = [greedy_eval(c, x, t) for c in f.components]
+                for c, w in zip(f.components, want):
+                    assert c.eval(x, t) == w, (c, x, t)
+                assert f.eval(x, t) == max(want, default=BOTTOM), (f, x, t)
+                waits += any(x.is_finite and t.value == greedy_wait(c, x.value) for c in f.components)
+        assert waits > 1000
+
+    def test_against_schedule_polytope(self):
+        # pairs of raw step sequences of up to three steps, the size of
+        # test_properties' raw_seqs, at finite points; vertex enumeration is
+        # slow, so 60 pairs
+        rng = random.Random(11)
+        for i in range(60):
+            seqs = [[rand_coprime_atom(rng) if i % 2 else rand_atom(rng) for _ in range(rng.randint(0, 3))] for _ in range(2)]
+            f = Rtef.of(normalize(s) for s in seqs)
+            for x, t in reader_points(f):
+                if not x.is_finite or t.is_infinite:
+                    continue
+                want = [exact_schedule_value(s, x.value, t.value) for s in seqs]
+                for s, w in zip(seqs, want):
+                    assert normalize(s).eval(x, t) == w, (s, x, t)
+                assert f.eval(x, t) == max(want), (seqs, x, t)
 
 
 class TestCompose:

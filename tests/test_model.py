@@ -22,12 +22,26 @@ from rtenergy import (
     atom,
     to_matrix_rep,
 )
+from rtenergy import algebra, regions
 from rtenergy import rational as rational_module
 from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.rational import parse_rational, rational
+from rtenergy.regions import function_json
 
-from helpers import MODELS, A, SAT_TOP_NF, lin, load_model, rand_mixed_model_text, rand_model_text, rtef
-from references import token_parse_model
+from helpers import (
+    MODELS,
+    A,
+    SAT_TOP_NF,
+    as_parsed,
+    lin,
+    load_model,
+    rand_coprime_linear,
+    rand_linear,
+    rand_mixed_model_text,
+    rand_model_text,
+    rtef,
+)
+from references import function_json_fractions, greedy_eval, token_parse_model
 
 
 def err_code(text: str) -> str:
@@ -373,6 +387,8 @@ class TestRegions:
                     assert p.value_t == l.atoms[-1].rate
 
     def test_region_eval_matches_greedy_at_random_points(self):
+        # region_eval and comp.eval read the same cells, so the step-by-step
+        # greedy schedule is the oracle
         rep = to_matrix_rep(load_model("satellite.rtea"))
         comps = list(finite_behavior(rep).components)
         comps += [SAT_TOP_NF, lin((3, -1, 1)), LinearRtef()]
@@ -382,7 +398,43 @@ class TestRegions:
             for _ in range(1000):
                 x = Energy.of(Fraction(rng.randint(0, 280), 4))
                 t = Time(Fraction(rng.randint(0, 200), 4)) if rng.random() > 0.05 else TIME_INF
-                assert region_eval(pieces, x, t) == comp.eval(x, t)
+                assert region_eval(pieces, x, t) == greedy_eval(comp, x, t)
+
+    def test_export_matches_fraction_oracle(self):
+        # 2,000 components, coprime rates and int/Fraction mixes included,
+        # against the export read through the Fraction properties
+        rng = random.Random(61)
+        merged = reduced = 0
+        for i in range(2000):
+            l = rand_coprime_linear(rng) if i % 2 else rand_linear(rng)
+            if i % 4 >= 2:
+                l = as_parsed(l)
+            f = Rtef((l,))
+            assert function_json(f) == function_json_fractions(f), l
+            merged += len(extract_regions(l)) < len(algebra.component_cells(l))
+            reduced += any(c.ints[0] > 1 for c in algebra.component_cells(l))
+        assert merged > 300 and reduced > 500
+
+    def test_ratio_prints_like_fraction(self):
+        for n in range(-40, 41):
+            for d in range(1, 13):
+                assert regions._ratio(n, d) == str(Fraction(n, d)), (n, d)
+
+    def test_eval_and_export_share_the_cells(self):
+        # counts, not times: evaluating builds each component's cells once,
+        # and the export then reads the same cached table
+        algebra.component_cells.cache_clear()
+        behavior = finite_behavior(to_matrix_rep(load_model("flower.rtea")))
+        info = algebra.component_cells.cache_info
+        before = info().misses
+        for x, t in ((0, 1), (Fraction(1, 3), Fraction(7, 8)), (Fraction(9, 4), Fraction(5, 3)), (1, "inf")):
+            behavior.eval(Energy.of(x), Time.of(t))
+        built = info().misses - before
+        assert built <= len(behavior.components)
+        function_json(behavior)
+        assert info().misses - before == built
+        function_json(behavior)
+        assert info().misses - before == built
 
 
 class TestSemanticsPreserved:
