@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
 from .linear2d import Constraint, Elimination
-from .rational import Rational, parse_rational, rational
+from .rational import Rational, fraction, rational
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
 # working sets one cold pass of a perfbench workload needs (69 and 199 on
@@ -46,11 +45,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Energy:
+def checked_tuple(name: str, fields: str):
+    """A named tuple base whose ``_make``, and so ``_replace``, builds
+    through the constructor: a subclass that checks its fields in
+    ``__new__`` checks them on every path, copies and unpickling included."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Energy(NamedTuple):
     """A battery level in the flat-bottomed lattice: bot < finite < inf.
 
-    The generated order is the lattice order: rank decides first, and equal
+    The tuple order is the lattice order: rank decides first, and equal
     ranks 0 or 2 compare equal without comparing their None values.
     """
 
@@ -59,7 +66,7 @@ class Energy:
 
     @staticmethod
     def of(x) -> "Energy":
-        q = parse_rational(x) if isinstance(x, str) else Fraction(x)
+        q = fraction(x)
         if q < 0:
             raise ValueError(f"energy must be non-negative: {q}")
         return Energy(1, q)
@@ -91,27 +98,27 @@ BOTTOM = Energy(0)
 INFINITY = Energy(2)
 
 
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class Time:
-    """An available-time budget: a finite non-negative rational or infinity."""
+class Time(checked_tuple("Time", "value")):
+    """An available-time budget: a finite non-negative rational or infinity
+    (``value`` None).  A float is refused.  The four comparisons are by
+    hand: tuple order cannot put None above every value."""
 
-    value: Optional[Fraction] = None  # None encodes infinity
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value is not None:
-            value = parse_rational(self.value) if isinstance(self.value, str) else Fraction(self.value)
+    def __new__(cls, value: Optional[Fraction] = None):
+        if value is not None:
+            value = fraction(value)
             if value < 0:
                 raise ValueError(f"time must be non-negative: {value}")
-            object.__setattr__(self, "value", value)
+        return tuple.__new__(cls, (value,))
 
     @staticmethod
     def of(x) -> "Time":
         if isinstance(x, Time):
             return x
-        if isinstance(x, str):
-            return TIME_INF if x.strip().lower() == "inf" else Time(x)
-        return Time(Fraction(x))
+        if isinstance(x, str) and x.strip().lower() == "inf":
+            return TIME_INF
+        return Time(x)
 
     @property
     def is_infinite(self) -> bool:
@@ -121,10 +128,18 @@ class Time:
         return "inf" if self.value is None else str(self.value)
 
     def __lt__(self, other: "Time") -> bool:
-        # by hand: a generated order cannot put None (infinity) above all
         if self.value is None:
             return False
         return other.value is None or self.value < other.value
+
+    def __gt__(self, other: "Time") -> bool:
+        return other < self
+
+    def __le__(self, other: "Time") -> bool:
+        return not other < self
+
+    def __ge__(self, other: "Time") -> bool:
+        return not self < other
 
     def __repr__(self):
         return f"Time({self.text()})"
@@ -133,7 +148,7 @@ class Time:
 TIME_INF = Time()
 
 
-class Atom(namedtuple("Atom", "rate price bound")):
+class Atom(checked_tuple("Atom", "rate price bound")):
     """One delay-then-jump step: earn ``rate`` per time unit, jump once the
     level reaches ``bound`` and pay ``price``.
 
@@ -152,10 +167,6 @@ class Atom(namedtuple("Atom", "rate price bound")):
             raise ValueError(f"bound {bound} below -price {-price}")
         return tuple.__new__(cls, (rate, price, bound))
 
-    @classmethod
-    def _make(cls, iterable) -> "Atom":
-        return cls(*iterable)
-
     def __repr__(self):
         return f"Atom({self.rate}, {self.price}, {self.bound})"
 
@@ -164,23 +175,39 @@ def atom(rate, price, bound) -> Atom:
     return Atom(rational(rate), rational(price), rational(bound))
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class LinearRtef:
     """A path function in staircase form: rates strictly increase, thresholds
     never decrease, and the whole price sits on the final step.  The empty
-    sequence is the identity function."""
+    sequence is the identity function.
 
-    atoms: tuple[Atom, ...] = ()
+    Immutable, and equal only to a ``LinearRtef``: never to an ``Rtef``."""
 
-    def __post_init__(self):
-        for a, b in zip(self.atoms, self.atoms[1:]):
-            if not a.rate < b.rate:
-                raise ValueError("rates must strictly increase; use normalize()")
-            if not a.bound <= b.bound:
-                raise ValueError("bounds must not decrease; use normalize()")
-        for a in self.atoms[:-1]:
-            if a.price != 0:
-                raise ValueError("only the final step may carry a price; use normalize()")
+    __slots__ = ("atoms", "_hash")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, atoms: tuple[Atom, ...] = ()):
+        if len(atoms) > 1:
+            for a, b in zip(atoms, atoms[1:]):
+                if not a.rate < b.rate:
+                    raise ValueError("rates must strictly increase; use normalize()")
+                if not a.bound <= b.bound:
+                    raise ValueError("bounds must not decrease; use normalize()")
+            for a in atoms[:-1]:
+                if a.price != 0:
+                    raise ValueError("only the final step may carry a price; use normalize()")
+        object.__setattr__(self, "atoms", atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __reduce__(self):
+        return self.__class__, (self.atoms,)
 
     @property
     def is_identity(self) -> bool:
@@ -259,18 +286,31 @@ def normalize(seq: Iterable[Atom]) -> LinearRtef:
     return out
 
 
-@dataclass(frozen=True)
 class Rtef:
     """A finite supremum of staircase components, kept sorted by their
     atoms and duplicate free; the empty supremum is the all-bottom
-    function."""
+    function.
 
-    components: tuple[LinearRtef, ...] = ()
+    Immutable, and equal only to an ``Rtef``."""
 
-    def __post_init__(self):
-        comps = self.components
-        if not all(a.atoms < b.atoms for a, b in zip(comps, comps[1:])):
+    __slots__ = ("components",)
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, components: tuple[LinearRtef, ...] = ()):
+        if len(components) > 1 and not all(a.atoms < b.atoms for a, b in zip(components, components[1:])):
             raise ValueError("components must be sorted and unique; use Rtef.of()")
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash(self.components)
+
+    def __reduce__(self):
+        return self.__class__, (self.components,)
 
     @staticmethod
     def of(components: Iterable[LinearRtef]) -> "Rtef":
@@ -503,22 +543,13 @@ class Cell(NamedTuple):
     The affine data is held once, in integers: ``ints`` is a common
     denominator d > 0, then the numerators over d of wait_x, wait_c,
     value_t, value_x and value_c, reduced by their gcd, so equal data gives
-    equal ``ints``.  The five coefficients are read-only ``Fraction``
-    properties, computed from ``ints`` on each read, for callers; the
-    library itself reads ``ints``.  Equality, hashing and the repr see the
-    four fields only.
+    equal ``ints``.
     """
 
     lo: Rational
     hi: Optional[Rational]
     feasible: bool
     ints: tuple[int, ...] = (1, 0, 0, 0, 0, 0)
-
-    wait_x = property(lambda self: Fraction(self.ints[1], self.ints[0]))
-    wait_c = property(lambda self: Fraction(self.ints[2], self.ints[0]))
-    value_t = property(lambda self: Fraction(self.ints[3], self.ints[0]))
-    value_x = property(lambda self: Fraction(self.ints[4], self.ints[0]))
-    value_c = property(lambda self: Fraction(self.ints[5], self.ints[0]))
 
 
 def _reduced(*ints: int) -> tuple[int, ...]:

@@ -6,33 +6,32 @@ the dense grid of rows is built only when something asks for it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Rtef
+from .algebra import Rtef, _immutable, checked_tuple
 from .omega import OmegaVal, act, omega_of
 
 
-@dataclass(frozen=True)
-class RtefMatrix:
+class RtefMatrix(checked_tuple("RtefMatrix", "n_cols succ")):
     """A matrix of energy functions; products may be rectangular, automaton
     matrices are square.
 
     ``succ[i]`` is the map {j: M[i][j]} of the non-bottom entries of row i,
     so an automaton costs its transitions, not n^2; the maps are not to be
-    mutated.  ``rows``, the dense grid, is built on first access."""
+    mutated.  ``rows``, the dense grid, is built on first access; it is
+    kept in the instance ``__dict__``, so there are no ``__slots__``."""
 
-    n_cols: int
-    succ: tuple[dict[int, Rtef], ...]
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        for row in self.succ:
+    def __new__(cls, n_cols: int, succ: tuple[dict[int, Rtef], ...]):
+        for row in succ:
             for j, f in row.items():
-                if not 0 <= j < self.n_cols:
+                if not 0 <= j < n_cols:
                     raise ValueError("column index out of range")
                 if not f.components:
                     raise ValueError("bottom entry stored")
+        return tuple.__new__(cls, (n_cols, succ))
 
     @staticmethod
     def of(rows) -> "RtefMatrix":
@@ -191,24 +190,23 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     return tuple(_solve(steps, [OmegaVal.false()] * n, range(n)))
 
 
-@dataclass(frozen=True)
-class AutomatonRep:
+class AutomatonRep(checked_tuple("AutomatonRep", "alpha matrix accepting_count state_names")):
     """Matrix form of an automaton: initial flags, transition matrix, and the
     count of accepting states, which occupy the leading indices."""
 
-    alpha: tuple[bool, ...]
-    matrix: RtefMatrix
-    accepting_count: int
-    state_names: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.matrix.dim()
-        if len(self.alpha) != n:
+    def __new__(
+        cls, alpha: tuple[bool, ...], matrix: RtefMatrix, accepting_count: int, state_names: tuple[str, ...] = ()
+    ):
+        n = matrix.dim()
+        if len(alpha) != n:
             raise ValueError("initial vector length mismatch")
-        if not 0 <= self.accepting_count <= n:
+        if not 0 <= accepting_count <= n:
             raise ValueError("accepting count out of range")
-        if self.state_names and len(self.state_names) != n:
+        if state_names and len(state_names) != n:
             raise ValueError("state name count mismatch")
+        return tuple.__new__(cls, (alpha, matrix, accepting_count, state_names))
 
     def state_index(self, name: str) -> int:
         return self.state_names.index(name)

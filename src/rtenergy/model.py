@@ -29,8 +29,7 @@ character that starts no token is reported first, wherever it stands.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Atom, LinearRtef, Rtef
 from .matrix import AutomatonRep, RtefMatrix
@@ -48,16 +47,14 @@ class ModelError(ValueError):
         super().__init__(f"{code}: {message}{where}")
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     src: str
     price: Rational
     bound: Rational
     dst: str
 
 
-@dataclass(frozen=True)
-class RteaModel:
+class RteaModel(NamedTuple):
     """States with earn rates, one initial state, accepting subset, and
     priced/bounded transitions; tuples keep declaration order."""
 

@@ -10,17 +10,15 @@ layer produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import Energy, LinearRtef, Rtef, TIME_INF, Time
+from .algebra import Energy, LinearRtef, Rtef, TIME_INF, Time, checked_tuple
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class OmegaVal:
+class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
     """Truth-valued behavior of endless schedules.
 
     ``support``: true at finite horizons exactly where it is not bottom.
@@ -28,12 +26,12 @@ class OmegaVal:
     unbounded time, or None when no finite level does.
     """
 
-    support: Rtef
-    threshold: Optional[Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.threshold is not None and self.threshold < 0:
+    def __new__(cls, support: Rtef, threshold: Optional[Fraction]):
+        if threshold is not None and threshold < 0:
             raise ValueError("threshold must be non-negative")
+        return tuple.__new__(cls, (support, threshold))
 
     @staticmethod
     def false() -> "OmegaVal":

@@ -9,26 +9,24 @@ The references only the test suite uses live with it, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import BOTTOM, Energy
+from .algebra import BOTTOM, Energy, checked_tuple
 from .model import RteaModel
 
 
-@dataclass(frozen=True)
-class DpConfig:
+class DpConfig(checked_tuple("DpConfig", "delta max_steps")):
     """Time grid for the dynamic program: ``delta * max_steps`` is the horizon."""
 
-    delta: Fraction
-    max_steps: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.delta <= 0:
+    def __new__(cls, delta: Fraction, max_steps: int):
+        if delta <= 0:
             raise ValueError("delta must be positive")
-        if self.max_steps < 0:
+        if max_steps < 0:
             raise ValueError("max_steps must be non-negative")
+        return tuple.__new__(cls, (delta, max_steps))
 
 
 def _grid_best(model: RteaModel, x0: Fraction, delta: Fraction, steps: int):

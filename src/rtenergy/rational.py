@@ -31,6 +31,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}") from exc
 
 
+def fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``; text must be a ``parse_rational`` literal.
+    A float is refused: its binary value is seldom the number meant."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, float):
+        raise TypeError(f"inexact float {value!r}: pass an int, a Fraction or text")
+    return Fraction(value)
+
+
 def rational(value) -> Rational:
     """``value`` as an exact rational, stored as an ``int`` when integral.
 
@@ -38,8 +50,9 @@ def rational(value) -> Rational:
     ``Fraction(3) == 3`` with equal hashes, so the two forms mix freely in
     comparisons, sets and sort keys; ``str`` prints both alike.  Text must
     be a ``parse_rational`` literal; integer literal text skips ``Fraction``.
+    A float is refused, as by ``fraction``.
     """
     if type(value) is str and _INTEGER(value):
         return int(value)
-    q = parse_rational(value) if type(value) is str else Fraction(value)
+    q = fraction(value)
     return q.numerator if q.denominator == 1 else q

@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from rtenergy.algebra import (
     Atom,
@@ -38,6 +38,24 @@ from rtenergy.rational import Rational, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class Coefficients(NamedTuple):
+    """A cell's affine data as ``Fraction``s: defined where
+    t >= wait_x*x + wait_c, and there value_t*t + value_x*x + value_c."""
+
+    wait_x: Fraction
+    wait_c: Fraction
+    value_t: Fraction
+    value_x: Fraction
+    value_c: Fraction
+
+
+def coefficients(c: Cell) -> Coefficients:
+    """The five coefficients of ``c``, each a numerator of ``Cell.ints``
+    over its common denominator."""
+    d, *nums = c.ints
+    return Coefficients(*(Fraction(n, d) for n in nums))
 
 
 def identity(n: int) -> RtefMatrix:
@@ -154,28 +172,29 @@ def piece_json_fractions(c: Cell) -> dict:
     if not c.feasible:
         out["infeasible"] = True
         return out
+    k = coefficients(c)
     out["boundary"] = {
-        "slope": str(c.wait_x),
-        "t_at_x_low": str(c.wait_x * c.lo + c.wait_c),
+        "slope": str(k.wait_x),
+        "t_at_x_low": str(k.wait_x * c.lo + k.wait_c),
     }
     out["value"] = {
-        "t": str(c.value_t),
-        "x": str(c.value_x),
-        "c": str(c.value_c),
+        "t": str(k.value_t),
+        "x": str(k.value_x),
+        "c": str(k.value_c),
     }
     return out
 
 
 def function_json_fractions(f: Rtef) -> dict:
-    """``regions.function_json`` read through the ``Fraction`` properties of
-    the cells: the last two strips of a component merge when their values
+    """``regions.function_json`` read through the ``Fraction`` coefficients
+    of the cells: the last two strips of a component merge when their values
     are equal as ``Fraction``s, and each piece is ``piece_json_fractions``."""
     comps = []
     for l in f.components:
         cells = component_cells(l)
         if len(cells) >= 2:
             a, b = cells[-2:]
-            if a.feasible and b.feasible and (a.value_t, a.value_x, a.value_c) == (b.value_t, b.value_x, b.value_c):
+            if a.feasible and b.feasible and coefficients(a)[2:] == coefficients(b)[2:]:
                 cells = cells[:-2] + (a._replace(hi=None),)
         comps.append(
             {
@@ -360,26 +379,27 @@ def violation_point_subsets(
     Makes up to 2^m ``feasible_point`` calls for m cells; the reference the
     line sweep in ``algebra._violation_point`` is checked against.
     """
+    fk = coefficients(fc)
     base = [
         Constraint(ONE, ZERO, -lo),
         Constraint(ZERO, ONE, ZERO),
-        Constraint(-fc.wait_x, ONE, -fc.wait_c),
+        Constraint(-fk.wait_x, ONE, -fk.wait_c),
     ]
     if hi is not None:
         base.append(Constraint(-ONE, ZERO, hi, strict=True))
     for picks in itertools.product((False, True), repeat=len(gcells)):
         cons = list(base)
-        for gc, too_early in zip(gcells, picks):
+        for gk, too_early in zip(map(coefficients, gcells), picks):
             if too_early:
                 # below g's feasibility boundary: t < wait_g(x)
-                cons.append(Constraint(gc.wait_x, -ONE, gc.wait_c, strict=True))
+                cons.append(Constraint(gk.wait_x, -ONE, gk.wait_c, strict=True))
             else:
                 # g defined but strictly below f: value_g < value_f
                 cons.append(
                     Constraint(
-                        fc.value_x - gc.value_x,
-                        fc.value_t - gc.value_t,
-                        fc.value_c - gc.value_c,
+                        fk.value_x - gk.value_x,
+                        fk.value_t - gk.value_t,
+                        fk.value_c - gk.value_c,
                         strict=True,
                     )
                 )
@@ -454,17 +474,20 @@ def component_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
 
 def _covers_fractions(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
     """``algebra._covers`` evaluated in ``Fraction``s at each endpoint."""
-    if not g.feasible or g.value_t < f.value_t:
+    if not g.feasible:
+        return False
+    fk, gk = coefficients(f), coefficients(g)
+    if gk.value_t < fk.value_t:
         return False
     for x in (lo,) if hi is None else (lo, hi):
-        tf = max(ZERO, f.wait_x * x + f.wait_c)
-        tg = max(ZERO, g.wait_x * x + g.wait_c)
+        tf = max(ZERO, fk.wait_x * x + fk.wait_c)
+        tg = max(ZERO, gk.wait_x * x + gk.wait_c)
         if tg > tf:
             return False
         gap = (
-            (g.value_t - f.value_t) * tf
-            + (g.value_x - f.value_x) * x
-            + (g.value_c - f.value_c)
+            (gk.value_t - fk.value_t) * tf
+            + (gk.value_x - fk.value_x) * x
+            + (gk.value_c - fk.value_c)
         )
         if gap < 0:
             return False

@@ -40,7 +40,7 @@ from helpers import (
     rtef,
     sample_points,
 )
-from references import truncated_path_sum
+from references import coefficients, truncated_path_sum
 
 
 def ok(number: int, text: str):
@@ -79,7 +79,7 @@ def test_criterion_3_star_golden():
     comp = normalize(F1.atoms + F2.atoms)
     assert comp == lin((0, 0, 30), (4, 0, 50), (5, -60, 60))
     pieces = [p for p in extract_regions(comp) if p.feasible]
-    assert [(p.value_t, p.value_x, p.value_c) for p in pieces] == [
+    assert [coefficients(p)[2:] for p in pieces] == [
         (Fraction(5), Fraction(5, 4), Fraction(-145, 2)),
         (Fraction(5), Fraction(1), Fraction(-60)),
     ]

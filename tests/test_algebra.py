@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import fractions
 import pickle
 import random
@@ -14,9 +13,11 @@ from rtenergy import (
     Energy,
     INFINITY,
     LinearRtef,
+    OmegaVal,
     Rtef,
     TIME_INF,
     Time,
+    Transition,
     buchi_behavior,
     finite_behavior,
     normalize,
@@ -24,12 +25,14 @@ from rtenergy import (
     to_matrix_rep,
 )
 from rtenergy import algebra
+from rtenergy.oracles import DpConfig
 from rtenergy.regions import extract_regions
 
 from helpers import (
     A,
     F1,
     F2,
+    MODELS,
     SAMPLE_TS,
     SAMPLE_XS,
     SAT_TOP_NF,
@@ -49,6 +52,7 @@ from helpers import (
     rtef,
 )
 from references import (
+    coefficients,
     component_cells_fractions,
     compose_split_oracle,
     exact_schedule_value,
@@ -79,9 +83,31 @@ class TestValues:
         assert hash(Time.of("5/2")) == hash(Time(Fraction(5, 2)))
         assert Time(1) < TIME_INF
         assert not TIME_INF < TIME_INF and TIME_INF <= TIME_INF
-        for v in (Energy.of(1), Time(1)):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                v.value = Fraction(2)
+        # every value type refuses assignment to a field
+        rep = to_matrix_rep(parse_model((MODELS / "satellite.rtea").read_text(encoding="utf-8")))
+        values = [
+            (Energy.of(1), "value"),
+            (Time(1), "value"),
+            (F1, "atoms"),
+            (Rtef.of([F1]), "components"),
+            (OmegaVal.false(), "threshold"),
+            (rep.matrix, "n_cols"),
+            (rep, "accepting_count"),
+            (parse_model("rtea { state a rate 0 initial accepting; trans a -> a price 0 bound 0; }"), "initial"),
+            (Transition("a", 0, 0, "a"), "dst"),
+            (DpConfig(Fraction(1), 1), "max_steps"),
+        ]
+        for v, field in values:
+            with pytest.raises(AttributeError):
+                setattr(v, field, getattr(v, field))
+        for v, field in values:
+            with pytest.raises(AttributeError):
+                v.extra = 1
+            with pytest.raises(AttributeError):
+                delattr(v, field)
+        rep.matrix.rows  # cached in the instance dict all the same
+        with pytest.raises(AttributeError):
+            rep.matrix.rows = ()
 
     def test_energy_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -179,7 +205,7 @@ class TestRecords:
         assert hash(a) == hash((1, -2, Fraction(5, 2)))
         cell = algebra.Cell(0, 3, True, (2, -1, 6, 2, 1, 0))
         assert cell == (0, 3, True, (2, -1, 6, 2, 1, 0))
-        assert (cell.wait_x, cell.wait_c) == (Fraction(-1, 2), 3)
+        assert coefficients(cell)[:2] == (Fraction(-1, 2), 3)
         lo, hi, feasible, ints = cell._replace(hi=None)
         assert (lo, hi, feasible, ints) == (0, None, True, cell.ints)
         assert algebra.Constraint(1, 2, 3) == (1, 2, 3, False)
@@ -823,15 +849,15 @@ class TestCacheBounds:
 
 class TestCellIntegers:
     """``Cell.ints`` is the one stored form of a cell's affine data: integers
-    over a common denominator.  The five ``Fraction`` coefficients are
-    computed from it on each read and take no part in equality, hashing or
-    the repr."""
+    over a common denominator.  The five ``Fraction`` coefficients
+    (``references.coefficients``) are computed from it and take no part in
+    equality, hashing or the repr."""
 
     def test_ignored_by_eq_hash_repr(self):
         cell = algebra.component_cells.__wrapped__(F2)[1]
         twin = algebra.Cell(cell.lo, cell.hi, cell.feasible, cell.ints)
         before = (hash(cell), repr(cell))
-        assert cell.wait_x == Fraction(-1)
+        assert coefficients(cell).wait_x == Fraction(-1)
         assert twin == cell and hash(twin) == hash(cell) == before[0]
         assert repr(twin) == repr(cell) == before[1]
         assert "fractions" not in repr(cell) and "wait_x" not in repr(cell)
@@ -851,7 +877,7 @@ class TestCellIntegers:
                 assert len(got) == len(want), comp
                 for c, (lo, hi, feasible, coeffs, ints) in zip(got, want):
                     assert (c.lo, c.hi, c.feasible, c.ints) == (lo, hi, feasible, ints), comp
-                    assert (c.wait_x, c.wait_c, c.value_t, c.value_x, c.value_c) == coeffs, comp
+                    assert coefficients(c) == coeffs, comp
                     reduced[bool(i % 2)] += c.ints[0] > 1
         assert min(reduced.values()) > 300
 
@@ -871,7 +897,7 @@ class TestCellIntegers:
                     hi = None
                 assert c.ints[0] > 0
                 assert (c.lo, c.hi, c.feasible, c.ints) == (lo, hi, feasible, ints), c
-                assert (c.wait_x, c.wait_c, c.value_t, c.value_x, c.value_c) == coeffs, c
+                assert coefficients(c) == coeffs, c
         assert merged > 100
 
     def test_feasible_waits_are_non_negative(self):
@@ -882,7 +908,8 @@ class TestCellIntegers:
             for c in algebra.component_cells(l):
                 if c.feasible:
                     for x in (c.lo,) if c.hi is None else (c.lo, c.hi):
-                        assert c.wait_x * x + c.wait_c >= 0, c
+                        k = coefficients(c)
+                        assert k.wait_x * x + k.wait_c >= 0, c
 
 
 class TestPrecedes:

@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
+import pytest
+
 from rtenergy import Rtef, finite_behavior, parse_model, to_matrix_rep
 from rtenergy.cli import main
 from rtenergy.regions import function_json
@@ -293,6 +295,24 @@ class TestContract:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("module", ["rtenergy.cli", "rtenergy.oracles"])
+    def test_import_generates_no_code(self, module):
+        # no dataclasses (nor the inspect it loads) at start-up; against a
+        # bare interpreter, as a site hook may load either one itself
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def loaded(code: str) -> set[str]:
+            code += "; import sys; print(' '.join(sys.modules))"
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.split())
+
+        new = loaded(f"import {module}") - loaded("pass")
+        assert module in new
+        assert not new & {"dataclasses", "inspect"}
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rtea"

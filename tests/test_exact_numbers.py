@@ -8,7 +8,6 @@ with a float operand and checks the type of every value the decision path
 stores or returns.
 """
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -78,15 +77,6 @@ def exact_only(monkeypatch):
     for name in _FRACTION_OPS:
         monkeypatch.setattr(Fraction, name, no_float(name))
 
-    def after(cls, name, check):
-        method = getattr(cls, name)
-
-        def checked(self, *args, **kwargs):
-            method(self, *args, **kwargs)
-            check(self)
-
-        monkeypatch.setattr(cls, name, checked)
-
     def built(cls, check):
         # the tuple records: every field is set in __new__
         new = cls.__new__
@@ -110,20 +100,16 @@ def exact_only(monkeypatch):
         linear2d.Constraint,
         lambda cn: _check(all(type(v) is int for v in (cn.a, cn.b, cn.c)), "constraint", cn),
     )
-    after(
-        algebra.Energy, "__init__", lambda e: _check(e.value is None or type(e.value) is Fraction, "energy", e.value)
-    )
-    after(omega.OmegaVal, "__post_init__", lambda v: _check(v.threshold is None or _exact(v.threshold), "threshold", v))
+    built(algebra.Energy, lambda e: _check(e.value is None or type(e.value) is Fraction, "energy", e.value))
+    built(omega.OmegaVal, lambda v: _check(v.threshold is None or _exact(v.threshold), "threshold", v))
+    built(algebra.Time, lambda t: _check(t.value is None or type(t.value) is Fraction, "time", t.value))
+    time_new = algebra.Time.__new__
 
-    def time_init(init):
-        def checked(self, value=None):
-            _check(not isinstance(value, float), "time from a float", value)
-            init(self, value)
-            _check(self.value is None or type(self.value) is Fraction, "time", self.value)
+    def time_from(cls, value=None):
+        _check(not isinstance(value, float), "time from a float", value)
+        return time_new(cls, value)
 
-        return checked
-
-    monkeypatch.setattr(algebra.Time, "__init__", time_init(algebra.Time.__init__))
+    monkeypatch.setattr(algebra.Time, "__new__", time_from)
     energy_of = algebra.Energy.of
 
     def checked_of(x):
@@ -199,6 +185,10 @@ class TestNoFloat:
             ("constraint", lambda: linear2d.Constraint(1.0, -2, 3)),
             ("constraint", lambda: linear2d.Constraint(1, -2.0, 3)),
             ("constraint", lambda: linear2d.Constraint(1, -2, 3.0)),
+            ("energy", lambda: algebra.Energy(1, 0.5)),
+            ("energy", lambda: algebra.Energy(1, 2)),
+            ("time from a float", lambda: algebra.Time(0.5)),
+            ("threshold", lambda: omega.OmegaVal(Rtef.bottom(), 0.5)),
         ]
         for what, make in planted:
             with pytest.raises(AssertionError, match=f"^{what}: "):
@@ -261,12 +251,9 @@ class TestNoFloat:
 
 def as_fractions(model: RteaModel) -> RteaModel:
     """``model`` with every value forced to ``Fraction``."""
-    return dataclasses.replace(
-        model,
+    return model._replace(
         states=tuple((name, Fraction(rate)) for name, rate in model.states),
-        transitions=tuple(
-            dataclasses.replace(tr, price=Fraction(tr.price), bound=Fraction(tr.bound)) for tr in model.transitions
-        ),
+        transitions=tuple(tr._replace(price=Fraction(tr.price), bound=Fraction(tr.bound)) for tr in model.transitions),
     )
 
 

@@ -41,7 +41,7 @@ from helpers import (
     rand_model_text,
     rtef,
 )
-from references import function_json_fractions, greedy_eval, token_parse_model
+from references import coefficients, function_json_fractions, greedy_eval, token_parse_model
 
 
 def err_code(text: str) -> str:
@@ -352,29 +352,30 @@ class TestRegions:
             (Fraction(20), Fraction(40), True),
             (Fraction(40), None, True),
         ]
-        mid, outer = pieces[1], pieces[2]
-        assert (mid.value_t, mid.value_x, mid.value_c) == (5, Fraction(5, 2), -110)
-        assert (mid.wait_x, mid.wait_x * mid.lo + mid.wait_c) == (Fraction(-1, 2), 12)
-        assert (outer.value_t, outer.value_x, outer.value_c) == (5, 1, -50)
+        mid, outer = coefficients(pieces[1]), coefficients(pieces[2])
+        assert mid[2:] == (5, Fraction(5, 2), -110)
+        assert (mid.wait_x, mid.wait_x * pieces[1].lo + mid.wait_c) == (Fraction(-1, 2), 12)
+        assert outer[2:] == (5, 1, -50)
         assert outer.wait_x == Fraction(-1, 5)
 
     def test_composed_loop_pieces(self):
         comp = lin((0, 0, 30), (4, 0, 50), (5, -60, 60))
         pieces = extract_regions(comp)
         inner = next(p for p in pieces if p.lo == 30)
-        assert (inner.value_t, inner.value_x, inner.value_c) == (5, Fraction(5, 4), Fraction(-145, 2))
+        assert coefficients(inner)[2:] == (5, Fraction(5, 4), Fraction(-145, 2))
         outer = next(p for p in pieces if p.hi is None)
         assert outer.lo == 50
-        assert (outer.value_t, outer.value_x, outer.value_c) == (5, 1, -60)
+        assert coefficients(outer)[2:] == (5, 1, -60)
 
     def test_single_atom_piece(self):
         pieces = extract_regions(lin((3, -1, 1)))
         assert len(pieces) == 1
         (p,) = pieces
         assert (p.lo, p.hi) == (0, None)
-        assert (p.value_t, p.value_x, p.value_c) == (3, 1, -1)
-        assert max(0, p.wait_x * Fraction(0) + p.wait_c) == Fraction(1, 3)
-        assert max(0, p.wait_x * Fraction(10) + p.wait_c) == 0
+        k = coefficients(p)
+        assert k[2:] == (3, 1, -1)
+        assert max(0, k.wait_x * Fraction(0) + k.wait_c) == Fraction(1, 3)
+        assert max(0, k.wait_x * Fraction(10) + k.wait_c) == 0
 
     def test_coef_t_is_final_rate(self):
         rng = random.Random(17)
@@ -384,7 +385,7 @@ class TestRegions:
             l = rand_linear(rng, allow_identity=False)
             for p in extract_regions(l):
                 if p.feasible:
-                    assert p.value_t == l.atoms[-1].rate
+                    assert coefficients(p).value_t == l.atoms[-1].rate
 
     def test_region_eval_matches_greedy_at_random_points(self):
         # region_eval and comp.eval read the same cells, so the step-by-step
