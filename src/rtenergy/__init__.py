@@ -10,7 +10,6 @@ from .algebra import (
     TIME_INF,
     Time,
     atom,
-    leq_linear,
     normalize,
     order_witness,
 )
@@ -19,14 +18,12 @@ from .matrix import (
     RtefMatrix,
     buchi_behavior,
     finite_behavior,
-    mat_mul,
-    mat_omega_accepting,
     mat_star,
 )
 from .model import ModelError, RteaModel, Transition, parse_model, serialize_model, to_matrix_rep
-from .omega import OmegaVal, act, omega_of
+from .omega import OmegaVal
 from .rational import parse_rational
-from .regions import extract_regions, function_json, region_eval
+from .regions import function_json
 
 __version__ = "0.1.0"
 
@@ -45,22 +42,15 @@ __all__ = [
     "TIME_INF",
     "Time",
     "Transition",
-    "act",
     "atom",
     "buchi_behavior",
-    "extract_regions",
     "finite_behavior",
     "function_json",
-    "leq_linear",
-    "mat_mul",
-    "mat_omega_accepting",
     "mat_star",
     "normalize",
-    "omega_of",
     "order_witness",
     "parse_model",
     "parse_rational",
-    "region_eval",
     "serialize_model",
     "to_matrix_rep",
 ]

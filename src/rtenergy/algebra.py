@@ -54,22 +54,34 @@ def checked_tuple(name: str, fields: str):
     return base
 
 
-class Energy(NamedTuple):
+class Energy(checked_tuple("Energy", "rank value")):
     """A battery level in the flat-bottomed lattice: bot < finite < inf.
 
-    The tuple order is the lattice order: rank decides first, and equal
-    ranks 0 or 2 compare equal without comparing their None values.
+    ``rank`` is 0 for bottom, 1 for a finite level and 2 for infinity;
+    only a finite level has a ``value``, a non-negative ``Fraction`` (a
+    float is refused).  The tuple order is the lattice order: rank decides
+    first, and equal ranks 0 or 2 compare equal without comparing their
+    None values.
     """
 
-    rank: int  # 0 bottom, 1 finite, 2 infinity
-    value: Optional[Fraction] = None
+    __slots__ = ()
+
+    def __new__(cls, rank: int, value: Optional[Fraction] = None):
+        if rank == 1:
+            if value is None:
+                raise ValueError("a finite energy needs a value")
+            value = fraction(value)
+            if value < 0:
+                raise ValueError(f"energy must be non-negative: {value}")
+        elif rank not in (0, 2):
+            raise ValueError(f"energy rank must be 0, 1 or 2: {rank!r}")
+        elif value is not None:
+            raise ValueError(f"bot and inf carry no value: {value!r}")
+        return tuple.__new__(cls, (rank, value))
 
     @staticmethod
     def of(x) -> "Energy":
-        q = fraction(x)
-        if q < 0:
-            raise ValueError(f"energy must be non-negative: {q}")
-        return Energy(1, q)
+        return Energy(1, x)
 
     @property
     def is_bottom(self) -> bool:
@@ -214,8 +226,8 @@ class LinearRtef:
         return not self.atoms
 
     def __hash__(self):
-        # cached: most calls repeat (the sets in Rtef.of and sup, the
-        # leq_linear keys), while an Atom is hashed about once
+        # cached: most calls repeat (the sets in Rtef.of, the leq_linear
+        # keys), while an Atom is hashed about once
         try:
             return self._hash
         except AttributeError:
@@ -340,36 +352,18 @@ class Rtef:
         return Rtef.of(comps).prune()
 
     def sup(self, other: "Rtef") -> "Rtef":
-        """Pointwise maximum, merged rather than pruned from scratch.
-
-        A pruned operand (every result of ``compose``, ``sup``, ``prune`` and
-        ``star`` is one) has no component dominated by another of its own, so
-        only pairs across the operands are compared, and a component common
-        to both always stays.  For pruned operands the result is ``==`` to
-        ``Rtef.of(self.components + other.components).prune()``, tie rule
-        included.  With an unpruned operand it is still the pointwise
-        maximum, but components dominated within that operand may remain.
-        """
+        """Pointwise maximum: the union of both component lists, pruned."""
         if not self.components:
-            return other
+            return other.prune()
         if not other.components:
-            return self
-        left, right = set(self.components), set(other.components)
-        comps = sorted(left | right, key=lambda c: c.atoms)
-        side = [(c in left) | (c in right) << 1 for c in comps]
-        return Rtef(_undominated(comps, side))
+            return self.prune()
+        return Rtef.of(self.components + other.components).prune()
 
     def prune(self) -> "Rtef":
-        """Drop every component pointwise dominated by another.
-
-        Component c goes when some other d has c <= d and either d comes
-        first in sort order or d <= c fails; of mutually equivalent
-        components the first in sort order stays.  The result has no
-        component below another, which is what ``sup`` relies on.  The
-        rule only asks whether such a d exists, so ``_undominated`` tries
-        the candidates in tail order and stops at the first whose final
-        rate and price sort below c's.
-        """
+        """Drop every component pointwise dominated by another: c goes when
+        some other d has c <= d and either d comes first in sort order or
+        d <= c fails, so of mutually equivalent components the first in sort
+        order stays (``_undominated``)."""
         if len(self.components) <= 1:
             return self
         return Rtef(_undominated(self.components))
@@ -475,30 +469,23 @@ def _leq(c: LinearRtef, d: LinearRtef) -> bool:
     return leq_linear(c, d) if holds is None else holds
 
 
-def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
+def _undominated(comps) -> tuple[LinearRtef, ...]:
     """The components of the sorted, duplicate-free ``comps`` that survive
-    ``Rtef.prune``'s rule: c goes iff some other d has c <= d and either d
-    comes first in sort order or d <= c fails.  ``side`` restricts the
-    comparisons to pairs whose bit masks are disjoint (``sup``: 1 left only,
-    2 right only, 3 both); without it every pair is compared.
+    ``Rtef.prune``'s rule.
 
-    The rule asks only whether such a d exists, so the candidates for each
-    c may be tried in any order.  They are tried in tail order: ranked once
-    by (final rate, final price), descending.  c <= d needs d's tail to be
-    at least c's in both parts (``_leq``'s tail test), so the scan of c
-    stops at the first candidate whose tail sorts below c's, a lower final
-    rate or the same rate and a lower price: no later one passes the test.
-    c is kept unless a candidate before that dominates it.  A candidate
-    with a lower price is skipped; the others are decided by
-    ``_atom_leq``, and the pairs it leaves open are walked
-    (``leq_linear``) only after the scan, and only when no candidate was
-    proven to dominate c.  Two components have nothing to rank and take
-    one direct check.
+    The rule asks only whether a dominating d exists, so the candidates for
+    each c are tried in tail order: ranked once by (final rate, final
+    price), descending.  c <= d needs d's tail to be at least c's in both
+    parts (``_leq``'s tail test), so the scan of c stops at the first
+    candidate whose tail sorts below c's, a lower final rate or the same
+    rate and a lower price: no later one passes the test.  A candidate with
+    a lower price is skipped; the others are decided by ``_atom_leq``, and
+    the pairs it leaves open are walked (``leq_linear``) only after the
+    scan, and only when no candidate was proven to dominate c.  Two
+    components have nothing to rank and take one direct check.
     """
     if len(comps) == 2:
         c, d = comps
-        if side and side[0] & side[1]:
-            return tuple(comps)
         # d goes if d <= c, as c sorts first; else c goes if c <= d
         if _leq(d, c):
             return (c,)
@@ -513,7 +500,7 @@ def _undominated(comps, side=None) -> tuple[LinearRtef, ...]:
         for j in rank:
             if tails[j] < tail:
                 break
-            if tails[j][1] < price or j == i or side and side[i] & side[j]:
+            if tails[j][1] < price or j == i:
                 continue
             d = comps[j]
             holds = _atom_leq(c, d)

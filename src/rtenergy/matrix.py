@@ -6,7 +6,7 @@ the dense grid of rows is built only when something asks for it."""
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .algebra import Rtef, _immutable, checked_tuple
@@ -122,7 +122,8 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
         folds = [(i, succ[i].pop(p)) for i in pred[p]]
         for i, f in folds:
             for j, g in row.items():
-                succ[i][j] = succ[i].get(j, Rtef.bottom()).sup(f.compose(g))
+                h = f.compose(g)
+                succ[i][j] = succ[i][j].sup(h) if j in succ[i] else h
                 pred[j].add(i)
         steps.append((p, s, omega_of(loop, s) if p < k else None, row, folds))
         for q in pred[p] | row.keys():
@@ -219,10 +220,7 @@ def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: Sequence[Om
     the initial states, where ``_solve`` is exact."""
     initial = [i for i, start in enumerate(rep.alpha) if start]
     z = _solve(_factor(rep.matrix, late, k), w, initial)
-    out = OmegaVal.false()
-    for i in initial:
-        out = out.sup(z[i])
-    return out
+    return reduce(OmegaVal.sup, [z[i] for i in initial] or [OmegaVal.false()])
 
 
 def finite_behavior(rep: AutomatonRep) -> Rtef:

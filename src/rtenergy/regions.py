@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import Atom, Cell, Energy, LinearRtef, Rtef, Time, _eval_cells, component_cells
+from .algebra import Atom, Cell, LinearRtef, Rtef, component_cells
 
 
 def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
@@ -28,12 +28,6 @@ def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
         if a.feasible and b.feasible and all(m * db == n * da for m, n in zip(a.ints[3:], b.ints[3:])):
             return cells[:-2] + (a._replace(hi=None),)
     return cells
-
-
-def region_eval(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:
-    """Evaluate through the exported strip table, with the reader behind
-    ``Rtef.eval``."""
-    return _eval_cells((cells,), x, t)
 
 
 def _ratio(n: int, d: int) -> str:

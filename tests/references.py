@@ -296,7 +296,7 @@ def star_subsets(f: Rtef) -> Rtef:
     return Rtef.of(comps).prune()
 
 
-def undominated_all_pairs(comps, side=None) -> tuple[LinearRtef, ...]:
+def undominated_all_pairs(comps) -> tuple[LinearRtef, ...]:
     """``algebra._undominated`` as an all-pairs scan: each component is
     compared with every other in sort order, each pair through ``_leq``
     in full, and the first dominator found ends its scan.  The reference
@@ -304,7 +304,7 @@ def undominated_all_pairs(comps, side=None) -> tuple[LinearRtef, ...]:
     keep = []
     for i, c in enumerate(comps):
         for j, d in enumerate(comps):
-            if j == i or (side and side[i] & side[j]):
+            if j == i:
                 continue
             if _leq(c, d) and (j < i or not _leq(d, c)):
                 break
@@ -414,6 +414,26 @@ def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
         if c.lo <= x and (c.hi is None or x < c.hi):
             return c
     raise AssertionError("cells cover [0, inf)")
+
+
+def cells_eval_fractions(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:
+    """One component's value at (x, t) read off its strip table in
+    ``Fraction``s: the cell holding x, its wait wait_x*x + wait_c and its
+    value value_t*t + value_x*x + value_c (at t = inf, infinity when
+    value_t > 0).  The reference the exported cells are read with."""
+    if x.is_bottom:
+        return BOTTOM
+    if x.is_infinite:
+        return INFINITY
+    c = _active_cell(cells, x.value)
+    if not c.feasible:
+        return BOTTOM
+    k = coefficients(c)
+    if t.is_infinite:
+        return INFINITY if k.value_t > 0 else Energy.of(k.value_x * x.value + k.value_c)
+    if t.value < k.wait_x * x.value + k.wait_c:
+        return BOTTOM
+    return Energy.of(k.value_t * t.value + k.value_x * x.value + k.value_c)
 
 
 def _strips_cut_set(fcomps, gcomps):

@@ -110,13 +110,13 @@ def exact_only(monkeypatch):
         return time_new(cls, value)
 
     monkeypatch.setattr(algebra.Time, "__new__", time_from)
-    energy_of = algebra.Energy.of
+    energy_new = algebra.Energy.__new__
 
-    def checked_of(x):
-        _check(not isinstance(x, float), "energy from a float", x)
-        return energy_of(x)
+    def energy_from(cls, rank, value=None):
+        _check(not isinstance(value, float), "energy from a float", value)
+        return energy_new(cls, rank, value)
 
-    monkeypatch.setattr(algebra.Energy, "of", staticmethod(checked_of))
+    monkeypatch.setattr(algebra.Energy, "__new__", energy_from)
     # every point the solver returns, to the sweep and to feasible_point alike
     solve = linear2d.Elimination.point
 
@@ -185,14 +185,15 @@ class TestNoFloat:
             ("constraint", lambda: linear2d.Constraint(1.0, -2, 3)),
             ("constraint", lambda: linear2d.Constraint(1, -2.0, 3)),
             ("constraint", lambda: linear2d.Constraint(1, -2, 3.0)),
-            ("energy", lambda: algebra.Energy(1, 0.5)),
-            ("energy", lambda: algebra.Energy(1, 2)),
+            ("energy from a float", lambda: algebra.Energy(1, 0.5)),
             ("time from a float", lambda: algebra.Time(0.5)),
             ("threshold", lambda: omega.OmegaVal(Rtef.bottom(), 0.5)),
         ]
         for what, make in planted:
             with pytest.raises(AssertionError, match=f"^{what}: "):
                 make()
+        # an int energy is stored as a Fraction, so the guard has nothing to trip on
+        assert type(algebra.Energy(1, 2).value) is Fraction and algebra.Energy(1, 2).value == Fraction(2)
 
     def test_seeded_component_corpus(self, exact_only):
         # the 1,000 components of TestCellIntegers, in parsed form, as pairs

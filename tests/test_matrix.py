@@ -20,14 +20,13 @@ from rtenergy import (
     Time,
     buchi_behavior,
     finite_behavior,
-    mat_mul,
-    mat_omega_accepting,
     mat_star,
-    omega_of,
     parse_model,
     to_matrix_rep,
 )
 import rtenergy.matrix
+from rtenergy.matrix import mat_mul, mat_omega_accepting
+from rtenergy.omega import omega_of
 from rtenergy.algebra import leq_linear
 from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.regions import function_json

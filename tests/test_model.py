@@ -14,10 +14,8 @@ from rtenergy import (
     RteaModel,
     TIME_INF,
     Time,
-    extract_regions,
     finite_behavior,
     parse_model,
-    region_eval,
     serialize_model,
     atom,
     to_matrix_rep,
@@ -26,7 +24,7 @@ from rtenergy import algebra, regions
 from rtenergy import rational as rational_module
 from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.rational import parse_rational, rational
-from rtenergy.regions import function_json
+from rtenergy.regions import extract_regions, function_json
 
 from helpers import (
     MODELS,
@@ -41,7 +39,7 @@ from helpers import (
     rand_model_text,
     rtef,
 )
-from references import coefficients, function_json_fractions, greedy_eval, token_parse_model
+from references import cells_eval_fractions, coefficients, function_json_fractions, greedy_eval, token_parse_model
 
 
 def err_code(text: str) -> str:
@@ -388,8 +386,8 @@ class TestRegions:
                     assert coefficients(p).value_t == l.atoms[-1].rate
 
     def test_region_eval_matches_greedy_at_random_points(self):
-        # region_eval and comp.eval read the same cells, so the step-by-step
-        # greedy schedule is the oracle
+        # the exported cells read in Fractions against the step-by-step
+        # greedy schedule, which reads no cell
         rep = to_matrix_rep(load_model("satellite.rtea"))
         comps = list(finite_behavior(rep).components)
         comps += [SAT_TOP_NF, lin((3, -1, 1)), LinearRtef()]
@@ -399,7 +397,7 @@ class TestRegions:
             for _ in range(1000):
                 x = Energy.of(Fraction(rng.randint(0, 280), 4))
                 t = Time(Fraction(rng.randint(0, 200), 4)) if rng.random() > 0.05 else TIME_INF
-                assert region_eval(pieces, x, t) == greedy_eval(comp, x, t)
+                assert cells_eval_fractions(pieces, x, t) == greedy_eval(comp, x, t)
 
     def test_export_matches_fraction_oracle(self):
         # 2,000 components, coprime rates and int/Fraction mixes included,

@@ -15,10 +15,9 @@ from rtenergy import (
     Rtef,
     TIME_INF,
     Time,
-    act,
     normalize,
-    omega_of,
 )
+from rtenergy.omega import act, omega_of
 
 from helpers import SAMPLE_TS, SAMPLE_XS, lin, rand_rtef, rtef, sample_points
 from references import exact_schedule_value

@@ -1,0 +1,57 @@
+"""The names ``rtenergy`` exports from its root."""
+
+import importlib
+
+import rtenergy
+
+PUBLIC = {
+    "Atom",
+    "AutomatonRep",
+    "BOTTOM",
+    "Energy",
+    "INFINITY",
+    "LinearRtef",
+    "ModelError",
+    "OmegaVal",
+    "Rtef",
+    "RtefMatrix",
+    "RteaModel",
+    "TIME_INF",
+    "Time",
+    "Transition",
+    "atom",
+    "buchi_behavior",
+    "finite_behavior",
+    "function_json",
+    "mat_star",
+    "normalize",
+    "order_witness",
+    "parse_model",
+    "parse_rational",
+    "serialize_model",
+    "to_matrix_rep",
+}
+
+# internals that stay importable from their own modules only
+INTERNAL = {
+    "act": "omega",
+    "omega_of": "omega",
+    "leq_linear": "algebra",
+    "mat_mul": "matrix",
+    "mat_omega_accepting": "matrix",
+    "extract_regions": "regions",
+}
+
+
+def test_root_exports_the_public_names():
+    assert set(rtenergy.__all__) == PUBLIC
+    assert len(rtenergy.__all__) == len(PUBLIC)
+    for name in PUBLIC:
+        assert hasattr(rtenergy, name), name
+
+
+def test_internals_live_in_their_modules():
+    for name, module in INTERNAL.items():
+        assert not hasattr(rtenergy, name), name
+        assert callable(getattr(importlib.import_module(f"rtenergy.{module}"), name)), name
+    assert not hasattr(importlib.import_module("rtenergy.regions"), "region_eval")

@@ -41,6 +41,13 @@ TEXT = (
 
 # (check, a good value, fields that fail that check, the error)
 NAMED = [
+    ("energy rank below", Energy.of(3), (-1, None), ValueError),
+    ("energy rank above", Energy.of(3), (3, None), ValueError),
+    ("value on bottom", Energy.of(3), (0, Fraction(3)), ValueError),
+    ("value on infinity", Energy.of(3), (2, Fraction(3)), ValueError),
+    ("finite energy without a value", Energy.of(3), (1, None), ValueError),
+    ("negative energy", Energy.of(3), (1, Fraction(-3)), ValueError),
+    ("energy from a float", Energy.of(3), (1, 0.5), TypeError),
     ("negative time", Time(1), (-1,), ValueError),
     ("time from a float", Time(1), (0.5,), TypeError),
     ("negative threshold", OmegaVal(F, 1), (F, Fraction(-1, 2)), ValueError),
@@ -131,6 +138,13 @@ def test_equal_values_hash_alike():
     assert pickle.loads(pickle.dumps(REP)) == REP and copy.copy(SQUARE) == SQUARE
     with pytest.raises(TypeError):
         hash(SQUARE)
+
+
+def test_energy_values_are_fractions():
+    # an int or a literal is stored as the Fraction it names, on every path
+    for made in (Energy(1, 7), Energy(1, "7"), Energy.of(7), Energy.of(3)._replace(value=7)):
+        assert made == Energy(1, Fraction(7)) and type(made.value) is Fraction, made
+    assert Energy(1, 7).text() == "7" and Energy(0).is_bottom and Energy(2).is_infinite
 
 
 def test_slotted_equality_is_type_strict():
