@@ -21,7 +21,7 @@ def main():
     rep = to_matrix_rep(model)
     star = mat_star(rep.matrix)
     hub = rep.state_index("hub")
-    closure = star.rows[hub][hub]
+    closure = star.succ[hub][hub]
     print(json.dumps({"state": "hub", "closure": function_json(closure)}, indent=2))
 
 

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import Atom, Energy, Time, normalize
+from .algebra import Atom, Energy, Rtef, Time, normalize
 from .matrix import buchi_behavior, finite_behavior, mat_star
 from .model import ModelError, RteaModel, parse_model, to_matrix_rep
 from .rational import parse_rational
@@ -137,7 +137,7 @@ def _run_dump(path: str, what: str) -> int:
     star = mat_star(rep.matrix)
     out = {
         "states": list(rep.state_names),
-        "entries": [[function_json(star.rows[i][j]) for j in range(star.n_cols)] for i in range(star.n_rows)],
+        "entries": [[function_json(row.get(j, Rtef.bottom())) for j in range(star.n_cols)] for row in star.succ],
     }
     print(json.dumps(out))
     return 0

@@ -1,15 +1,16 @@
 """Matrix layer: z = M* . w v M^omega as one state-elimination factorization
 of M and one solve per right-hand side: reach, Buchi, each closure column.
 
-A matrix is stored as successor maps, the non-bottom entries of each row;
-the dense grid of rows is built only when something asks for it."""
+A matrix is its successor maps, the non-bottom entries of each row, and a
+right-hand side the map of its states that are not false: an absent entry
+is the zero, so every sum starts from its first term."""
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Sequence
 
-from .algebra import Rtef, _immutable, checked_tuple
+from .algebra import Rtef, checked_tuple
 from .omega import OmegaVal, act, omega_of
 
 
@@ -18,11 +19,10 @@ class RtefMatrix(checked_tuple("RtefMatrix", "n_cols succ")):
     matrices are square.
 
     ``succ[i]`` is the map {j: M[i][j]} of the non-bottom entries of row i,
-    so an automaton costs its transitions, not n^2; the maps are not to be
-    mutated.  ``rows``, the dense grid, is built on first access; it is
-    kept in the instance ``__dict__``, so there are no ``__slots__``."""
+    and an absent j is bottom, so an automaton costs its transitions, not
+    n^2; the maps are not to be mutated.  ``of`` builds one from a grid."""
 
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = ()
 
     def __new__(cls, n_cols: int, succ: tuple[dict[int, Rtef], ...]):
         for row in succ:
@@ -42,11 +42,6 @@ class RtefMatrix(checked_tuple("RtefMatrix", "n_cols succ")):
         succ = tuple({j: f for j, f in enumerate(r) if f.components} for r in rows)
         return RtefMatrix(widths.pop() if widths else 0, succ)
 
-    @cached_property
-    def rows(self) -> tuple[tuple[Rtef, ...], ...]:
-        bottom = Rtef.bottom()
-        return tuple(tuple(row.get(j, bottom) for j in range(self.n_cols)) for row in self.succ)
-
     @property
     def n_rows(self) -> int:
         return len(self.succ)
@@ -60,16 +55,15 @@ class RtefMatrix(checked_tuple("RtefMatrix", "n_cols succ")):
 def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     if a.n_cols != b.n_rows:
         raise ValueError("dimension mismatch in matrix product")
-    out = []
-    for i in range(a.n_rows):
-        row = []
-        for j in range(b.n_cols):
-            acc = Rtef.bottom()
-            for k in range(a.n_cols):
-                acc = acc.sup(a.rows[i][k].compose(b.rows[k][j]))
-            row.append(acc)
-        out.append(row)
-    return RtefMatrix.of(out)
+    out = []  # a product of entries that are not bottom is not bottom
+    for row in a.succ:
+        acc = {}
+        for k, f in row.items():
+            for j, g in b.succ[k].items():
+                h = f.compose(g)
+                acc[j] = acc[j].sup(h) if j in acc else h
+        out.append(acc)
+    return RtefMatrix(b.n_cols, tuple(out))
 
 
 def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
@@ -80,8 +74,8 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
     times its out-degree.  When p goes, its self-loop l holds its loops
     through the states gone before it, and each live predecessor i folds
     m[i][p] . l* . m[p][j] into m[i][j].  Step p records l* (None without a
-    loop), l^omega off that l* when p < k, p's row scaled by l*, and the
-    pairs (i, m[i][p]).
+    loop), l^omega off that l* when p < k (None when it is false), p's row
+    scaled by l*, and the pairs (i, m[i][p]).
 
     Each pivot is the live state with the least key (late[p], in-degree
     times out-degree, p), self-loops excluded from both degrees: the
@@ -125,16 +119,18 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
                 h = f.compose(g)
                 succ[i][j] = succ[i][j].sup(h) if j in succ[i] else h
                 pred[j].add(i)
-        steps.append((p, s, omega_of(loop, s) if p < k else None, row, folds))
+        omega = omega_of(loop, s) if p < k else None
+        steps.append((p, s, None if omega == OmegaVal.false() else omega, row, folds))
         for q in pred[p] | row.keys():
             heappush(heap, key(q))
     return steps
 
 
-def _solve(steps: list[tuple], w: Sequence[OmegaVal], want: Sequence[int]) -> list[OmegaVal]:
+def _solve(steps: list[tuple], w: dict[int, OmegaVal], want: Sequence[int]) -> dict[int, OmegaVal]:
     """z = M* . w v M^omega, the omega part through the first k states, off
-    the ``steps`` of ``_factor``, which it does not change; exact at the
-    ``want`` states, a lower bound elsewhere.  The forward pass sets
+    the ``steps`` of ``_factor``, which it does not change; w and z map
+    states to values, and an absent state is false.  Exact at the ``want``
+    states, a lower bound elsewhere.  The forward pass sets
     v_p = l* . w[p], plus l^omega when p < k, which covers every run from p
     that stays among p and the states gone before it, and gains
     m[i][p] . v_p in w[i] for each recorded predecessor i.  A backward pass
@@ -149,15 +145,17 @@ def _solve(steps: list[tuple], w: Sequence[OmegaVal], want: Sequence[int]) -> li
     p < k, the order of ``mat_omega_accepting``, meets that in every
     component at once.  No closure is built and nothing recurses.
     """
-    w = list(w)
+    w = dict(w)
     for p, s, omega, _, folds in steps:
-        v = w[p] if s is None else act(s, w[p])
+        if p in w and s is not None:
+            w[p] = act(s, w[p])
         if omega is not None:
-            v = v.sup(omega)
-        if v != OmegaVal.false():
+            w[p] = w[p].sup(omega) if p in w else omega
+        if p in w:
+            v = w[p]
             for i, f in folds:
-                w[i] = w[i].sup(act(f, v))
-        w[p] = v
+                h = act(f, v)
+                w[i] = w[i].sup(h) if i in w else h
     needed = set(want)
     for p, _, _, row, _ in steps:
         if p in needed:
@@ -165,18 +163,19 @@ def _solve(steps: list[tuple], w: Sequence[OmegaVal], want: Sequence[int]) -> li
     for p, _, _, row, _ in reversed(steps):
         if p in needed:
             for j, g in row.items():
-                w[p] = w[p].sup(act(g, w[j]))
+                if j in w:
+                    h = act(g, w[j])
+                    w[p] = w[p].sup(h) if p in w else h
     return w
 
 
 def mat_star(m: RtefMatrix) -> RtefMatrix:
     """Reflexive-transitive closure, one factorization and one solve per
-    column: column j is the support of M* . e_j, with e_j the goal at j."""
+    column: column j is the map of the supports of M* . {j: goal}."""
     n = m.dim()
     steps = _factor(m, [False] * n, 0)
-    goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
-    cols = [_solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
-    return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
+    cols = [_solve(steps, {j: OmegaVal(Rtef.one(), None)}, range(n)) for j in range(n)]
+    return RtefMatrix(n, tuple({j: col[i].support for j, col in enumerate(cols) if i in col} for i in range(n)))
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
@@ -187,8 +186,8 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
-    steps = _factor(m, [p < k for p in range(n)], k)
-    return tuple(_solve(steps, [OmegaVal.false()] * n, range(n)))
+    z = _solve(_factor(m, [p < k for p in range(n)], k), {}, range(n))
+    return tuple(z.get(i, OmegaVal.false()) for i in range(n))
 
 
 class AutomatonRep(checked_tuple("AutomatonRep", "alpha matrix accepting_count state_names")):
@@ -213,32 +212,31 @@ class AutomatonRep(checked_tuple("AutomatonRep", "alpha matrix accepting_count s
         return self.state_names.index(name)
 
 
-def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: Sequence[OmegaVal]) -> OmegaVal:
+def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: dict[int, OmegaVal]) -> OmegaVal:
     """sup over the initial states i of z[i], z = M* . w v M^omega through
     the first ``k`` states: one factorization in minimum-degree order with
     the ``late`` states held to the end, one solve back-substituted only at
     the initial states, where ``_solve`` is exact."""
     initial = [i for i, start in enumerate(rep.alpha) if start]
     z = _solve(_factor(rep.matrix, late, k), w, initial)
-    return reduce(OmegaVal.sup, [z[i] for i in initial] or [OmegaVal.false()])
+    return reduce(OmegaVal.sup, [z[i] for i in initial if i in z] or [OmegaVal.false()])
 
 
 def finite_behavior(rep: AutomatonRep) -> Rtef:
     """Best finite run alpha . M* . kappa, solved from the goal backwards.
 
-    The column y = M* kappa is ``_solve`` with w = kappa and no omega part:
-    without a threshold, ``act`` and ``OmegaVal.sup`` are ``compose`` and
-    ``sup`` on the support.  The initial states are the late ones, so only
-    they are back-substituted.
+    The column y = M* kappa is ``_solve`` with w = kappa, the goal at each
+    accepting state, and no omega part: without a threshold, ``act`` and
+    ``OmegaVal.sup`` are ``compose`` and ``sup`` on the support.  The
+    initial states are the late ones, so only they are back-substituted.
     """
-    n, k = rep.matrix.dim(), rep.accepting_count
-    goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
-    return _initial_sup(rep, rep.alpha, 0, [goal if j < k else false for j in range(n)]).support
+    goal = OmegaVal(Rtef.one(), None)
+    return _initial_sup(rep, rep.alpha, 0, dict.fromkeys(range(rep.accepting_count), goal)).support
 
 
 def buchi_behavior(rep: AutomatonRep) -> OmegaVal:
     """Truth of an endless run visiting accepting states infinitely often:
     the factorization of ``mat_omega_accepting``, the accepting states late,
-    solved with w = false."""
+    solved with w = false everywhere, the empty map."""
     n, k = rep.matrix.dim(), rep.accepting_count
-    return _initial_sup(rep, [p < k for p in range(n)], k, [OmegaVal.false()] * n)
+    return _initial_sup(rep, [p < k for p in range(n)], k, {})

@@ -282,6 +282,6 @@ def to_matrix_rep(model: RteaModel) -> AutomatonRep:
     for tr in model.transitions:
         row, j = succ[index[tr.src]], index[tr.dst]
         f = Rtef((LinearRtef((Atom(rate[tr.src], tr.price, tr.bound),)),))
-        row[j] = f if j not in row else row[j].sup(f)
+        row[j] = row[j].sup(f) if j in row else f
     alpha = tuple(name == model.initial for name in order)
     return AutomatonRep(alpha, RtefMatrix(len(order), succ), len(accepting), tuple(order))

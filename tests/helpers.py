@@ -20,7 +20,7 @@ from rtenergy import (
 )
 from rtenergy.matrix import RtefMatrix, mat_mul
 
-from references import _assemble, _blocks, mat_sup
+from references import _assemble, _blocks, dense, mat_sup
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -64,7 +64,7 @@ def mat_star_half(m: RtefMatrix) -> RtefMatrix:
     result."""
     n = m.dim()
     if n == 1:
-        return RtefMatrix.of([[m.rows[0][0].star()]])
+        return RtefMatrix.of([[dense(m)[0][0].star()]])
     a, b, c, d = _blocks(m, max(1, n // 2))
     dstar = mat_star_half(d)
     bds = mat_mul(b, dstar)

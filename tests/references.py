@@ -66,12 +66,37 @@ def zeros(n_rows: int, n_cols: int) -> RtefMatrix:
     return RtefMatrix(n_cols, tuple({} for _ in range(n_rows)))
 
 
+def dense(m: RtefMatrix) -> tuple[tuple[Rtef, ...], ...]:
+    """The grid of ``m``: every row in full, bottom where no entry is
+    stored; ``RtefMatrix.of`` takes it back."""
+    return tuple(tuple(row.get(j, Rtef.bottom()) for j in range(m.n_cols)) for row in m.succ)
+
+
 def mat_sup(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols):
         raise ValueError("dimension mismatch in matrix supremum")
     return RtefMatrix.of(
-        [[x.sup(y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+        [[x.sup(y) for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))]
     )
+
+
+def mat_mul_dense(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
+    """The product by the triple loop over the grids, each sum folded into
+    bottom: a reference for ``matrix.mat_mul``, which walks the successor
+    maps."""
+    if a.n_cols != b.n_rows:
+        raise ValueError("dimension mismatch in matrix product")
+    ga, gb = dense(a), dense(b)
+    out = []
+    for i in range(a.n_rows):
+        row = []
+        for j in range(b.n_cols):
+            acc = Rtef.bottom()
+            for k in range(a.n_cols):
+                acc = acc.sup(ga[i][k].compose(gb[k][j]))
+            row.append(acc)
+        out.append(row)
+    return RtefMatrix.of(out)
 
 
 def compose_split_oracle(l1: LinearRtef, l2: LinearRtef, x: Energy, t: Fraction, grid: int) -> Energy:
@@ -540,17 +565,18 @@ def order_witness_cut_set(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:
 
 def _blocks(m: RtefMatrix, k: int):
     """The four blocks of ``m`` split after its first ``k`` rows and columns."""
+    g = dense(m)
     return (
-        RtefMatrix.of([r[:k] for r in m.rows[:k]]),
-        RtefMatrix.of([r[k:] for r in m.rows[:k]]),
-        RtefMatrix.of([r[:k] for r in m.rows[k:]]),
-        RtefMatrix.of([r[k:] for r in m.rows[k:]]),
+        RtefMatrix.of([r[:k] for r in g[:k]]),
+        RtefMatrix.of([r[k:] for r in g[:k]]),
+        RtefMatrix.of([r[:k] for r in g[k:]]),
+        RtefMatrix.of([r[k:] for r in g[k:]]),
     )
 
 
 def _assemble(tl: RtefMatrix, tr: RtefMatrix, bl: RtefMatrix, br: RtefMatrix) -> RtefMatrix:
-    top = [ra + rb for ra, rb in zip(tl.rows, tr.rows)]
-    bottom = [ra + rb for ra, rb in zip(bl.rows, br.rows)]
+    top = [ra + rb for ra, rb in zip(dense(tl), dense(tr))]
+    bottom = [ra + rb for ra, rb in zip(dense(bl), dense(br))]
     return RtefMatrix.of(top + bottom)
 
 
@@ -563,7 +589,7 @@ def mat_star_blocks(m: RtefMatrix) -> RtefMatrix:
     """
     n = m.dim()
     if n == 1:
-        return RtefMatrix.of([[m.rows[0][0].star()]])
+        return RtefMatrix.of([[dense(m)[0][0].star()]])
     a, b, c, d = _blocks(m, 1)
     dstar = mat_star_blocks(d)
     bds = mat_mul(b, dstar)
@@ -620,7 +646,7 @@ def min_degree_order(m: RtefMatrix, late: Sequence[bool]) -> list[int]:
 def _act_rows(m: RtefMatrix, vals: Sequence[OmegaVal]) -> tuple[OmegaVal, ...]:
     """Entry i is the supremum over j of m[i][j] acting on vals[j]."""
     out = []
-    for row in m.rows:
+    for row in dense(m):
         v = OmegaVal.false()
         for f, w in zip(row, vals):
             v = v.sup(act(f, w))
@@ -655,11 +681,12 @@ def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
     # to j followed by endless loops j -> j
     n = s.dim()
     sstar = mat_star_blocks(s)
+    gs, gstar = dense(s), dense(sstar)
     loops = []
     for j in range(n):
         loop = Rtef.bottom()
         for l in range(n):
-            loop = loop.sup(s.rows[j][l].compose(sstar.rows[l][j]))
+            loop = loop.sup(gs[j][l].compose(gstar[l][j]))
         loops.append(omega_of(loop))
     return _act_rows(sstar, loops)
 

@@ -15,7 +15,7 @@ from rtenergy.cli import main
 from rtenergy.regions import function_json
 
 from helpers import MODELS, lin
-from references import mat_star_blocks
+from references import dense, mat_star_blocks
 
 SAT = str(MODELS / "satellite.rtea")
 PUMP = str(MODELS / "pump.rtea")
@@ -236,13 +236,13 @@ class TestDump:
         # block recursion, give the exact bytes of both exports
         for path in sorted(MODELS.glob("*.rtea")):
             rep = to_matrix_rep(parse_model(path.read_text(encoding="utf-8")))
-            star = mat_star_blocks(rep.matrix)
-            entries = [[function_json(f) for f in row] for row in star.rows]
+            star = dense(mat_star_blocks(rep.matrix))
+            entries = [[function_json(f) for f in row] for row in star]
             want_star = json.dumps({"states": list(rep.state_names), "entries": entries})
             behavior = Rtef.bottom()
             for i, init in enumerate(rep.alpha):
                 for j in range(rep.accepting_count if init else 0):
-                    behavior = behavior.sup(star.rows[i][j])
+                    behavior = behavior.sup(star[i][j])
             want_behavior = json.dumps(function_json(behavior))
             _, out, _ = run(capsys, "dump", "--model", str(path), "--what", "star")
             assert out == want_star + "\n", path.name

@@ -40,6 +40,7 @@ from helpers import (
     rand_mixed_model_text,
     rand_model_text,
 )
+from references import dense
 from test_order import order_pair
 
 _FRACTION_OPS = (
@@ -162,7 +163,7 @@ def exercise_model(text: str):
         behavior.eval(x, t)
         live.eval(x, t)
     function_json(behavior)
-    for row in mat_star(rep.matrix).rows:
+    for row in dense(mat_star(rep.matrix)):
         for f in row:
             function_json(f)
     return behavior

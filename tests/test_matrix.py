@@ -6,6 +6,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -26,7 +27,7 @@ from rtenergy import (
 )
 import rtenergy.matrix
 from rtenergy.matrix import mat_mul, mat_omega_accepting
-from rtenergy.omega import omega_of
+from rtenergy.omega import act, omega_of
 from rtenergy.algebra import leq_linear
 from rtenergy.oracles import DpConfig, dp_lower_bound
 from rtenergy.regions import function_json
@@ -44,7 +45,9 @@ from helpers import (
     sample_points,
 )
 from references import (
+    dense,
     identity,
+    mat_mul_dense,
     mat_omega_lasso,
     mat_star_blocks,
     mat_sup,
@@ -54,11 +57,12 @@ from references import (
 )
 
 
-def rand_matrix(rng: random.Random, n: int, fill=0.6, max_atoms=2) -> RtefMatrix:
+def rand_matrix(rng: random.Random, n: int, fill=0.6, max_atoms=2, cols=None) -> RtefMatrix:
+    """n x n, or n x ``cols``."""
     rows = []
     for _ in range(n):
         row = []
-        for _ in range(n):
+        for _ in range(n if cols is None else cols):
             if rng.random() < fill:
                 row.append(Rtef.of([rand_linear(rng, max_atoms, allow_identity=False)]))
             else:
@@ -84,11 +88,13 @@ def pivots(m: RtefMatrix, late) -> list[int]:
 
 
 def entries_equal(a: RtefMatrix, b: RtefMatrix) -> bool:
-    return all(
-        a.rows[i][j].leq(b.rows[i][j]) and b.rows[i][j].leq(a.rows[i][j])
-        for i in range(a.n_rows)
-        for j in range(a.n_cols)
-    )
+    return all(f.leq(g) and g.leq(f) for ra, rb in zip(dense(a), dense(b)) for f, g in zip(ra, rb))
+
+
+def vector(z: dict, n: int) -> list[OmegaVal]:
+    """A map that ``_solve`` returns, as the list of its n values, false
+    where no state is set."""
+    return [z.get(i, OmegaVal.false()) for i in range(n)]
 
 
 class TestMatMul:
@@ -96,11 +102,11 @@ class TestMatMul:
         rng = random.Random(1)
         m = rand_matrix(rng, 3)
         eye = identity(3)
-        assert mat_mul(eye, m) == m or entries_equal(mat_mul(eye, m), m)
-        assert entries_equal(mat_mul(m, eye), m)
-        # the dense rows are derived from the successor maps and back
-        assert RtefMatrix.of(m.rows) == m
-        assert RtefMatrix.of(eye.rows) == eye
+        assert mat_mul(eye, m) == m
+        assert mat_mul(m, eye) == m
+        # the grid is derived from the successor maps and back
+        assert RtefMatrix.of(dense(m)) == m
+        assert RtefMatrix.of(dense(eye)) == eye
 
     def test_bottom_annihilates(self):
         rng = random.Random(2)
@@ -110,7 +116,8 @@ class TestMatMul:
         assert mat_mul(z, m) == z
         wide = zeros(2, 3)
         assert wide.succ == ({}, {}) and (wide.n_rows, wide.n_cols) == (2, 3)
-        assert RtefMatrix.of(wide.rows) == wide
+        assert RtefMatrix.of(dense(wide)) == wide
+        assert dense(wide) == ((Rtef.bottom(),) * 3,) * 2
 
     def test_nilpotent_product(self):
         up = RtefMatrix.of([[Rtef.bottom(), rtef(F1)], [Rtef.bottom(), Rtef.bottom()]])
@@ -131,20 +138,31 @@ class TestMatMul:
         with pytest.raises(ValueError):
             RtefMatrix(2, ({0: Rtef.bottom()}, {}))
 
+    def test_equals_the_dense_product(self):
+        # square products, then rectangular ones, each at a random fill, so
+        # that whole rows and columns go empty too
+        rng = random.Random(2041)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            a, b = rand_matrix(rng, n, fill=rng.random()), rand_matrix(rng, n, fill=rng.random())
+            assert mat_mul(a, b) == mat_mul_dense(a, b)
+        for _ in range(60):
+            r, c, d = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            a = rand_matrix(rng, r, fill=rng.random(), cols=c)
+            b = rand_matrix(rng, c, fill=rng.random(), cols=d)
+            assert mat_mul(a, b) == mat_mul_dense(a, b)
+            assert (a.n_rows, a.n_cols, b.n_cols) == (r, c, d)
+
 
 class TestMatStar:
     def test_base_case(self):
         f = rtef(F1, F2)
         m = RtefMatrix.of([[f]])
-        assert mat_star(m).rows[0][0] == f.star()
+        assert mat_star(m) == RtefMatrix.of([[f.star()]])
 
     def test_nilpotent(self):
         m = RtefMatrix.of([[Rtef.bottom(), rtef(F1)], [Rtef.bottom(), Rtef.bottom()]])
-        star = mat_star(m)
-        assert star.rows[0][0] == Rtef.one()
-        assert star.rows[0][1] == rtef(F1)
-        assert star.rows[1][0] == Rtef.bottom()
-        assert star.rows[1][1] == Rtef.one()
+        assert mat_star(m) == RtefMatrix.of([[Rtef.one(), rtef(F1)], [Rtef.bottom(), Rtef.one()]])
 
     def test_fixed_point_equation(self):
         rng = random.Random(3)
@@ -152,10 +170,10 @@ class TestMatStar:
             m = rand_matrix(rng, 3)
             star = mat_star(m)
             rhs = mat_sup(identity(3), mat_mul(m, star))
-            for i in range(3):
-                for j in range(3):
+            for got, want in zip(dense(star), dense(rhs)):
+                for f, g in zip(got, want):
                     for x, t in sample_points():
-                        assert star.rows[i][j].eval(x, t) == rhs.rows[i][j].eval(x, t)
+                        assert f.eval(x, t) == g.eval(x, t)
 
     def test_against_truncated_path_sum(self):
         # truncation bound counts components per entry of the closure itself:
@@ -166,10 +184,7 @@ class TestMatStar:
             for _ in range(15):
                 m = rand_matrix(rng, n)
                 star = mat_star(m)
-                max_comps = max(
-                    (len(star.rows[i][j].components) for i in range(n) for j in range(n)),
-                    default=0,
-                )
+                max_comps = max((len(f.components) for row in star.succ for f in row.values()), default=0)
                 oracle = truncated_path_sum(m, n * max(1, max_comps) + 1)
                 assert entries_equal(star, oracle)
 
@@ -194,7 +209,7 @@ class TestMatStar:
         star = mat_star(rep.matrix)
         i = rep.state_index("closed")
         j = rep.state_index("operational")
-        got = star.rows[i][j].eval(Energy.of(20), Time.of(10))
+        got = star.succ[i][j].eval(Energy.of(20), Time.of(10))
         assert got == Energy.of(0)
         # grid dynamic program reaches the same value (waits 5 and 5 are on-grid)
         model = load_model("satellite.rtea")
@@ -451,12 +466,12 @@ def closure_row(rep: AutomatonRep) -> Rtef:
     """The closure reading of finite behavior: sup of M*[i][j] over initial i
     and accepting j, with M* from the block recursion, which shares no code
     with the elimination solver."""
-    star = mat_star_blocks(rep.matrix)
+    star = dense(mat_star_blocks(rep.matrix))
     out = Rtef.bottom()
     for i, init in enumerate(rep.alpha):
         if init:
             for j in range(rep.accepting_count):
-                out = out.sup(star.rows[i][j])
+                out = out.sup(star[i][j])
     return out
 
 
@@ -671,9 +686,10 @@ class TestEliminationOrder:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Runs a behavior and returns its pivots and ``Rtef.compose`` calls."""
-    calls = {"pivots": 0, "compose": 0}
-    factor, compose = rtenergy.matrix._factor, Rtef.compose
+    """Runs a behavior and returns its pivots, ``Rtef.compose`` calls and
+    ``act`` calls, the folds of the solve."""
+    calls = {"pivots": 0, "compose": 0, "act": 0}
+    factor, compose, act = rtenergy.matrix._factor, Rtef.compose, rtenergy.matrix.act
 
     def counting_factor(*args):
         steps = factor(*args)
@@ -684,13 +700,18 @@ def counted(monkeypatch):
         calls["compose"] += 1
         return compose(f, g)
 
+    def counting_act(f, v):
+        calls["act"] += 1
+        return act(f, v)
+
     monkeypatch.setattr(rtenergy.matrix, "_factor", counting_factor)
     monkeypatch.setattr(Rtef, "compose", counting_compose)
+    monkeypatch.setattr(rtenergy.matrix, "act", counting_act)
 
     def run(behavior, rep):
-        calls.update(pivots=0, compose=0)
+        calls.update(pivots=0, compose=0, act=0)
         behavior(rep)
-        return calls["pivots"], calls["compose"]
+        return calls["pivots"], calls["compose"], calls["act"]
 
     return run
 
@@ -705,32 +726,36 @@ class TestGrowthCounted:
             # n - 1 -> n - 2 -> ... -> 0, the goal
             chain = RtefMatrix(n, tuple({i - 1: f} if i else {} for i in range(n)))
             start = tuple(i == n - 1 for i in range(n))
-            assert counted(finite_behavior, AutomatonRep(start, chain, 1)) == (n, n - 1)
-            assert counted(finite_behavior, AutomatonRep(start, ring, 1)) == (n, n + 2)
-            assert counted(buchi_behavior, AutomatonRep(start, ring, 1)) == (n, n + 2)
+            # act calls: the chain carries the goal back one state per
+            # pivot; the ring makes two for reach and one for Buchi,
+            # whatever n, and none on a state that holds no value
+            assert counted(finite_behavior, AutomatonRep(start, chain, 1)) == (n, n - 1, n - 1)
+            assert counted(finite_behavior, AutomatonRep(start, ring, 1)) == (n, n + 2, 2)
+            assert counted(buchi_behavior, AutomatonRep(start, ring, 1)) == (n, n + 1, 1)
 
     def test_random_automata_pinned(self, counted):
         # pivots and compose calls recorded while the order was still played
-        # on the sparsity pattern before the factorization; reach fills in
-        # past n = 100.  Strip walks (leq_linear cache misses) recorded with
+        # on the sparsity pattern before the factorization, and the compose
+        # calls re-recorded lower once the solve stopped acting on false
+        # values; reach fills in past n = 100.  Strip walks (leq_linear cache misses) recorded with
         # the tail-order dominance scan, each at most its count with the
         # all-pairs scan and _leq's atom rules, and that below its count with
         # the tail test alone
         rng = random.Random(2036)
         cases = (
-            (50, (67, 0, 0, 9), (93, 5, 5, 14)),
-            (100, (182, 4, 4, 49), (353, 22, 27, 170)),
-            (200, (5450, 1868, 2643, 11542), (10524, 5683, 7976, 30152)),
+            (50, (66, 0, 0, 9), (91, 5, 5, 14)),
+            (100, (180, 4, 4, 49), (347, 22, 27, 170)),
+            (200, (5450, 1868, 2643, 11542), (10504, 5683, 7976, 30152)),
         )
         for n, (reach, *reach_walks), (buchi, *buchi_walks) in cases:
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n)))
             leq_linear.cache_clear()
-            assert counted(finite_behavior, rep) == (n, reach)
+            assert counted(finite_behavior, rep)[:2] == (n, reach)
             walks, all_pairs, tail = reach_walks
             assert leq_linear.cache_info().misses == walks <= all_pairs < tail
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=rng.sample(range(n), n // 10))))
             leq_linear.cache_clear()
-            assert counted(buchi_behavior, rep) == (n, buchi)
+            assert counted(buchi_behavior, rep)[:2] == (n, buchi)
             walks, all_pairs, tail = buchi_walks
             assert leq_linear.cache_info().misses == walks <= all_pairs < tail
 
@@ -781,8 +806,8 @@ class TestSolverOrder:
             initial = [i for i in range(n) if rep.alpha[i]]
             order = rng.sample(range(n), n)
             early += order[0] in initial
-            w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
-            z = rtenergy.matrix._solve(factor_in_order(rep.matrix, order, 0), w, initial)
+            w = dict.fromkeys(range(k), OmegaVal(Rtef.one(), None))
+            z = vector(rtenergy.matrix._solve(factor_in_order(rep.matrix, order, 0), w, initial), n)
             got = Rtef.bottom()
             for i in initial:
                 alone = AutomatonRep(tuple(j == i for j in range(n)), rep.matrix, k)
@@ -800,14 +825,14 @@ class TestSolverOrder:
             order = rng.sample(range(k, n), n - k) + rng.sample(range(k), k)
             want = rng.sample(range(n), rng.randint(1, n))
             steps = factor_in_order(rep.matrix, order, k)
-            z = rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, want)
+            z = vector(rtenergy.matrix._solve(steps, {}, want), n)
             ref = mat_omega_accepting(rep.matrix, k)
             assert all(omega_agree(z[i], ref[i]) for i in want)
 
     def omega_as_references(self, rep, order, oracles) -> bool:
         n, k = rep.matrix.dim(), rep.accepting_count
         steps = factor_in_order(rep.matrix, order, k)
-        z = rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, range(n))
+        z = vector(rtenergy.matrix._solve(steps, {}, range(n)), n)
         return all(all(omega_agree(g, r) for g, r in zip(z, oracle(rep.matrix, k))) for oracle in oracles)
 
     def test_omega_part_in_any_order_inside_each_component(self):
@@ -841,6 +866,33 @@ class TestSolverOrder:
                 missed += not self.omega_as_references(rep, order, [mat_omega_accepting])
         print(f"{missed} of {broken} rule-breaking orders miss a run")
         assert missed > 0
+
+
+class TestOwnEquations:
+    """The solutions satisfy the equations they solve, row by row, read
+    off the matrix alone: y = kappa v M y for reach, z = M z for Buchi."""
+
+    def test_each_row_balances(self):
+        rng = random.Random(2040)
+        rows = finite = 0
+        false, goal = OmegaVal.false(), OmegaVal(Rtef.one(), None)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            accepting = rng.sample(range(n), rng.randint(0, n))
+            rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
+            m, k = rep.matrix, rep.accepting_count
+            kappa = dict.fromkeys(range(k), goal)
+            y = rtenergy.matrix._solve(rtenergy.matrix._factor(m, rep.alpha, 0), kappa, range(n))
+            z = mat_omega_accepting(m, k)
+            for i, row in enumerate(m.succ):
+                reach = reduce(OmegaVal.sup, [act(f, y.get(j, false)) for j, f in row.items()], kappa.get(i, false))
+                assert omega_agree(reach, y.get(i, false)), (rep, i)
+                buchi = reduce(OmegaVal.sup, [act(f, z[j]) for j, f in row.items()], false)
+                assert omega_agree(buchi, z[i]), (rep, i)
+                rows += 1
+                finite += z[i].threshold is not None
+        print(f"{rows} rows, {finite} with a finite Buchi threshold")
+        assert finite > 400
 
 
 class TestFactorOnce:
@@ -880,10 +932,9 @@ class TestFactorOnce:
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting)))
             k = rep.accepting_count
             order = min_degree_order(rep.matrix, [p < k for p in range(n)])
-            goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
             j = rng.randrange(n)
-            w1 = [goal if i < k else false for i in range(n)]
-            w2 = [OmegaVal(Rtef.one(), Fraction(rng.randint(0, 9))) if i == j else false for i in range(n)]
+            w1 = dict.fromkeys(range(k), OmegaVal(Rtef.one(), None))
+            w2 = {j: OmegaVal(Rtef.one(), Fraction(rng.randint(0, 9)))}
             steps = factor_in_order(rep.matrix, order, k)
             got = [rtenergy.matrix._solve(steps, w, range(n)) for w in (w1, w2, w1)]
             fresh = [
@@ -904,9 +955,9 @@ def reverse_index_order(rep: AutomatonRep) -> list[int]:
 def finite_in_reverse_index_order(rep: AutomatonRep) -> Rtef:
     n, k = rep.matrix.dim(), rep.accepting_count
     initial = [i for i in range(n) if rep.alpha[i]]
-    w = [OmegaVal(Rtef.one(), None) if j < k else OmegaVal.false() for j in range(n)]
+    w = dict.fromkeys(range(k), OmegaVal(Rtef.one(), None))
     steps = factor_in_order(rep.matrix, reverse_index_order(rep), 0)
-    z = rtenergy.matrix._solve(steps, w, initial)
+    z = vector(rtenergy.matrix._solve(steps, w, initial), n)
     out = Rtef.bottom()
     for i in initial:
         out = out.sup(z[i].support)
@@ -918,7 +969,7 @@ def omega_non_accepting_first(m: RtefMatrix, k: int) -> list[OmegaVal]:
     state, then every accepting one, each group in index order."""
     n = m.dim()
     steps = factor_in_order(m, [*range(k, n), *range(k)], k)
-    return rtenergy.matrix._solve(steps, [OmegaVal.false()] * n, range(n))
+    return vector(rtenergy.matrix._solve(steps, {}, range(n)), n)
 
 
 def star_in_index_order(m: RtefMatrix) -> RtefMatrix:
@@ -926,8 +977,8 @@ def star_in_index_order(m: RtefMatrix) -> RtefMatrix:
     order."""
     n = m.dim()
     steps = factor_in_order(m, list(range(n)), 0)
-    goal, false = OmegaVal(Rtef.one(), None), OmegaVal.false()
-    cols = [rtenergy.matrix._solve(steps, [goal if i == j else false for i in range(n)], range(n)) for j in range(n)]
+    goal = OmegaVal(Rtef.one(), None)
+    cols = [vector(rtenergy.matrix._solve(steps, {j: goal}, range(n)), n) for j in range(n)]
     return RtefMatrix.of([[col[i].support for col in cols] for i in range(n)])
 
 

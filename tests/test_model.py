@@ -39,7 +39,14 @@ from helpers import (
     rand_model_text,
     rtef,
 )
-from references import cells_eval_fractions, coefficients, function_json_fractions, greedy_eval, token_parse_model
+from references import (
+    cells_eval_fractions,
+    coefficients,
+    dense,
+    function_json_fractions,
+    greedy_eval,
+    token_parse_model,
+)
 
 
 def err_code(text: str) -> str:
@@ -323,20 +330,20 @@ class TestToMatrixRep:
         assert rep.accepting_count == 1
         assert rep.state_names[0] == "operational"
         i, j = rep.state_index("closed"), rep.state_index("half")
-        assert rep.matrix.rows[i][j] == rtef(lin((0, -20, 20)))
+        assert rep.matrix.succ[i][j] == rtef(lin((0, -20, 20)))
         assert rep.alpha[rep.state_index("closed")] is True
         assert sum(rep.alpha) == 1
 
     def test_no_transitions(self):
         rep = to_matrix_rep(parse_model("rtea { state a rate 1 initial accepting; }"))
-        assert rep.matrix.rows[0][0] == Rtef.bottom()
+        assert dense(rep.matrix) == ((Rtef.bottom(),),)
         assert rep.matrix.succ == ({},)
 
     def test_parallel_transitions_both_kept(self):
         states = "rtea { state a rate 2 initial; state b rate 0 accepting; "
         first, second = "trans a -> b price -1 bound 5; ", "trans a -> b price -3 bound 3; "
         rep = to_matrix_rep(parse_model(states + first + second + "}"))
-        entry = rep.matrix.rows[rep.state_index("a")][rep.state_index("b")]
+        entry = rep.matrix.succ[rep.state_index("a")][rep.state_index("b")]
         assert len(entry.components) == 2
         # the entry does not depend on the order the transitions are listed in
         assert to_matrix_rep(parse_model(states + second + first + "}")).matrix == rep.matrix

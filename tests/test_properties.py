@@ -117,9 +117,13 @@ def random_rtef(rng: random.Random) -> Rtef:
 
 
 def test_kleene_laws_hold_exactly():
-    # each law as two sides that the exact order must put below each other
+    # each law as two sides that the exact order must put below each other;
+    # then leastness, h v f.x <= x implies f*.h <= x, on x = f*.(h v g),
+    # which always meets the premise, and on x with one component dropped,
+    # which meets it only at times
     rng = random.Random(7)
     one = Rtef.one()
+    dropped = 0
     for _ in range(500):
         f, g, h = (random_rtef(rng) for _ in range(3))
         fs = f.star()
@@ -137,6 +141,16 @@ def test_kleene_laws_hold_exactly():
         }
         for law, (lhs, rhs) in laws.items():
             assert lhs.leq(rhs) and rhs.leq(lhs), (law, f, g, h)
+        x = fs.compose(h.sup(g))
+        assert h.sup(f.compose(x)).leq(x), (f, g, h)
+        assert fs.compose(h).leq(x), (f, g, h)
+        for i in range(len(x.components)):
+            y = Rtef(x.components[:i] + x.components[i + 1 :])
+            if h.sup(f.compose(y)).leq(y):
+                dropped += 1
+                assert fs.compose(h).leq(y), ("leastness", f, g, h, y)
+    # the premise must hold often enough that the law is tested at all
+    assert dropped > 400
 
 
 def test_omega_laws_hold_exactly():

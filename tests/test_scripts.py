@@ -27,6 +27,10 @@ def test_export_closure():
     out = json.loads(proc.stdout)
     assert out["state"] == "hub"
     assert out["closure"]["components"]
+    # the hub's self-closure as the golden star dump has it
+    golden = json.loads((ROOT / "tests" / "golden" / "two_loops_star.json").read_text())
+    hub = golden["states"].index("hub")
+    assert out["closure"] == golden["entries"][hub][hub]
 
 
 def test_satellite_demo():
