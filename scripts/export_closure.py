@@ -20,7 +20,7 @@ def main():
     model = parse_model((MODELS / "two_loops.rtea").read_text())
     rep = to_matrix_rep(model)
     star = mat_star(rep.matrix)
-    hub = rep.state_index("hub")
+    hub = rep.state_names.index("hub")
     closure = star.succ[hub][hub]
     print(json.dumps({"state": "hub", "closure": function_json(closure)}, indent=2))
 

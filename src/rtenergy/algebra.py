@@ -27,23 +27,6 @@ from .rational import Rational, fraction, rational
 LEQ_LINEAR_CACHE_SIZE = 2**17
 COMPONENT_CELLS_CACHE_SIZE = 2**14
 
-__all__ = [
-    "Energy",
-    "Time",
-    "Atom",
-    "LinearRtef",
-    "Rtef",
-    "BOTTOM",
-    "INFINITY",
-    "TIME_INF",
-    "atom",
-    "normalize",
-    "leq_linear",
-    "order_witness",
-    "component_cells",
-    "Cell",
-]
-
 
 def checked_tuple(name: str, fields: str):
     """A named tuple base whose ``_make``, and so ``_replace``, builds
@@ -126,8 +109,6 @@ class Time(checked_tuple("Time", "value")):
 
     @staticmethod
     def of(x) -> "Time":
-        if isinstance(x, Time):
-            return x
         if isinstance(x, str) and x.strip().lower() == "inf":
             return TIME_INF
         return Time(x)
@@ -220,10 +201,6 @@ class LinearRtef:
 
     def __reduce__(self):
         return self.__class__, (self.atoms,)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.atoms
 
     def __hash__(self):
         # cached: most calls repeat (the sets in Rtef.of, the leq_linear
@@ -335,10 +312,6 @@ class Rtef:
     @staticmethod
     def one() -> "Rtef":
         return _ONE_RTEF
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
 
     def eval(self, x: Energy, t: Time) -> Energy:
         return _eval_cells([component_cells(c) for c in self.components], x, t)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .algebra import Atom, Energy, Rtef, Time, normalize
 from .matrix import buchi_behavior, finite_behavior, mat_star
-from .model import ModelError, RteaModel, parse_model, to_matrix_rep
+from .model import RteaModel, parse_model, to_matrix_rep
 from .rational import parse_rational
 from .regions import atoms_json, component_json, function_json
 
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

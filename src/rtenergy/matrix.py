@@ -42,18 +42,14 @@ class RtefMatrix(checked_tuple("RtefMatrix", "n_cols succ")):
         succ = tuple({j: f for j, f in enumerate(r) if f.components} for r in rows)
         return RtefMatrix(widths.pop() if widths else 0, succ)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.succ)
-
     def dim(self) -> int:
-        if self.n_rows != self.n_cols:
+        if len(self.succ) != self.n_cols:
             raise ValueError("square matrix required")
-        return self.n_rows
+        return self.n_cols
 
 
 def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
-    if a.n_cols != b.n_rows:
+    if a.n_cols != len(b.succ):
         raise ValueError("dimension mismatch in matrix product")
     out = []  # a product of entries that are not bottom is not bottom
     for row in a.succ:
@@ -111,7 +107,7 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
         pred[p].discard(p)
         for j in row:
             pred[j].discard(p)
-        s = None if loop.is_empty else loop.star()
+        s = loop.star() if loop.components else None
         row = row if s is None else {j: s.compose(g) for j, g in row.items()}
         folds = [(i, succ[i].pop(p)) for i in pred[p]]
         for i, f in folds:
@@ -178,16 +174,16 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
     return RtefMatrix(n, tuple({j: col[i].support for j, col in enumerate(cols) if i in col} for i in range(n)))
 
 
-def mat_omega_accepting(m: RtefMatrix, k: int) -> tuple[OmegaVal, ...]:
+def mat_omega_accepting(m: RtefMatrix, k: int) -> dict[int, OmegaVal]:
     """Per-state truth of visiting the first ``k`` states infinitely often,
-    by one factorization in minimum-degree order with the accepting states
-    held to the end, which keeps the rule of ``_solve`` without finding the
-    strongly connected components."""
+    as ``_solve``'s map, where an absent state is false: one factorization
+    in minimum-degree order with the accepting states held to the end,
+    which keeps the rule of ``_solve`` without finding the strongly
+    connected components."""
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
-    z = _solve(_factor(m, [p < k for p in range(n)], k), {}, range(n))
-    return tuple(z.get(i, OmegaVal.false()) for i in range(n))
+    return _solve(_factor(m, [p < k for p in range(n)], k), {}, range(n))
 
 
 class AutomatonRep(checked_tuple("AutomatonRep", "alpha matrix accepting_count state_names")):
@@ -207,9 +203,6 @@ class AutomatonRep(checked_tuple("AutomatonRep", "alpha matrix accepting_count s
         if state_names and len(state_names) != n:
             raise ValueError("state name count mismatch")
         return tuple.__new__(cls, (alpha, matrix, accepting_count, state_names))
-
-    def state_index(self, name: str) -> int:
-        return self.state_names.index(name)
 
 
 def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: dict[int, OmegaVal]) -> OmegaVal:

@@ -10,12 +10,10 @@ layer produces.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .algebra import Energy, LinearRtef, Rtef, TIME_INF, Time, checked_tuple
-
-ZERO = Fraction(0)
+from .rational import Rational
 
 
 class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
@@ -23,12 +21,13 @@ class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
 
     ``support``: true at finite horizons exactly where it is not bottom.
     ``threshold``: least start level admitting an endless schedule with
-    unbounded time, or None when no finite level does.
+    unbounded time, an exact ``Rational`` as the atoms store it, or None
+    when no finite level does.
     """
 
     __slots__ = ()
 
-    def __new__(cls, support: Rtef, threshold: Optional[Fraction]):
+    def __new__(cls, support: Rtef, threshold: Optional[Rational]):
         if threshold is not None and threshold < 0:
             raise ValueError("threshold must be non-negative")
         return tuple.__new__(cls, (support, threshold))
@@ -54,8 +53,9 @@ class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
 _FALSE = OmegaVal(Rtef.bottom(), None)
 
 
-def _least(levels: Iterable[Optional[Fraction]]) -> Optional[Fraction]:
-    """The least level that is not None, or None if every level is None.
+def _least(levels: Iterable[Optional[Rational]]) -> Optional[Rational]:
+    """The least ``Rational`` level that is not None, or None if every level
+    is None.
 
     A None threshold admits no endless schedule, so it never lowers the least.
     """
@@ -81,14 +81,14 @@ def omega_of(f: Rtef, star: Optional[Rtef] = None) -> OmegaVal:
     return OmegaVal(support, threshold)
 
 
-def _self_sustain_threshold(c: LinearRtef) -> Optional[Fraction]:
+def _self_sustain_threshold(c: LinearRtef) -> Optional[Rational]:
     # One pass must return at least its input.  A lone zero-rate step returns
     # x + price, so it does only when free; any other component does wherever
     # it is defined.  Either way that is the level that reaches goal 0, since
     # for the free step max(bound, 0 - price) is its bound.
     if c.atoms and c.atoms[-1].rate == 0 and c.atoms[-1].price != 0:
         return None
-    return _reach_threshold(c, ZERO)
+    return _reach_threshold(c, 0)
 
 
 def act(f: Rtef, v: OmegaVal) -> OmegaVal:
@@ -100,11 +100,12 @@ def act(f: Rtef, v: OmegaVal) -> OmegaVal:
     return OmegaVal(support, threshold)
 
 
-def _reach_threshold(c: LinearRtef, goal: Fraction) -> Fraction:
-    """Least start level from which ``c`` with unbounded time reaches ``goal``."""
+def _reach_threshold(c: LinearRtef, goal: Rational) -> Rational:
+    """Least start level from which ``c`` with unbounded time reaches
+    ``goal``: an atom bound as stored, ``goal`` less the price, or 0."""
     if not c.atoms:
         return goal
     first, last = c.atoms[0], c.atoms[-1]
     if last.rate > 0:
-        return first.bound if first.rate == 0 else ZERO
+        return first.bound if first.rate == 0 else 0
     return max(first.bound, goal - last.price)

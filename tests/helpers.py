@@ -53,7 +53,7 @@ def load_model(name: str):
 
 def precedes(lhs: LinearRtef, rhs: LinearRtef) -> bool:
     """Scheduling preorder on nonempty components: by final rate."""
-    if lhs.is_identity or rhs.is_identity:
+    if not lhs.atoms or not rhs.atoms:
         raise ValueError("the identity component has no final rate")
     return lhs.atoms[-1].rate <= rhs.atoms[-1].rate
 

@@ -73,7 +73,7 @@ def dense(m: RtefMatrix) -> tuple[tuple[Rtef, ...], ...]:
 
 
 def mat_sup(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
-    if (a.n_rows, a.n_cols) != (b.n_rows, b.n_cols):
+    if (len(a.succ), a.n_cols) != (len(b.succ), b.n_cols):
         raise ValueError("dimension mismatch in matrix supremum")
     return RtefMatrix.of(
         [[x.sup(y) for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))]
@@ -84,11 +84,11 @@ def mat_mul_dense(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
     """The product by the triple loop over the grids, each sum folded into
     bottom: a reference for ``matrix.mat_mul``, which walks the successor
     maps."""
-    if a.n_cols != b.n_rows:
+    if a.n_cols != len(b.succ):
         raise ValueError("dimension mismatch in matrix product")
     ga, gb = dense(a), dense(b)
     out = []
-    for i in range(a.n_rows):
+    for i in range(len(a.succ)):
         row = []
         for j in range(b.n_cols):
             acc = Rtef.bottom()

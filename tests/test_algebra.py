@@ -507,7 +507,7 @@ class TestSup:
 def _free_led(c: LinearRtef) -> LinearRtef:
     """A pointwise-equal copy of ``c`` led by the no-op step Atom(0, 0, 0);
     it sorts before ``c``."""
-    assert c.is_identity or c.atoms[0].rate > 0
+    assert not c.atoms or c.atoms[0].rate > 0
     return LinearRtef((A(0, 0, 0),) + c.atoms)
 
 
@@ -533,7 +533,7 @@ class TestMergeSup:
             if case % 3 == 1 and a.components:
                 # share components of a, and a distinct pointwise-equal copy
                 shared = rng.sample(a.components, rng.randint(1, len(a.components)))
-                extra = [_free_led(c) for c in a.components if c.is_identity or c.atoms[0].rate > 0]
+                extra = [_free_led(c) for c in a.components if not c.atoms or c.atoms[0].rate > 0]
                 b = Rtef.of(b.components + tuple(shared) + tuple(extra[:1]))
             elif case % 3 == 2:
                 a = Rtef.of(a.components + (LinearRtef(),)).prune()
@@ -549,7 +549,7 @@ class TestMergeSup:
             union = set(a.components) | set(b.components)
             shared += bool(set(a.components) & set(b.components))
             ties += any(
-                _free_led(c) in union for c in union if c.is_identity or c.atoms[0].rate > 0
+                _free_led(c) in union for c in union if not c.atoms or c.atoms[0].rate > 0
             )
         assert shared > 100 and ties > 100
 
@@ -764,7 +764,7 @@ class TestTailOrderScan:
             if case % 2 and comps:
                 # a pointwise-equal copy, which sorts first
                 c = rng.choice(comps)
-                if c.is_identity or c.atoms[0].rate > 0:
+                if not c.atoms or c.atoms[0].rate > 0:
                     comps.append(_free_led(c))
             lists.append(tuple(sorted(set(comps), key=lambda c: c.atoms)))
         seen = self._agree(lists)

@@ -97,6 +97,11 @@ def vector(z: dict, n: int) -> list[OmegaVal]:
     return [z.get(i, OmegaVal.false()) for i in range(n)]
 
 
+def accepting_vector(m: RtefMatrix, k: int) -> list[OmegaVal]:
+    """``mat_omega_accepting``'s map as the list of its values."""
+    return vector(mat_omega_accepting(m, k), m.dim())
+
+
 class TestMatMul:
     def test_identity_neutral(self):
         rng = random.Random(1)
@@ -115,7 +120,7 @@ class TestMatMul:
         assert mat_mul(m, z) == z
         assert mat_mul(z, m) == z
         wide = zeros(2, 3)
-        assert wide.succ == ({}, {}) and (wide.n_rows, wide.n_cols) == (2, 3)
+        assert wide.succ == ({}, {}) and (len(wide.succ), wide.n_cols) == (2, 3)
         assert RtefMatrix.of(dense(wide)) == wide
         assert dense(wide) == ((Rtef.bottom(),) * 3,) * 2
 
@@ -151,7 +156,7 @@ class TestMatMul:
             a = rand_matrix(rng, r, fill=rng.random(), cols=c)
             b = rand_matrix(rng, c, fill=rng.random(), cols=d)
             assert mat_mul(a, b) == mat_mul_dense(a, b)
-            assert (a.n_rows, a.n_cols, b.n_cols) == (r, c, d)
+            assert (len(a.succ), a.n_cols, b.n_cols) == (r, c, d)
 
 
 class TestMatStar:
@@ -207,8 +212,8 @@ class TestMatStar:
     def test_satellite_entry(self):
         rep = to_matrix_rep(load_model("satellite.rtea"))
         star = mat_star(rep.matrix)
-        i = rep.state_index("closed")
-        j = rep.state_index("operational")
+        i = rep.state_names.index("closed")
+        j = rep.state_names.index("operational")
         got = star.succ[i][j].eval(Energy.of(20), Time.of(10))
         assert got == Energy.of(0)
         # grid dynamic program reaches the same value (waits 5 and 5 are on-grid)
@@ -219,13 +224,13 @@ class TestMatStar:
 class TestMatOmega:
     def test_single_pump_state(self):
         m = RtefMatrix.of([[rtef(lin((1, 0, 5)))]])
-        (v,) = mat_omega_accepting(m, 1)
+        (v,) = accepting_vector(m, 1)
         assert v.eval(Energy.of(3), Time.of(2)) is True
         assert v.eval(Energy.of(3), Time.of(1)) is False
 
     def test_no_accepting_states(self):
         m = RtefMatrix.of([[rtef(lin((1, 0, 5)))]])
-        (v,) = mat_omega_accepting(m, 0)
+        (v,) = accepting_vector(m, 0)
         assert not any(v.eval(x, t) for x, t in sample_points(with_inf=True))
 
     def test_feeder_state_routes_into_loop(self):
@@ -236,7 +241,7 @@ class TestMatOmega:
                 [rtef(lin((0, 0, 0))), bot],
             ]
         )
-        vec = mat_omega_accepting(m, 1)
+        vec = accepting_vector(m, 1)
         assert vec[1].eval(Energy.of(5), Time.of(0)) is True
         assert vec[1].eval(Energy.of(4), Time.of(0)) is False
 
@@ -314,7 +319,7 @@ class TestBuchiElimination:
             reps.append(to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=accepting))))
         for rep in reps:
             k = rep.accepting_count
-            got = mat_omega_accepting(rep.matrix, k)
+            got = accepting_vector(rep.matrix, k)
             want = mat_omega_lasso(rep.matrix, k)
             assert len(got) == len(want) == rep.matrix.dim()
             assert all(omega_agree(g, w) for g, w in zip(got, want))
@@ -343,7 +348,7 @@ class TestBuchiElimination:
             if i % 2:
                 starts = rng.sample(range(n), rng.randint(1, n))
                 rep = AutomatonRep(tuple(j in starts for j in range(n)), rep.matrix, rep.accepting_count)
-            vec = mat_omega_accepting(rep.matrix, rep.accepting_count)
+            vec = accepting_vector(rep.matrix, rep.accepting_count)
             want = OmegaVal.false()
             for j in range(n):
                 if rep.alpha[j]:
@@ -826,7 +831,7 @@ class TestSolverOrder:
             want = rng.sample(range(n), rng.randint(1, n))
             steps = factor_in_order(rep.matrix, order, k)
             z = vector(rtenergy.matrix._solve(steps, {}, want), n)
-            ref = mat_omega_accepting(rep.matrix, k)
+            ref = accepting_vector(rep.matrix, k)
             assert all(omega_agree(z[i], ref[i]) for i in want)
 
     def omega_as_references(self, rep, order, oracles) -> bool:
@@ -845,7 +850,7 @@ class TestSolverOrder:
             comp = scc_labels(rep.matrix)
             order = per_scc_order(rng, comp, k)
             assert per_scc_rule_holds(order, comp, k)
-            oracles = [mat_omega_accepting]
+            oracles = [accepting_vector]
             if not per_scc_rule_holds(order, [0] * len(comp), k):
                 beyond_global += 1
                 oracles.append(mat_omega_lasso)
@@ -863,7 +868,7 @@ class TestSolverOrder:
             order = per_scc_order(rng, comp, k, accepting_first=True)
             if not per_scc_rule_holds(order, comp, k):
                 broken += 1
-                missed += not self.omega_as_references(rep, order, [mat_omega_accepting])
+                missed += not self.omega_as_references(rep, order, [accepting_vector])
         print(f"{missed} of {broken} rule-breaking orders miss a run")
         assert missed > 0
 
@@ -883,7 +888,7 @@ class TestOwnEquations:
             m, k = rep.matrix, rep.accepting_count
             kappa = dict.fromkeys(range(k), goal)
             y = rtenergy.matrix._solve(rtenergy.matrix._factor(m, rep.alpha, 0), kappa, range(n))
-            z = mat_omega_accepting(m, k)
+            z = accepting_vector(m, k)
             for i, row in enumerate(m.succ):
                 reach = reduce(OmegaVal.sup, [act(f, y.get(j, false)) for j, f in row.items()], kappa.get(i, false))
                 assert omega_agree(reach, y.get(i, false)), (rep, i)
@@ -893,6 +898,41 @@ class TestOwnEquations:
                 finite += z[i].threshold is not None
         print(f"{rows} rows, {finite} with a finite Buchi threshold")
         assert finite > 400
+
+
+class TestStoredValues:
+    """What the solver stores: no false value and no unpruned function."""
+
+    def cases(self):
+        # 400 automata, n = 1..9, each at every accepting count k
+        rng = random.Random(2041)
+        for _ in range(400):
+            n = rng.randint(1, 9)
+            m = to_matrix_rep(parse_model(rand_model_text(rng, n, accepting=range(n)))).matrix
+            for k in range(n + 1):
+                yield m, k
+
+    def test_no_false_value_is_stored(self):
+        stored = 0
+        for m, k in self.cases():
+            z = mat_omega_accepting(m, k)
+            assert OmegaVal.false() not in z.values(), (m, k)
+            stored += len(z)
+        print(f"{stored} values stored")
+        assert stored > 5000
+
+    def test_every_stored_function_is_pruned(self):
+        # so a sup with a bottom operand, which re-prunes the other one,
+        # returns an equal value
+        entries = 0
+        for m, k in self.cases():
+            funcs = [v.support for v in mat_omega_accepting(m, k).values()]
+            for _, _, _, row, folds in rtenergy.matrix._factor(m, [p < k for p in range(m.dim())], k):
+                funcs += [*row.values(), *(f for _, f in folds)]
+            assert all(f == f.prune() for f in funcs), (m, k)
+            entries += len(funcs)
+        print(f"{entries} stored functions")
+        assert entries > 20000
 
 
 class TestFactorOnce:
@@ -1002,7 +1042,7 @@ class TestMinimumDegreeAgainstFormerOrders:
             n = m.dim()
             got, want = finite_behavior(rep), finite_in_reverse_index_order(rep)
             assert rtef_agree(got, want)
-            vec, ref = mat_omega_accepting(m, k), omega_non_accepting_first(m, k)
+            vec, ref = accepting_vector(m, k), omega_non_accepting_first(m, k)
             assert all(omega_agree(g, r) for g, r in zip(vec, ref))
             initial = [i for i in range(n) if rep.alpha[i]]
             want_buchi = OmegaVal.false()

@@ -329,9 +329,9 @@ class TestToMatrixRep:
         assert rep.matrix.dim() == 6
         assert rep.accepting_count == 1
         assert rep.state_names[0] == "operational"
-        i, j = rep.state_index("closed"), rep.state_index("half")
+        i, j = rep.state_names.index("closed"), rep.state_names.index("half")
         assert rep.matrix.succ[i][j] == rtef(lin((0, -20, 20)))
-        assert rep.alpha[rep.state_index("closed")] is True
+        assert rep.alpha[rep.state_names.index("closed")] is True
         assert sum(rep.alpha) == 1
 
     def test_no_transitions(self):
@@ -343,7 +343,7 @@ class TestToMatrixRep:
         states = "rtea { state a rate 2 initial; state b rate 0 accepting; "
         first, second = "trans a -> b price -1 bound 5; ", "trans a -> b price -3 bound 3; "
         rep = to_matrix_rep(parse_model(states + first + second + "}"))
-        entry = rep.matrix.succ[rep.state_index("a")][rep.state_index("b")]
+        entry = rep.matrix.succ[rep.state_names.index("a")][rep.state_names.index("b")]
         assert len(entry.components) == 2
         # the entry does not depend on the order the transitions are listed in
         assert to_matrix_rep(parse_model(states + second + first + "}")).matrix == rep.matrix

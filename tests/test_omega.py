@@ -41,14 +41,14 @@ class TestOmegaOf:
 
     def test_leaking_pump_has_no_finite_support(self):
         v = omega_of(PUMP_LEAK)
-        assert v.support.is_empty
+        assert not v.support.components
         assert v.threshold == 0  # x + t0 - 1 >= x once t0 >= max(1, 5 - x)
         assert v.eval(Energy.of(0), TIME_INF) is True
         assert v.eval(Energy.of(100), Time.of(50)) is False
 
     def test_bottom_iterates_to_false(self):
         v = omega_of(Rtef.bottom())
-        assert v.support.is_empty and v.threshold is None
+        assert not v.support.components and v.threshold is None
         assert not any(v.eval(x, t) for x, t in sample_points(with_inf=True))
 
     def test_flat_leak_is_false_everywhere(self):

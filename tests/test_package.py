@@ -1,8 +1,10 @@
 """The names ``rtenergy`` exports from its root."""
 
 import importlib
+import pkgutil
 
 import rtenergy
+from rtenergy import AutomatonRep, LinearRtef, Rtef, RtefMatrix
 
 PUBLIC = {
     "Atom",
@@ -55,3 +57,19 @@ def test_internals_live_in_their_modules():
         assert not hasattr(rtenergy, name), name
         assert callable(getattr(importlib.import_module(f"rtenergy.{module}"), name)), name
     assert not hasattr(importlib.import_module("rtenergy.regions"), "region_eval")
+
+
+def test_one_export_list():
+    modules = [info.name for info in pkgutil.iter_modules(rtenergy.__path__)]
+    assert {"algebra", "matrix", "omega", "cli"} <= set(modules)
+    for name in modules:
+        assert not hasattr(importlib.import_module(f"rtenergy.{name}"), "__all__"), name
+
+
+def test_fields_are_read_directly():
+    # emptiness, row count and state lookup are spelled on the fields
+    # (``not c.atoms``, ``not f.components``, ``len(m.succ)``,
+    # ``rep.state_names.index``), not through renaming wrappers
+    for cls in (LinearRtef, Rtef, RtefMatrix, AutomatonRep):
+        for name in ("is_identity", "is_empty", "n_rows", "state_index"):
+            assert not hasattr(cls, name), (cls.__name__, name)
