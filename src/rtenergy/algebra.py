@@ -802,13 +802,11 @@ def order_witness(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:
     checkable by evaluation.
 
     The witness time is always finite: by the supremum argument above, a
-    violation at t = inf has one at a finite t too.  Components shared with
-    g never beat it and are skipped; each strip that no single g cell
-    covers goes to ``_violation_point``.
+    violation at t = inf has one at a finite t too.  Each strip that no
+    single g cell covers goes to ``_violation_point``; a component that g
+    shares is covered by its own cell on every strip.
     """
-    shared = set(g.components)
-    fcomps = [c for c in f.components if c not in shared]
-    for fc, gcs, lo, hi in _strips(fcomps, g.components):
+    for fc, gcs, lo, hi in _strips(f.components, g.components):
         if any(_covers(gc, fc, lo, hi) for gc in gcs):
             continue
         point = _violation_point(fc, gcs, lo, hi)

@@ -32,13 +32,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate the finite behavior at a point")
     _query_flags(ev)
+    ev.set_defaults(kind="eval")
 
     dump = sub.add_parser("dump", help="export behavior functions as JSON")
     dump.add_argument("--model", required=True)
     dump.add_argument("--what", choices=("behavior", "star"), default="behavior")
+    dump.set_defaults(run=_run_dump)
 
     norm = sub.add_parser("normalize", help="normal form of a single-path model")
     norm.add_argument("--model", required=True)
+    norm.set_defaults(run=_run_normalize)
     return parser
 
 
@@ -48,6 +51,7 @@ def _query_flags(p: argparse.ArgumentParser):
     p.add_argument("--time", required=True, help="time budget (decimal, p/q, or inf)")
     p.add_argument("--target", help="coverability target energy")
     p.add_argument("--verify", action="store_true", help="cross-run the brute-force oracle")
+    p.set_defaults(run=_run_check)
 
 
 def main(argv=None) -> int:
@@ -57,7 +61,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -67,40 +71,31 @@ def _load(path: str) -> RteaModel:
     return parse_model(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _dispatch(args) -> int:
-    if args.command == "dump":
-        return _run_dump(args.model, args.what)
-    if args.command == "normalize":
-        return _run_normalize(args.model)
-    return _run_check(args)
-
-
 def _run_check(args) -> int:
-    kind = args.kind if args.command == "check" else "eval"
     x0 = parse_rational(args.x0)
     horizon = Time.of(args.time)
     target = parse_rational(args.target) if args.target is not None else None
-    if kind == "cover" and target is None:
+    if args.kind == "cover" and target is None:
         raise ValueError("cover requires --target")
     model = _load(args.model)
     rep = to_matrix_rep(model)
     report: dict = {}
-    if kind == "buchi":
+    if args.kind == "buchi":
         answer = buchi_behavior(rep).eval(Energy.of(x0), horizon)
         report["answer"] = answer
         if not horizon.is_infinite:
             report["note"] = "zeno: finite-horizon query asks for infinitely many jumps in bounded time"
     else:
         value = finite_behavior(rep).eval(Energy.of(x0), horizon)
-        if kind == "cover":
+        if args.kind == "cover":
             answer = value.is_infinite or (value.is_finite and value.value >= target)
         else:
             answer = not value.is_bottom
         report["answer"] = answer
         report["value"] = value.text()
     if args.verify:
-        report["oracle"] = _oracle_report(kind, model, x0, horizon)
-    query = {"kind": kind, "model": args.model, "x0": str(x0), "time": horizon.text()}
+        report["oracle"] = _oracle_report(args.kind, model, x0, horizon)
+    query = {"kind": args.kind, "model": args.model, "x0": str(x0), "time": horizon.text()}
     if target is not None:
         query["target"] = str(target)
     report["query"] = query
@@ -121,17 +116,14 @@ def _oracle_report(kind: str, model: RteaModel, x0: Fraction, horizon: Time) -> 
             "repetitions": 32,
             "value": buchi_unroll(model, x0, horizon.value, 32),
         }
-    if horizon.value > 0:
-        cfg = DpConfig(horizon.value / 16, 16)
-    else:
-        cfg = DpConfig(Fraction(1), 0)
+    cfg = DpConfig.over(horizon.value, 16)
     value = dp_lower_bound(model, x0, horizon.value, cfg)
     return {"method": method, "delta": str(cfg.delta), "value": value.text()}
 
 
-def _run_dump(path: str, what: str) -> int:
-    rep = to_matrix_rep(_load(path))
-    if what == "behavior":
+def _run_dump(args) -> int:
+    rep = to_matrix_rep(_load(args.model))
+    if args.what == "behavior":
         print(json.dumps(function_json(finite_behavior(rep))))
         return 0
     star = mat_star(rep.matrix)
@@ -143,8 +135,8 @@ def _run_dump(path: str, what: str) -> int:
     return 0
 
 
-def _run_normalize(path: str) -> int:
-    atoms = _chain_atoms(_load(path))
+def _run_normalize(args) -> int:
+    atoms = _chain_atoms(_load(args.model))
     out = {"input": {"atoms": atoms_json(atoms)}, "normalized": component_json(normalize(atoms))}
     print(json.dumps(out))
     return 0

@@ -119,38 +119,32 @@ class _Bounds:
     """The tightest bounds of a one-variable system a*v + c >= 0 (> 0 where
     strict), folded in one (a, c, strict) row at a time.
 
-    A bound is kept as (num, den) with den > 0 and compared by
+    A bound is kept as (num, den, strict) with den > 0 and compared by
     cross-multiplication; of tied bounds the strict one wins.  ``dead`` is
     set by a row without v that fails."""
 
-    __slots__ = ("low", "low_strict", "high", "high_strict", "dead")
+    __slots__ = ("low", "high", "dead")
 
-    def __init__(self, low=None, low_strict=False, high=None, high_strict=False, dead=False):
+    def __init__(self, low=None, high=None, dead=False):
         self.low = low
-        self.low_strict = low_strict
         self.high = high
-        self.high_strict = high_strict
         self.dead = dead
 
     def copy(self) -> "_Bounds":
-        return _Bounds(self.low, self.low_strict, self.high, self.high_strict, self.dead)
+        return _Bounds(self.low, self.high, self.dead)
 
     def fold(self, rows) -> "_Bounds":
-        low, low_strict, high, high_strict = self.low, self.low_strict, self.high, self.high_strict
+        low, high = self.low, self.high
         for a, c, strict in rows:
             if a > 0:  # v >= -c/a
-                if low is None or -c * low[1] > low[0] * a:
-                    low, low_strict = (-c, a), strict
-                elif strict and -c * low[1] == low[0] * a:
-                    low_strict = True
+                if low is None or -c * low[1] > low[0] * a or (strict and not low[2] and -c * low[1] == low[0] * a):
+                    low = (-c, a, strict)
             elif a < 0:  # v <= c/(-a)
-                if high is None or c * high[1] < high[0] * -a:
-                    high, high_strict = (c, -a), strict
-                elif strict and c * high[1] == high[0] * -a:
-                    high_strict = True
+                if high is None or c * high[1] < high[0] * -a or (strict and not high[2] and c * high[1] == high[0] * -a):
+                    high = (c, -a, strict)
             elif c < 0 or (strict and c == 0):
                 self.dead = True
-        self.low, self.low_strict, self.high, self.high_strict = low, low_strict, high, high_strict
+        self.low, self.high = low, high
         return self
 
     def empty(self) -> bool:
@@ -160,7 +154,7 @@ class _Bounds:
         if low is None or high is None:
             return False
         gap = high[0] * low[1] - low[0] * high[1]  # sign of high - low
-        return gap < 0 or (gap == 0 and (self.low_strict or self.high_strict))
+        return gap < 0 or (gap == 0 and (low[2] or high[2]))
 
     def pick(self) -> Optional[Fraction]:
         """A point of the system, or None: the lower bound, one past it,
@@ -171,7 +165,7 @@ class _Bounds:
         if low is None:
             return ZERO if high is None else Fraction(high[0] - high[1], high[1])
         if high is None:
-            return Fraction(low[0] + low[1], low[1]) if self.low_strict else Fraction(*low)
+            return Fraction(low[0] + low[1], low[1]) if low[2] else Fraction(low[0], low[1])
         if high[0] * low[1] == low[0] * high[1]:
-            return Fraction(*low)
+            return Fraction(low[0], low[1])
         return Fraction(low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1])

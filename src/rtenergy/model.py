@@ -68,23 +68,24 @@ class RteaModel(NamedTuple):
         return tuple(n for n, _ in self.states)
 
 
-# the token grammar, compiled through re's cache on the first error: where a
-# diagnostic stands and what it says was found there
-_TOKEN = r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every token
-    (?: (?P<num>""" + NUMBER + r""")
-      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>->|[{};])
-      | (?P<eof>\Z)
-      | (?P<bad>.)
-    )"""
-
 # Whitespace and comments.  A comment must run to the end of its line: with
 # a bare \#[^\n]* backtracking could end it early and read the rest of the
 # line as an item.  No possessive quantifiers or atomic groups (Python 3.11+).
 _SEP = r"\s*(?:\#[^\n]*(?:\n\s*|\Z))*"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 # a name or keyword is the whole word, as the tokenizer reads it
 _END = r"(?![A-Za-z0-9_])"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*" + _END
+_NAME = _WORD + _END
+
+# the token grammar, compiled through re's cache on the first error: where a
+# diagnostic stands and what it says was found there
+_TOKEN = rf"""{_SEP}  # whitespace and comments in front of every token
+    (?: (?P<num>{NUMBER})
+      | (?P<word>{_WORD})
+      | (?P<punct>->|[{{}};])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )"""
 
 
 # The head and each item kind as steps: a pattern, which whitespace and
@@ -176,8 +177,7 @@ def parse_model(text: str) -> RteaModel:
     if m is None:
         raise _expected(text, re.compile(_HEAD_PREFIX).match(text), _HEAD)
     pos = m.end()
-    states: list[tuple[str, Rational]] = []
-    seen: set[str] = set()
+    rates: dict[str, Rational] = {}  # the declared states, in order
     initial: Optional[str] = None
     accepting: list[str] = []
     transitions: list[Transition] = []
@@ -193,9 +193,8 @@ def parse_model(text: str) -> RteaModel:
             fields = m.group(*_FIELDS)
         name, rate, is_initial, is_accepting, src, dst, price, bound = fields
         if name is not None:
-            if name in seen:
+            if name in rates:
                 raise _error(text, "duplicate-state", f"state {name!r} declared twice", m.start("name"))
-            seen.add(name)
             if rate is not None:
                 try:
                     rate = rational(rate)
@@ -209,7 +208,7 @@ def parse_model(text: str) -> RteaModel:
                     initial = name
                 if is_accepting:
                     accepting.append(name)
-                states.append((name, rate))
+                rates[name] = rate
         elif price is not None:
             try:
                 price = rational(price)
@@ -225,7 +224,7 @@ def parse_model(text: str) -> RteaModel:
                 if bound < -price:
                     raise _error(text, "bound-below-price", f"bound {bound} cannot cover price {price}", m.start("bound"))
                 transitions.append(Transition(src, price, bound, dst))
-                if src not in seen or dst not in seen:
+                if src not in rates or dst not in rates:
                     pending.append(m)
         pos = m.end()
     if m.lastindex is not None:  # an item that stops short
@@ -240,10 +239,10 @@ def parse_model(text: str) -> RteaModel:
     if initial is None:
         raise _error(text, "missing-initial", "no state is marked initial")
     for m in pending:
-        endpoint = m["src"] if m["src"] not in seen else m["dst"]
-        if endpoint not in seen:
+        endpoint = m["src"] if m["src"] not in rates else m["dst"]
+        if endpoint not in rates:
             raise _error(text, "undeclared-state", f"transition endpoint {endpoint!r} not declared", m.start("src"))
-    return RteaModel(tuple(states), initial, tuple(accepting), tuple(transitions))
+    return RteaModel(tuple(rates.items()), initial, tuple(accepting), tuple(transitions))
 
 
 def serialize_model(model: RteaModel) -> str:

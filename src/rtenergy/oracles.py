@@ -28,6 +28,11 @@ class DpConfig(checked_tuple("DpConfig", "delta max_steps")):
             raise ValueError("max_steps must be non-negative")
         return tuple.__new__(cls, (delta, max_steps))
 
+    @staticmethod
+    def over(horizon: Fraction, steps: int) -> "DpConfig":
+        """``steps`` equal steps across ``horizon``, or none at horizon 0."""
+        return DpConfig(horizon / steps, steps) if horizon > 0 else DpConfig(Fraction(1), 0)
+
 
 def _grid_best(model: RteaModel, x0: Fraction, delta: Fraction, steps: int):
     """Grid-delay exploration of the run relation.
@@ -98,14 +103,8 @@ def buchi_unroll(model: RteaModel, x0: Fraction, horizon: Fraction, repetitions:
     """
     if repetitions <= 0:
         raise ValueError("repetitions must be positive")
-    horizon = Fraction(horizon)
-    if horizon > 0:
-        delta = horizon / repetitions
-        steps = repetitions
-    else:
-        delta = Fraction(1)
-        steps = 0
-    _, presence = _grid_best(model, Fraction(x0), delta, steps)
+    cfg = DpConfig.over(Fraction(horizon), repetitions)
+    _, presence = _grid_best(model, Fraction(x0), cfg.delta, cfg.max_steps)
     for name in model.accepting:
         level = presence[name]
         if level is not None and _free_cycle_at(model, name, level):

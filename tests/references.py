@@ -32,9 +32,9 @@ from rtenergy.algebra import (
 )
 from rtenergy.linear2d import Constraint, feasible_point
 from rtenergy.matrix import RtefMatrix, mat_mul
-from rtenergy.model import _TOKEN, ModelError, RteaModel, Transition, _position
+from rtenergy.model import ModelError, RteaModel, Transition
 from rtenergy.omega import OmegaVal, act, omega_of
-from rtenergy.rational import Rational, rational
+from rtenergy.rational import NUMBER, Rational, rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -689,6 +689,23 @@ def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
             loop = loop.sup(gs[j][l].compose(gstar[l][j]))
         loops.append(omega_of(loop))
     return _act_rows(sstar, loops)
+
+
+# The reader's token grammar, spelled out here on its own: the reference
+# tokenizer must not share the pattern that ``parse_model``'s diagnostics
+# are checked against.
+_TOKEN = r"""\s*(?:\#[^\n]*\s*)*  # whitespace and comments in front of every token
+    (?: (?P<num>""" + NUMBER + r""")
+      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>->|[{};])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )"""
+
+
+def _position(text: str, off: int) -> tuple[int, int]:
+    """Line and column, both from 1, of offset ``off``."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
 class _Parser:

@@ -29,6 +29,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def python(*argv):
+    """A fresh interpreter that imports this checkout's ``src``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestCheck:
     def test_reach_yes(self, capsys):
         code, out, _ = run(capsys, "check", "reach", "--model", SAT, "--x0", "50", "--time", "0")
@@ -288,25 +296,25 @@ class TestContract:
     def test_start_does_not_load_the_oracles(self):
         # only --verify uses them; a fresh interpreter, so no other test has
         # imported them already
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import sys, rtenergy.cli; print('rtenergy.oracles' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        proc = python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_module_cli_runs_its_command(self):
+        # `python -m rtenergy.cli` runs main through the module's own guard:
+        # without it the command would exit 0 having printed nothing
+        proc = python("-m", "rtenergy.cli", "check", "reach", "--model", SAT, "--x0", "0", "--time", "inf")
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["answer"] is False
 
     @pytest.mark.parametrize("module", ["rtenergy.cli", "rtenergy.oracles"])
     def test_import_generates_no_code(self, module):
         # no dataclasses (nor the inspect it loads) at start-up; against a
         # bare interpreter, as a site hook may load either one itself
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-
         def loaded(code: str) -> set[str]:
             code += "; import sys; print(' '.join(sys.modules))"
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+            proc = python("-c", code)
             assert proc.returncode == 0, proc.stderr
             return set(proc.stdout.split())
 

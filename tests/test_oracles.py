@@ -49,6 +49,18 @@ class TestDpLowerBound:
                     assert prev <= got
                     prev = got
 
+    def test_grid_over_a_horizon(self):
+        sat = load_model("satellite.rtea")
+        behavior = finite_behavior(to_matrix_rep(sat))
+        for h in (Fraction(10), Fraction(2), Fraction(7, 8)):
+            for n in (1, 3, 16):
+                cfg = DpConfig.over(h, n)
+                assert cfg.delta * cfg.max_steps == h and cfg.max_steps == n
+                assert dp_lower_bound(sat, Fraction(50), h, cfg) <= behavior.eval(Energy.of(50), Time(h))
+        assert DpConfig.over(Fraction(0), 16) == DpConfig(Fraction(1), 0)
+        with pytest.raises(ValueError):
+            buchi_unroll(sat, Fraction(50), Fraction(2), 0)
+
     def test_post_arrival_waiting_not_credited(self):
         # accepting state earns fast, but a run ends on arrival
         m = parse_model(
