@@ -168,6 +168,9 @@ def atom(rate, price, bound) -> Atom:
     return Atom(rational(rate), rational(price), rational(bound))
 
 
+FREE_STEP = (Atom(0, 0, 0),)
+
+
 def _immutable(self, name, value=None):
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
 
@@ -175,7 +178,9 @@ def _immutable(self, name, value=None):
 class LinearRtef:
     """A path function in staircase form: rates strictly increase, thresholds
     never decrease, and the whole price sits on the final step.  The empty
-    sequence is the identity function.
+    sequence is the identity function; a rule that reads a component's
+    steps reads the identity's as the one ``FREE_STEP``, which holds x at
+    every time.
 
     Immutable, and equal only to a ``LinearRtef``: never to an ``Rtef``."""
 
@@ -326,10 +331,6 @@ class Rtef:
 
     def sup(self, other: "Rtef") -> "Rtef":
         """Pointwise maximum: the union of both component lists, pruned."""
-        if not self.components:
-            return other.prune()
-        if not other.components:
-            return self.prune()
         return Rtef.of(self.components + other.components).prune()
 
     def prune(self) -> "Rtef":
@@ -372,10 +373,8 @@ _ONE_RTEF = Rtef((LinearRtef(),))
 
 
 def _tail(c: LinearRtef) -> tuple[Rational, Rational]:
-    """Final rate and price; the identity counts as (0, 0)."""
-    if not c.atoms:
-        return 0, 0
-    last = c.atoms[-1]
+    """Final rate and price."""
+    last = (c.atoms or FREE_STEP)[-1]
     return last.rate, last.price
 
 
@@ -517,9 +516,6 @@ def _reduced(*ints: int) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-_IDENTITY_CELLS = (Cell(0, None, True, (1, 0, 0, 0, 1, 0)),)
-
-
 @lru_cache(maxsize=COMPONENT_CELLS_CACHE_SIZE)
 def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
     """The strips of ``l`` from x = 0 up, one per bound, built in integers.
@@ -528,22 +524,20 @@ def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
     climb_j is the sum of (b_k - b_(k-1))/r_k over the later steps k, and
     then earns at the final rate rn: value rn*t + (rn/r_j)*x + bn + price -
     rn*wait_c.  With the bounds and the price scaled by s, the lcm of their
-    denominators, and each rate written p/q, the cell of bound j has the
-    common denominator s * lcm(p_j, ..., p_last) * q_last.  The walk runs
-    from the last step down, so that lcm grows one rate at a time, and the
-    climb is carried as its numerator over s times that lcm.  No
-    ``Fraction`` is built.
+    denominators, and each rate written p/q, every cell is built over the
+    denominator s * scale * q_last, where scale is the lcm of the positive
+    p, and the climb is carried as its numerator over s * scale;
+    ``_reduced`` divides the scale out.  No ``Fraction`` is built.
     """
-    if not l.atoms:
-        return _IDENTITY_CELLS
-    atoms = l.atoms
+    atoms = l.atoms or FREE_STEP
     last = atoms[-1]
     s = math.lcm(last.price.denominator, *(a.bound.denominator for a in atoms))
     bs = [a.bound.numerator * (s // a.bound.denominator) for a in atoms]
     price = last.price.numerator * (s // last.price.denominator)
     pn, qn = last.rate.numerator, last.rate.denominator
     cells = [Cell(last.bound, None, True, _reduced(s * qn, 0, 0, pn * s, s * qn, price * qn))]
-    span, climb = 1, 0  # lcm(p_j, ..., p_last) and s * span * climb_j
+    scale = math.lcm(*(a.rate.numerator for a in atoms if a.rate))
+    climb = 0  # s * scale * climb_j
     for j in range(len(atoms) - 1, -1, -1):
         lo = atoms[j - 1].bound if j else 0
         hi = atoms[j].bound
@@ -552,28 +546,25 @@ def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
             if lo != hi:
                 cells.append(Cell(lo, hi, False))
             break
-        grown = math.lcm(span, p)
-        climb *= grown // span
         if j + 1 < len(atoms):
             nxt = atoms[j + 1].rate
-            climb += (bs[j + 1] - bs[j]) * nxt.denominator * (grown // nxt.numerator)
-        span = grown
+            climb += (bs[j + 1] - bs[j]) * nxt.denominator * (scale // nxt.numerator)
         if lo == hi:
             continue
-        k = span // p
-        wc = bs[j] * q * k + climb  # wait_c * s * span
+        k = scale // p
+        wc = bs[j] * q * k + climb  # wait_c * s * scale
         cells.append(
             Cell(
                 lo,
                 hi,
                 True,
                 _reduced(
-                    s * span * qn,
+                    s * scale * qn,
                     -q * k * s * qn,
                     wc * qn,
-                    pn * s * span,
+                    pn * s * scale,
                     pn * q * k * s,
-                    (bs[-1] + price) * span * qn - pn * wc,
+                    (bs[-1] + price) * scale * qn - pn * wc,
                 ),
             )
         )

@@ -41,8 +41,10 @@ class Constraint(NamedTuple):
 
 def feasible_point(constraints: Iterable[Constraint]) -> Optional[tuple[Fraction, Fraction]]:
     """A real point (x, t) satisfying every constraint, or None: one
-    ``Elimination`` of all of them.  The point turns negative order
-    decisions into directly checkable witnesses."""
+    ``Elimination`` of all of them.  The library itself solves through
+    ``Elimination.point``; this is the one-shot entry point for a fixed
+    system, used by the tests' subset violation search and timed by
+    perfbench."""
     return Elimination(constraints).point()
 
 

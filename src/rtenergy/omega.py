@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .algebra import Energy, LinearRtef, Rtef, TIME_INF, Time, checked_tuple
+from .algebra import FREE_STEP, Energy, LinearRtef, Rtef, TIME_INF, Time, checked_tuple
 from .rational import Rational
 
 
@@ -66,13 +66,14 @@ def omega_of(f: Rtef, star: Optional[Rtef] = None) -> OmegaVal:
     """Endless iteration of one function; ``star``, when given, is
     ``f.star()`` already computed by the caller.
 
-    Finite horizons force vanishing delays, so only free (all-prices-zero)
-    components can repeat forever; the support is any iteration prefix
-    followed by one free component, which then loops with zero delay.  With
-    unbounded time a component sustains itself from the least level where one
-    pass can return at least its input.
+    Finite horizons force vanishing delays, so only free components (a
+    final price of zero, the one price a staircase carries) can repeat
+    forever; the support is any iteration prefix followed by one free
+    component, which then loops with zero delay.  With unbounded time a
+    component sustains itself from the least level where one pass can
+    return at least its input.
     """
-    free = [c for c in f.components if all(a.price == 0 for a in c.atoms)]
+    free = [c for c in f.components if (c.atoms or FREE_STEP)[-1].price == 0]
     if free:
         support = (f.star() if star is None else star).compose(Rtef.of(free))
     else:
@@ -103,9 +104,8 @@ def act(f: Rtef, v: OmegaVal) -> OmegaVal:
 def _reach_threshold(c: LinearRtef, goal: Rational) -> Rational:
     """Least start level from which ``c`` with unbounded time reaches
     ``goal``: an atom bound as stored, ``goal`` less the price, or 0."""
-    if not c.atoms:
-        return goal
-    first, last = c.atoms[0], c.atoms[-1]
+    atoms = c.atoms or FREE_STEP
+    first, last = atoms[0], atoms[-1]
     if last.rate > 0:
         return first.bound if first.rate == 0 else 0
     return max(first.bound, goal - last.price)

@@ -17,9 +17,11 @@ from .algebra import Atom, Cell, LinearRtef, Rtef, component_cells
 def extract_regions(l: LinearRtef) -> tuple[Cell, ...]:
     """Strip decomposition of one component.
 
-    The final two strips always share one affine value (the coefficient of x
-    flattens to 1 past the second-to-last threshold), so they are emitted
-    merged; the boundary of the merged strip clamps at zero.
+    When the last step's strip [b_(n-1), b_n) is non-empty, it and the
+    strip above b_n share one affine value (the coefficient of x is 1 on
+    both), so they are emitted merged; the boundary of the merged strip
+    clamps at zero.  With b_(n-1) = b_n the strip below b_n is an earlier
+    step's, and the two values differ.
     """
     cells = component_cells(l)
     if len(cells) >= 2:

@@ -26,7 +26,7 @@ from rtenergy import (
 )
 from rtenergy import algebra
 from rtenergy.oracles import DpConfig
-from rtenergy.regions import extract_regions
+from rtenergy.regions import component_json, extract_regions
 
 from helpers import (
     A,
@@ -83,6 +83,11 @@ class TestValues:
         assert hash(Time.of("5/2")) == hash(Time(Fraction(5, 2)))
         assert Time(1) < TIME_INF
         assert not TIME_INF < TIME_INF and TIME_INF <= TIME_INF
+        # > and >= are written apart from < and <=: pin them on equal and
+        # infinite budgets
+        assert not Time(1) > Time(1) and Time(1) >= Time(1)
+        assert not TIME_INF > TIME_INF and TIME_INF >= Time(3)
+        assert not Time(3) > TIME_INF
         # every value type refuses assignment to a field
         rep = to_matrix_rep(parse_model((MODELS / "satellite.rtea").read_text(encoding="utf-8")))
         values = [
@@ -889,6 +894,16 @@ class TestCellIntegers:
                 assert (c.lo, c.hi, c.feasible, c.ints) == (lo, hi, feasible, ints), c
                 assert coefficients(c) == coeffs, c
         assert merged > 100
+
+    def test_empty_last_strip_is_not_merged(self):
+        # equal final bounds leave the last step no strip of its own: the
+        # strip below the last bound is the first step's, whose value
+        # differs from the final strip's, so the export keeps both
+        l = normalize([Atom(7, -2, 7), Atom(8, 0, 5)])
+        assert l.atoms == (Atom(7, 0, 7), Atom(8, -2, 7))
+        pieces = component_json(l)["pieces"]
+        assert [(p["x_low"], p["x_high"]) for p in pieces] == [("0", "7"), ("7", "inf")]
+        assert [p["value"] for p in pieces] == [{"t": "8", "x": "8/7", "c": "-3"}, {"t": "8", "x": "1", "c": "-2"}]
 
     def test_feasible_waits_are_non_negative(self):
         # the same 1,000 components; this is why _covers needs no clamp at 0

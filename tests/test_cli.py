@@ -281,6 +281,18 @@ class TestNormalize:
         assert code == 2
         assert "chain" in err
 
+    def test_cycle_rejected(self, capsys, tmp_path):
+        # a -> b -> a comes back to a before it meets the accepting c
+        model = tmp_path / "cycle.rtea"
+        model.write_text(
+            "rtea {\n  state a rate 0 initial;\n  state b rate 0;\n  state c rate 0 accepting;\n"
+            "  trans a -> b price 0 bound 0;\n  trans b -> a price 0 bound 0;\n}\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "normalize", "--model", str(model))
+        assert code == 2 and out == ""
+        assert err == "error: model is not a single chain: cycle detected\n"
+
 
 class TestContract:
     def test_deterministic_output(self, capsys):

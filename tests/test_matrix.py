@@ -337,6 +337,16 @@ class TestBuchiElimination:
                 want = want.sup(vec[i])
             assert omega_agree(buchi_behavior(rep), want)
 
+    def test_accepting_count_in_range(self):
+        # k counts the leading accepting states: 0..n, nothing outside
+        m = to_matrix_rep(load_model("satellite.rtea")).matrix
+        n = m.dim()
+        for k in (0, n):
+            mat_omega_accepting(m, k)
+        for k in (-1, n + 1):
+            with pytest.raises(ValueError, match="accepting count out of range"):
+                mat_omega_accepting(m, k)
+
     def test_initial_states_alone_equal_the_full_vector(self):
         # buchi_behavior back-substitutes only the initial states; the sup of
         # the full vector over them must be the same value, not just agree
