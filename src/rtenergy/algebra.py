@@ -180,7 +180,8 @@ class LinearRtef:
     never decrease, and the whole price sits on the final step.  The empty
     sequence is the identity function; a rule that reads a component's
     steps reads the identity's as the one ``FREE_STEP``, which holds x at
-    every time.
+    every time.  Only ``_splice`` keeps an identity case: a leading free
+    step would give one function a second staircase form, breaking ``==``.
 
     Immutable, and equal only to a ``LinearRtef``: never to an ``Rtef``."""
 
@@ -344,19 +345,15 @@ class Rtef:
 
     def star(self) -> "Rtef":
         """Least fixpoint of iteration: the product of (1 ∨ c) over the
-        non-identity components c in order of final rate.
+        components c in order of final rate (the identity's factor is 1).
 
         Iterating components in any order is dominated by running each one
         once in rate order, so the closure is the supremum over rate-ordered
         subsets; the product builds that supremum one factor at a time, and
         pruning after each factor is sound because composition is monotone.
         """
-        loops = sorted(
-            (c for c in self.components if c.atoms),
-            key=lambda c: c.atoms[-1].rate,
-        )
         acc = Rtef.one()
-        for c in loops:
+        for c in sorted(self.components, key=lambda c: _tail(c)[0]):
             acc = acc.sup(acc.compose(Rtef((c,))))
         return acc
 
@@ -383,9 +380,9 @@ def _atom_leq(c: LinearRtef, d: LinearRtef) -> Optional[bool]:
     and price at most d's), decided from the atoms where that is cheap:
     True or False when decided, None when only ``leq_linear`` can tell.
 
-    With neither side the identity, c has rates r_1..r_n, bounds
-    b_1..b_n and price p, and d has r'_1..r'_m, b'_1..b'_m and p'.  Three
-    rules decide most such pairs in O(n + m):
+    Each side is read as its steps, the identity as ``FREE_STEP``: c has
+    rates r_1..r_n, bounds b_1..b_n and price p, and d has r'_1..r'_m,
+    b'_1..b'_m and p'.  Three rules decide most such pairs in O(n + m):
 
     1. Reject if b'_m > b_n: at t = 0 and x = b_n, c is b_n + p and d,
        which would still have to climb, is bottom.
@@ -406,12 +403,13 @@ def _atom_leq(c: LinearRtef, d: LinearRtef) -> Optional[bool]:
        d = max(x, b'_m) + r'_m (t - W_d) + p' >= max(x, b_n)
        + r_n (t - W_c) + p = c.  At t = inf both are suprema over finite t.
 
-    With one atom on each side, rules 1 and 3 are exact: c <= d iff the
-    tail test holds and b' <= b.  Every other pair is left open.
+    With one atom on each side, the free step included, rules 1 and 3 are
+    exact: c <= d iff the tail test holds and b' <= b.  With the identity
+    x on a side, the tail test and rule 1 leave only d = x + r'_m t above
+    it and a lone zero-rate c below it, both accepted by rule 3.  Every
+    other pair is left open.
     """
-    cs, ds = c.atoms, d.atoms
-    if not cs or not ds:
-        return None
+    cs, ds = c.atoms or FREE_STEP, d.atoms or FREE_STEP
     if ds[-1].bound > cs[-1].bound:
         return False
     if ds[0].rate == 0 and ds[0].bound > (cs[0].bound if cs[0].rate == 0 else 0):

@@ -87,7 +87,8 @@ def _self_sustain_threshold(c: LinearRtef) -> Optional[Rational]:
     # x + price, so it does only when free; any other component does wherever
     # it is defined.  Either way that is the level that reaches goal 0, since
     # for the free step max(bound, 0 - price) is its bound.
-    if c.atoms and c.atoms[-1].rate == 0 and c.atoms[-1].price != 0:
+    last = (c.atoms or FREE_STEP)[-1]
+    if last.rate == 0 and last.price != 0:
         return None
     return _reach_threshold(c, 0)
 

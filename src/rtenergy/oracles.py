@@ -31,6 +31,8 @@ class DpConfig(checked_tuple("DpConfig", "delta max_steps")):
     @staticmethod
     def over(horizon: Fraction, steps: int) -> "DpConfig":
         """``steps`` equal steps across ``horizon``, or none at horizon 0."""
+        if steps < 1:
+            raise ValueError("steps must be positive")
         return DpConfig(horizon / steps, steps) if horizon > 0 else DpConfig(Fraction(1), 0)
 
 
@@ -101,8 +103,6 @@ def buchi_unroll(model: RteaModel, x0: Fraction, horizon: Fraction, repetitions:
     level already clears; such a cycle repeats forever with zero delay.
     A True answer is definitive, False is inconclusive.
     """
-    if repetitions <= 0:
-        raise ValueError("repetitions must be positive")
     cfg = DpConfig.over(Fraction(horizon), repetitions)
     _, presence = _grid_best(model, Fraction(x0), cfg.delta, cfg.max_steps)
     for name in model.accepting:

@@ -631,7 +631,8 @@ def _decided_by(c, d, holds, fell_back) -> str:
     (rc, pc), (rd, pd) = algebra._tail(c), algebra._tail(d)
     if not (rc <= rd and pc <= pd):
         return "tail"
-    return "last bound" if d.atoms[-1].bound > c.atoms[-1].bound else "first bound"
+    cs, ds = c.atoms or algebra.FREE_STEP, d.atoms or algebra.FREE_STEP
+    return "last bound" if ds[-1].bound > cs[-1].bound else "first bound"
 
 
 class TestAtomRules:
@@ -666,8 +667,10 @@ class TestAtomRules:
         assert seen["walk fails"] > 60, seen
 
     def test_random_components(self, monkeypatch):
+        # identity pairs never reach the walk, and about one other pair in
+        # 150 reaches it and holds
         rng = random.Random(2038)
-        seen = self._decide(monkeypatch, [(rand_linear(rng, 4), rand_linear(rng, 4)) for _ in range(2000)])
+        seen = self._decide(monkeypatch, [(rand_linear(rng, 4), rand_linear(rng, 4)) for _ in range(10000)])
         assert seen["climb rates"] > 100 and seen["last bound"] > 30 and seen["first bound"] > 10, seen
         assert seen["walk holds"] > 50 and seen["walk fails"] > 20, seen
 
@@ -695,6 +698,10 @@ class TestAtomRules:
         rng = random.Random(2040)
         pairs = [(LinearRtef((rand_atom(rng),)), LinearRtef((rand_atom(rng),))) for _ in range(1000)]
         pairs += [(c, d) for c, d in (rand_near_pair(rng, 1) for _ in range(1000)) if len(c.atoms) == len(d.atoms) == 1]
+        # the identity, read as the free step, is one atom too
+        one = LinearRtef()
+        singles = [LinearRtef((rand_atom(rng),)) for _ in range(200)]
+        pairs += [(one, one)] + [(one, c) for c in singles] + [(c, one) for c in singles]
         want = [exact(c, d) for c, d in pairs]
 
         def refuse(lhs, rhs):
@@ -703,9 +710,20 @@ class TestAtomRules:
         monkeypatch.setattr(algebra, "leq_linear", refuse)
         for (c, d), holds in zip(pairs, want):
             assert algebra._leq(c, d) == holds, (c, d)
-            (r, p, b), (r2, p2, b2) = c.atoms[0], d.atoms[0]
+            (r, p, b), (r2, p2, b2) = (c.atoms or algebra.FREE_STEP)[0], (d.atoms or algebra.FREE_STEP)[0]
             assert holds == (r <= r2 and p <= p2 and b2 <= b), (c, d)
         assert 100 < sum(want) < len(want) - 100
+
+    def test_identity_pairs_never_reach_the_walk(self, monkeypatch):
+        # the identity with itself and in both orders with components of up
+        # to four atoms: the tail test and the atom rules decide every pair
+        rng = random.Random(2043)
+        one = LinearRtef()
+        others = [rand_linear(rng, 4) for _ in range(600)] + [rand_coprime_linear(rng, 4) for _ in range(600)]
+        pairs = [(one, one)] + [(one, c) for c in others] + [(c, one) for c in others]
+        seen = self._decide(monkeypatch, pairs)
+        assert not seen["walk holds"] and not seen["walk fails"], seen
+        assert seen["climb rates"] > 100 and seen["last bound"] > 10 and seen["tail"] > 1000, seen
 
 
 class TestPrune:
@@ -788,6 +806,13 @@ class TestStar:
 
     def test_identity_star(self):
         assert Rtef.one().star() == Rtef.one()
+
+    def test_identity_component_is_a_unit_factor(self):
+        # the product takes the identity's factor 1 ∨ 1 like any other
+        rng = random.Random(2044)
+        for _ in range(300):
+            f = rand_rtef(rng, max_atoms=4)
+            assert Rtef.of([LinearRtef(), *f.components]).star() == f.star(), f
 
     def test_equals_bounded_powers(self):
         f = rtef(F1, F2)

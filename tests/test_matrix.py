@@ -760,7 +760,7 @@ class TestGrowthCounted:
         cases = (
             (50, (66, 0, 0, 9), (91, 5, 5, 14)),
             (100, (180, 4, 4, 49), (347, 22, 27, 170)),
-            (200, (5450, 1868, 2643, 11542), (10504, 5683, 7976, 30152)),
+            (200, (5450, 1868, 2643, 11542), (10504, 5682, 7976, 30152)),
         )
         for n, (reach, *reach_walks), (buchi, *buchi_walks) in cases:
             rep = to_matrix_rep(parse_model(rand_model_text(rng, n)))

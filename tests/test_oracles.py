@@ -58,6 +58,9 @@ class TestDpLowerBound:
                 assert cfg.delta * cfg.max_steps == h and cfg.max_steps == n
                 assert dp_lower_bound(sat, Fraction(50), h, cfg) <= behavior.eval(Energy.of(50), Time(h))
         assert DpConfig.over(Fraction(0), 16) == DpConfig(Fraction(1), 0)
+        for horizon, steps in ((Fraction(2), 0), (Fraction(0), -3)):
+            with pytest.raises(ValueError):
+                DpConfig.over(horizon, steps)
         with pytest.raises(ValueError):
             buchi_unroll(sat, Fraction(50), Fraction(2), 0)
 

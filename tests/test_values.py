@@ -14,11 +14,13 @@ import pytest
 
 from rtenergy import (
     AutomatonRep,
+    BOTTOM,
     Energy,
     LinearRtef,
     OmegaVal,
     Rtef,
     RtefMatrix,
+    TIME_INF,
     Time,
     Transition,
     atom,
@@ -168,6 +170,10 @@ def test_reprs_unchanged():
         "OmegaVal(support=Rtef{LinearRtef(Atom(1/2, -5/2, 3))}, threshold=Fraction(1, 2))"
     )
     assert repr(OmegaVal(Rtef.bottom(), None)) == "OmegaVal(support=Rtef{}, threshold=None)"
+    assert repr(BOTTOM) == "Energy(bot)"
+    assert repr(Energy.of(Fraction(5, 2))) == "Energy(5/2)"
+    assert repr(TIME_INF) == "Time(inf)"
+    assert repr(Time(3)) == "Time(3)"
 
 
 FLOAT_ENTRIES = {
