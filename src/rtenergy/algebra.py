@@ -195,7 +195,6 @@ class LinearRtef:
                     raise ValueError("rates must strictly increase; use normalize()")
                 if not a.bound <= b.bound:
                     raise ValueError("bounds must not decrease; use normalize()")
-            for a in atoms[:-1]:
                 if a.price != 0:
                     raise ValueError("only the final step may carry a price; use normalize()")
         object.__setattr__(self, "atoms", atoms)

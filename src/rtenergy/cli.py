@@ -15,7 +15,6 @@ from pathlib import Path
 from .algebra import Atom, Energy, Rtef, Time, normalize
 from .matrix import buchi_behavior, finite_behavior, mat_star
 from .model import RteaModel, parse_model, to_matrix_rep
-from .rational import parse_rational
 from .regions import atoms_json, component_json, function_json
 
 
@@ -72,32 +71,32 @@ def _load(path: str) -> RteaModel:
 
 
 def _run_check(args) -> int:
-    x0 = parse_rational(args.x0)
+    x0 = Energy.of(args.x0)
     horizon = Time.of(args.time)
-    target = parse_rational(args.target) if args.target is not None else None
+    target = None if args.target is None else Energy.of(args.target)
     if args.kind == "cover" and target is None:
         raise ValueError("cover requires --target")
     model = _load(args.model)
     rep = to_matrix_rep(model)
     report: dict = {}
     if args.kind == "buchi":
-        answer = buchi_behavior(rep).eval(Energy.of(x0), horizon)
+        answer = buchi_behavior(rep).eval(x0, horizon)
         report["answer"] = answer
         if not horizon.is_infinite:
             report["note"] = "zeno: finite-horizon query asks for infinitely many jumps in bounded time"
     else:
-        value = finite_behavior(rep).eval(Energy.of(x0), horizon)
+        value = finite_behavior(rep).eval(x0, horizon)
         if args.kind == "cover":
-            answer = value.is_infinite or (value.is_finite and value.value >= target)
+            answer = value >= target
         else:
             answer = not value.is_bottom
         report["answer"] = answer
         report["value"] = value.text()
     if args.verify:
-        report["oracle"] = _oracle_report(args.kind, model, x0, horizon)
-    query = {"kind": args.kind, "model": args.model, "x0": str(x0), "time": horizon.text()}
+        report["oracle"] = _oracle_report(args.kind, model, x0.value, horizon)
+    query = {"kind": args.kind, "model": args.model, "x0": x0.text(), "time": horizon.text()}
     if target is not None:
-        query["target"] = str(target)
+        query["target"] = target.text()
     report["query"] = query
     print(json.dumps(report))
     return 0 if report["answer"] else 1

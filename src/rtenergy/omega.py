@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .algebra import FREE_STEP, Energy, LinearRtef, Rtef, TIME_INF, Time, checked_tuple
+from .algebra import FREE_STEP, Energy, LinearRtef, Rtef, Time, checked_tuple
 from .rational import Rational
 
 
@@ -37,13 +37,11 @@ class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
         return _FALSE
 
     def eval(self, x: Energy, t: Time) -> bool:
-        if x.is_bottom:
-            return False
-        if not t.is_infinite:
-            return not self.support.eval(x, t).is_bottom
-        if self.threshold is not None and (x.is_infinite or x.value >= self.threshold):
+        """Whether an endless schedule exists from ``x`` within ``t``.  Levels
+        compare in the lattice order: bottom clears no threshold, inf all."""
+        if t.is_infinite and self.threshold is not None and x >= Energy.of(self.threshold):
             return True
-        return not self.support.eval(x, TIME_INF).is_bottom
+        return not self.support.eval(x, t).is_bottom
 
     def sup(self, other: "OmegaVal") -> "OmegaVal":
         thr = _least((self.threshold, other.threshold))

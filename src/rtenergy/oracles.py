@@ -3,6 +3,8 @@
 Nothing here sits on the decision path: these are independent baselines the
 exact answer is checked against.  The grid dynamic program is a deliberate
 lower bound; the unroller's True is definitive and its False inconclusive.
+Each reads its start level through ``Energy`` and its horizon through
+``Time``, so a negative one raises ``ValueError`` and a float ``TypeError``.
 The references only the test suite uses live with it, in
 ``tests/references.py``.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import BOTTOM, Energy, checked_tuple
+from .algebra import BOTTOM, Energy, Time, checked_tuple
 from .model import RteaModel
 
 
@@ -30,9 +32,10 @@ class DpConfig(checked_tuple("DpConfig", "delta max_steps")):
 
     @staticmethod
     def over(horizon: Fraction, steps: int) -> "DpConfig":
-        """``steps`` equal steps across ``horizon``, or none at horizon 0."""
+        """``steps`` equal steps across ``horizon``, a finite ``Time``, or none at 0."""
         if steps < 1:
             raise ValueError("steps must be positive")
+        horizon = Time(horizon).value
         return DpConfig(horizon / steps, steps) if horizon > 0 else DpConfig(Fraction(1), 0)
 
 
@@ -47,7 +50,7 @@ def _grid_best(model: RteaModel, x0: Fraction, delta: Fraction, steps: int):
     """
     rates = dict(model.states)
     level: dict[str, Optional[Fraction]] = {n: None for n in rates}
-    level[model.initial] = Fraction(x0)
+    level[model.initial] = Energy.of(x0).value
     arrival = dict(level)
     presence = dict(level)
     for step in range(steps + 1):
@@ -79,20 +82,15 @@ def _grid_best(model: RteaModel, x0: Fraction, delta: Fraction, steps: int):
 
 
 def dp_lower_bound(model: RteaModel, x0: Fraction, horizon: Fraction, cfg: DpConfig) -> Energy:
-    """Discretized best final level at an accepting state.
+    """Discretized best final level at an accepting state, or bottom.
 
     Delays are restricted to multiples of ``cfg.delta``, so the result never
     exceeds the exact behavior and converges to it as the grid refines.
     """
     if cfg.delta * cfg.max_steps != horizon:
         raise ValueError("delta * max_steps must equal the horizon")
-    arrival, _ = _grid_best(model, Fraction(x0), cfg.delta, cfg.max_steps)
-    out = BOTTOM
-    for name in model.accepting:
-        val = arrival[name]
-        if val is not None and out < Energy.of(val):
-            out = Energy.of(val)
-    return out
+    arrival, _ = _grid_best(model, x0, cfg.delta, cfg.max_steps)
+    return max((Energy.of(arrival[n]) for n in model.accepting if arrival[n] is not None), default=BOTTOM)
 
 
 def buchi_unroll(model: RteaModel, x0: Fraction, horizon: Fraction, repetitions: int) -> bool:
@@ -103,8 +101,8 @@ def buchi_unroll(model: RteaModel, x0: Fraction, horizon: Fraction, repetitions:
     level already clears; such a cycle repeats forever with zero delay.
     A True answer is definitive, False is inconclusive.
     """
-    cfg = DpConfig.over(Fraction(horizon), repetitions)
-    _, presence = _grid_best(model, Fraction(x0), cfg.delta, cfg.max_steps)
+    cfg = DpConfig.over(horizon, repetitions)
+    _, presence = _grid_best(model, x0, cfg.delta, cfg.max_steps)
     for name in model.accepting:
         level = presence[name]
         if level is not None and _free_cycle_at(model, name, level):

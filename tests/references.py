@@ -4,8 +4,8 @@ Nothing here sits on the decision path: these are independent baselines the
 exact algebra and the ``.rtea`` reader are checked against, and the dense
 matrix helpers they need.
 The discretized ones are deliberate lower bounds; the schedule enumerator
-is exact.  The references ``rtenergy check --verify`` runs stay in
-``rtenergy.oracles``.
+and the label searches at unbounded time are exact.  The references
+``rtenergy check --verify`` runs stay in ``rtenergy.oracles``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import deque
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple, Optional, Sequence
@@ -689,6 +690,77 @@ def _lasso_all_significant(s: RtefMatrix) -> tuple[OmegaVal, ...]:
             loop = loop.sup(gs[j][l].compose(gstar[l][j]))
         loops.append(omega_of(loop))
     return _act_rows(sstar, loops)
+
+
+def unbounded_labels(model: RteaModel, x0: Energy) -> dict[str, Energy]:
+    """The greatest level at which a run from ``x0`` with unbounded time
+    enters each state, for the states some run enters.
+
+    A forward label search under the run semantics of Bouyer, Fahrenberg,
+    Larsen, Markey and Srba (*Infinite runs in weighted timed automata with
+    energy constraints*, FORMATS 2008).  Waiting in a positive-rate state
+    earns without limit, so a jump out of one, or out of an infinite label,
+    lands at infinity; out of a zero-rate state the jump needs the label to
+    clear its bound and pays its price.  Prices are non-positive, so no
+    cycle raises a finite label and the search ends.
+    """
+    rates = dict(model.states)
+    labels = {model.initial: x0}
+    queue = deque([model.initial])
+    while queue:
+        src = queue.popleft()
+        level = labels[src]
+        for tr in model.transitions:
+            if tr.src != src:
+                continue
+            if level.is_infinite or rates[src] > 0:
+                out = INFINITY
+            elif level >= Energy.of(tr.bound):
+                out = Energy.of(level.value + tr.price)
+            else:
+                continue
+            if tr.dst not in labels or labels[tr.dst] < out:
+                labels[tr.dst] = out
+                queue.append(tr.dst)
+    return labels
+
+
+def unbounded_reach(model: RteaModel, x0: Energy) -> Energy:
+    """The finite behavior at (x0, inf): the greatest label of an accepting
+    state, or bottom when no run enters one."""
+    labels = unbounded_labels(model, x0)
+    return max((labels[a] for a in model.accepting if a in labels), default=BOTTOM)
+
+
+def unbounded_buchi(model: RteaModel, x0: Energy) -> bool:
+    """The Büchi behavior at (x0, inf): some entered accepting state ``a``
+    shares a cycle with an entered positive-rate state, which recharges
+    without limit, or lies on a cycle of price-0 transitions whose bounds
+    ``a``'s label clears."""
+    labels = unbounded_labels(model, x0)
+    rates = dict(model.states)
+
+    def after(src: str, keep) -> set[str]:
+        # the states one or more kept transitions lead to from src
+        seen: set[str] = set()
+        frontier = [src]
+        while frontier:
+            cur = frontier.pop()
+            for tr in model.transitions:
+                if tr.src == cur and keep(tr) and tr.dst not in seen:
+                    seen.add(tr.dst)
+                    frontier.append(tr.dst)
+        return seen
+
+    reach = {s: after(s, lambda tr: True) for s in labels}
+    for a in model.accepting:
+        if a not in labels:
+            continue
+        if any(rates[p] > 0 and p in reach[a] and a in reach[p] for p in labels):
+            return True
+        if a in after(a, lambda tr: tr.price == 0 and labels[a] >= Energy.of(tr.bound)):
+            return True
+    return False
 
 
 # The reader's token grammar, spelled out here on its own: the reference

@@ -369,6 +369,12 @@ class TestContract:
         code, _, err = run(capsys, "check", "reach", "--model", SAT, "--x0", "-5", "--time", "1")
         assert code == 2
 
+    def test_negative_target_exit_2(self, capsys):
+        # a target is an energy, read as --x0 is
+        for kind in (("check", "cover"), ("eval",)):
+            code, out, err = run(capsys, *kind, "--model", SAT, "--x0", "50", "--time", "2", "--target", "-1")
+            assert (code, out, err) == (2, "", "error: energy must be non-negative: -1\n"), kind
+
     def test_exponent_and_separator_literals_exit_2(self, capsys):
         # Fraction would accept these; the first would build a billion-digit integer
         for numbers in (

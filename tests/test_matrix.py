@@ -1073,6 +1073,38 @@ class TestMinimumDegreeAgainstFormerOrders:
         print(f"mat_star == index-order closure on {equal} of 24 reps")
 
 
+class TestUnboundedTimeReference:
+    """At t = inf the behaviors equal the label search of
+    ``references.unbounded_labels`` on random models."""
+
+    def test_random_models(self):
+        from helpers import rand_mixed_model_text, rand_model_text
+        from references import unbounded_buchi, unbounded_reach
+
+        reach_kinds, buchi_trues = set(), 0
+        for seed in range(3000):
+            rng = random.Random(seed)
+            n = rng.randint(2, 8)
+            if seed % 2:
+                text = rand_mixed_model_text(rng, n)
+            else:
+                text = rand_model_text(rng, n, accepting=rng.sample(range(n), rng.randint(1, 2)))
+            model = parse_model(text)
+            rep = to_matrix_rep(model)
+            reach, buchi = finite_behavior(rep), buchi_behavior(rep)
+            for x0 in (Fraction(0), Fraction(1), Fraction(5, 2), Fraction(4), Fraction(9)):
+                x = Energy.of(x0)
+                want = unbounded_reach(model, x)
+                assert reach.eval(x, TIME_INF) == want, (seed, x0)
+                endless = buchi.eval(x, TIME_INF)
+                assert endless == unbounded_buchi(model, x), (seed, x0)
+                reach_kinds.add(want.rank)
+                buchi_trues += endless
+        # bottom, finite and infinite reach values all occur, and Büchi
+        # answers both ways
+        assert reach_kinds == {0, 1, 2} and 0 < buchi_trues < 15000
+
+
 class TestBuchiStructuralCrossCheck:
     """A positive finite-horizon answer needs a reachable all-free cycle
     through an accepting state in the underlying graph."""

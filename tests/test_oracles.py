@@ -74,6 +74,25 @@ class TestDpLowerBound:
         assert behavior.eval(Energy.of(2), Time.of(4)) == Energy.of(2)
 
 
+class TestInputs:
+    def test_negative_horizon_refused(self):
+        pump = load_model("pump.rtea")
+        with pytest.raises(ValueError, match="time must be non-negative: -1"):
+            DpConfig.over(Fraction(-1), 4)
+        with pytest.raises(ValueError, match="time must be non-negative: -1"):
+            buchi_unroll(pump, Fraction(0), Fraction(-1), 32)
+
+    def test_start_level_read_as_an_energy(self):
+        # a negative level is refused before any grid is built, and a float
+        # would enter the grid as its binary fraction
+        pump = load_model("pump.rtea")
+        for x0, error in ((Fraction(-1), ValueError), (0.5, TypeError)):
+            with pytest.raises(error):
+                dp_lower_bound(pump, x0, Fraction(1), DpConfig(Fraction(1, 4), 4))
+            with pytest.raises(error):
+                buchi_unroll(pump, x0, Fraction(1), 16)
+
+
 class TestComposeSplitOracle:
     def test_two_loop_point(self):
         got = compose_split_oracle(F1, F2, Energy.of(50), Fraction(2), 8)

@@ -195,6 +195,13 @@ def test_floats_refused(make, inexact, text):
     assert make(text) == make(Fraction(text))
 
 
+def test_staircase_check_reports_the_first_failing_pair():
+    # one pass over adjacent steps: the first pair fails on its price
+    # before the second pair's equal rates are read
+    with pytest.raises(ValueError, match="only the final step may carry a price"):
+        LinearRtef((A(1, -1, 2), A(2, 0, 3), A(2, 0, 4)))
+
+
 def test_rtef_methods_replace_on_the_class(monkeypatch):
     # how a tracer wraps them from outside
     calls = 0
