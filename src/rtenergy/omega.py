@@ -1,28 +1,30 @@
 """Boolean-valued limit behaviors and the left action of energy functions.
 
-An endless schedule is possible from (x, t) exactly when either a finite-time
-certificate exists (reach a free cycle: the ``support`` function is defined
-there) or, with unbounded time, the start level clears a self-sustaining
-``threshold``.  Both parts are closed under supremum and under composition
-with an energy function, so this pair represents everything the automaton
-layer produces.
+An endless run either ends in a free loop or wins its prices back by
+waiting.  A free loop needs no time, so such runs hold at every horizon: the
+``support`` function is defined exactly where one exists.  A waiting loop
+needs unbounded time: with it, the run exists exactly from the levels that
+clear the ``threshold``.  Both parts are closed under supremum and under
+composition with an energy function, so this pair represents everything the
+automaton layer produces.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .algebra import FREE_STEP, Energy, LinearRtef, Rtef, Time, checked_tuple
+from .algebra import FREE_STEP, Energy, LinearRtef, Rtef, Time, _tail, checked_tuple
 from .rational import Rational
 
 
 class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
-    """Truth-valued behavior of endless schedules.
+    """Truth-valued behavior of endless schedules, split by how they loop.
 
-    ``support``: true at finite horizons exactly where it is not bottom.
-    ``threshold``: least start level admitting an endless schedule with
-    unbounded time, an exact ``Rational`` as the atoms store it, or None
-    when no finite level does.
+    ``support``: the runs that end in a free loop, true at every horizon
+    exactly where it is not bottom.
+    ``threshold``: for the runs that end in a waiting loop, the least start
+    level from which one exists with unbounded time, an exact ``Rational``
+    as the atoms store it, or None when no such run exists.
     """
 
     __slots__ = ()
@@ -44,51 +46,33 @@ class OmegaVal(checked_tuple("OmegaVal", "support threshold")):
         return not self.support.eval(x, t).is_bottom
 
     def sup(self, other: "OmegaVal") -> "OmegaVal":
-        thr = _least((self.threshold, other.threshold))
+        a, b = self.threshold, other.threshold
+        thr = b if a is None else a if b is None else min(a, b)
         return OmegaVal(self.support.sup(other.support), thr)
 
 
 _FALSE = OmegaVal(Rtef.bottom(), None)
 
 
-def _least(levels: Iterable[Optional[Rational]]) -> Optional[Rational]:
-    """The least ``Rational`` level that is not None, or None if every level
-    is None.
-
-    A None threshold admits no endless schedule, so it never lowers the least.
-    """
-    return min((q for q in levels if q is not None), default=None)
-
-
 def omega_of(f: Rtef, star: Optional[Rtef] = None) -> OmegaVal:
     """Endless iteration of one function; ``star``, when given, is
     ``f.star()`` already computed by the caller.
 
-    Finite horizons force vanishing delays, so only free components (a
-    final price of zero, the one price a staircase carries) can repeat
-    forever; the support is any iteration prefix followed by one free
-    component, which then loops with zero delay.  With unbounded time a
-    component sustains itself from the least level where one pass can
-    return at least its input.
+    Free loops make the support: finite horizons force vanishing delays, so
+    only free components (a final price of zero, the one price a staircase
+    carries) repeat forever, after any iteration prefix.  Waiting loops make
+    the threshold: a component with a positive final rate wins its price
+    back by waiting, so it sustains itself from the least level where it is
+    defined.  A zero-rate component never waits: the support holds it at
+    every horizon when it is free, and otherwise each pass loses its price.
     """
-    free = [c for c in f.components if (c.atoms or FREE_STEP)[-1].price == 0]
+    free = [c for c in f.components if _tail(c)[1] == 0]
     if free:
         support = (f.star() if star is None else star).compose(Rtef.of(free))
     else:
         support = Rtef.bottom()
-    threshold = _least(_self_sustain_threshold(c) for c in f.components)
+    threshold = min((_reach_threshold(c, 0) for c in f.components if _tail(c)[0] > 0), default=None)
     return OmegaVal(support, threshold)
-
-
-def _self_sustain_threshold(c: LinearRtef) -> Optional[Rational]:
-    # One pass must return at least its input.  A lone zero-rate step returns
-    # x + price, so it does only when free; any other component does wherever
-    # it is defined.  Either way that is the level that reaches goal 0, since
-    # for the free step max(bound, 0 - price) is its bound.
-    last = (c.atoms or FREE_STEP)[-1]
-    if last.rate == 0 and last.price != 0:
-        return None
-    return _reach_threshold(c, 0)
 
 
 def act(f: Rtef, v: OmegaVal) -> OmegaVal:
@@ -96,7 +80,7 @@ def act(f: Rtef, v: OmegaVal) -> OmegaVal:
     support = f.compose(v.support)
     if v.threshold is None:
         return OmegaVal(support, None)
-    threshold = _least(_reach_threshold(c, v.threshold) for c in f.components)
+    threshold = min((_reach_threshold(c, v.threshold) for c in f.components), default=None)
     return OmegaVal(support, threshold)
 
 

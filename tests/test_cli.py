@@ -470,6 +470,28 @@ GOLDEN = [
         '"query": {"kind": "buchi", "model": "pump.rtea", "x0": "3", "time": "5"}}\n',
     ),
     (
+        ("check", "buchi", "--model", "keeper.rtea", "--x0", "4", "--time", "0"),
+        1,
+        '{"answer": false, "note": "zeno: finite-horizon query asks for infinitely many jumps in bounded time", '
+        '"query": {"kind": "buchi", "model": "keeper.rtea", "x0": "4", "time": "0"}}\n',
+    ),
+    (
+        ("check", "buchi", "--model", "keeper.rtea", "--x0", "4", "--time", "inf"),
+        1,
+        '{"answer": false, "query": {"kind": "buchi", "model": "keeper.rtea", "x0": "4", "time": "inf"}}\n',
+    ),
+    (
+        ("check", "buchi", "--model", "keeper.rtea", "--x0", "5", "--time", "0"),
+        0,
+        '{"answer": true, "note": "zeno: finite-horizon query asks for infinitely many jumps in bounded time", '
+        '"query": {"kind": "buchi", "model": "keeper.rtea", "x0": "5", "time": "0"}}\n',
+    ),
+    (
+        ("check", "buchi", "--model", "keeper.rtea", "--x0", "5", "--time", "inf"),
+        0,
+        '{"answer": true, "query": {"kind": "buchi", "model": "keeper.rtea", "x0": "5", "time": "inf"}}\n',
+    ),
+    (
         ("check", "reach", "--model", "satellite.rtea", "--x0", "40", "--time", "2", "--verify"),
         0,
         '{"answer": true, "value": "0", "oracle": {"method": "dp_lower_bound", "delta": "1/8", "value": "0"}, '

@@ -25,6 +25,7 @@ from references import exact_schedule_value
 PUMP = rtef(lin((1, 0, 5)))
 PUMP_LEAK = rtef(lin((1, -1, 5)))
 FLAT_LEAK = rtef(lin((0, -1, 1)))
+KEEPER = rtef(lin((0, 0, 5)))
 
 
 def same_on_grid(a: OmegaVal, b: OmegaVal) -> bool:
@@ -57,10 +58,23 @@ class TestOmegaOf:
         assert v.eval(Energy.of(100), TIME_INF) is False
 
     def test_zero_rate_keeper_threshold_is_its_bound(self):
-        v = omega_of(rtef(lin((0, 0, 5))))
-        assert v.threshold == 5
+        # a free zero-rate loop needs no time: the support holds from its
+        # bound at every horizon, and no waiting loop gives a threshold
+        v = omega_of(KEEPER)
+        assert v.threshold is None
         assert v.eval(Energy.of(5), TIME_INF) is True
         assert v.eval(Energy.of(4), TIME_INF) is False
+        assert v.eval(Energy.of(5), Time.of(0)) is True
+
+    def test_keeper_support_alone_holds_from_its_bound(self):
+        support = OmegaVal(omega_of(KEEPER).support, None)
+        for t in (Time.of(0), Time.of(3), TIME_INF):
+            assert support.eval(Energy.of(4), t) is False
+            assert support.eval(Energy.of(5), t) is True
+
+    def test_free_pump_sets_both_parts(self):
+        v = omega_of(PUMP)
+        assert v.support.components and v.threshold == 0
 
 
 class TestAct:
@@ -84,7 +98,7 @@ class TestAct:
 
     def test_threshold_through_zero_rate_pass(self):
         # one leaking flat pass must start at max(bound, goal - price)
-        v = act(rtef(lin((0, -2, 3))), omega_of(rtef(lin((0, 0, 5)))))
+        v = act(rtef(lin((0, -2, 3))), OmegaVal(Rtef.bottom(), Fraction(5)))
         assert v.threshold == 7
         assert v.eval(Energy.of(7), TIME_INF) is True
         assert v.eval(Energy.of(Fraction(27, 4)), TIME_INF) is False
@@ -166,6 +180,14 @@ def test_threshold_is_the_self_sustainment_level(f):
     for x in SAMPLE_XS:
         e = Energy.of(x)
         assert v.eval(e, TIME_INF) == (f.eval(e, TIME_INF) >= e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rtefs)
+def test_threshold_only_from_waiting_loops(f):
+    # only a component with a positive final rate wins its price back by waiting
+    waits = any((c.atoms[-1].rate if c.atoms else 0) > 0 for c in f.components)
+    assert (omega_of(f).threshold is None) == (not waits)
 
 
 @settings(max_examples=60, deadline=None)
