@@ -3,14 +3,18 @@ of M and one solve per right-hand side: reach, Buchi, each closure column.
 
 A matrix is its successor maps, the non-bottom entries of each row, and a
 right-hand side the map of its states that are not false: an absent entry
-is the zero, so every sum starts from its first term."""
+is the zero, so every sum starts from its first term.  Each solve runs in
+the least units in which every atom is an int (``_integer_units``) and
+maps its answer back."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Sequence
 
-from .algebra import Rtef, checked_tuple
+from .algebra import Atom, LinearRtef, Rtef, checked_tuple
 from .omega import OmegaVal, act, omega_of
 
 
@@ -60,6 +64,67 @@ def mat_mul(a: RtefMatrix, b: RtefMatrix) -> RtefMatrix:
                 acc[j] = acc[j].sup(h) if j in acc else h
         out.append(acc)
     return RtefMatrix(b.n_cols, tuple(out))
+
+
+def _integer_units(m: RtefMatrix):
+    """``m`` in the least units in which every atom is an ``int``, and the
+    map of a solved value back to the given units.
+
+    Scaling energy by e > 0 and time by 1/l is an order isomorphism of the
+    functions: an atom (r, p, b) becomes (r*e*l, p*e, b*e), and every rule
+    of the algebra compares and adds like quantities, so compose, sup,
+    star, omega and ``act`` on the scaled functions are those on the given
+    ones, scaled; a right-hand side of identities and false needs no
+    scaling.  e is the lcm of the price and bound denominators, l that of
+    the rate denominators.  A solve copies rates and never computes one, so
+    each scaled rate maps back through the dict built here; prices, bounds
+    and thresholds are divided by e.  When every atom holds ints already,
+    ``m`` comes back unchanged with the identity map."""
+    e = l = 1
+    for row in m.succ:
+        for f in row.values():
+            for c in f.components:
+                for r, p, b in c.atoms:
+                    if type(r) is not int:
+                        l = lcm(l, r.denominator)
+                    if type(p) is not int:
+                        e = lcm(e, p.denominator)
+                    if type(b) is not int:
+                        e = lcm(e, b.denominator)
+    if e == l == 1:
+        return m, _given
+    el, rates = e * l, {}
+
+    def up(v, unit):
+        return v * unit if type(v) is int else v.numerator * (unit // v.denominator)
+
+    def down(v):
+        if e == 1:
+            return v
+        q, rem = divmod(v, e)
+        return Fraction(v, e) if rem else q
+
+    def scaled(c: LinearRtef) -> LinearRtef:
+        atoms = []
+        for r, p, b in c.atoms:
+            rate = up(r, el)
+            rates[rate] = r
+            atoms.append(Atom(rate, up(p, e), up(b, e)))
+        return LinearRtef(tuple(atoms))
+
+    def given(c: LinearRtef) -> LinearRtef:
+        return LinearRtef(tuple(Atom(rates[r], down(p), down(b)) for r, p, b in c.atoms))
+
+    def back(v: OmegaVal) -> OmegaVal:
+        support = Rtef(tuple(map(given, v.support.components)))
+        return OmegaVal(support, None if v.threshold is None else down(v.threshold))
+
+    succ = tuple({j: Rtef(tuple(map(scaled, f.components))) for j, f in row.items()} for row in m.succ)
+    return RtefMatrix(m.n_cols, succ), back
+
+
+def _given(v: OmegaVal) -> OmegaVal:
+    return v
 
 
 def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
@@ -169,9 +234,10 @@ def mat_star(m: RtefMatrix) -> RtefMatrix:
     """Reflexive-transitive closure, one factorization and one solve per
     column: column j is the map of the supports of M* . {j: goal}."""
     n = m.dim()
+    m, back = _integer_units(m)
     steps = _factor(m, [False] * n, 0)
     cols = [_solve(steps, {j: OmegaVal(Rtef.one(), None)}, range(n)) for j in range(n)]
-    return RtefMatrix(n, tuple({j: col[i].support for j, col in enumerate(cols) if i in col} for i in range(n)))
+    return RtefMatrix(n, tuple({j: back(col[i]).support for j, col in enumerate(cols) if i in col} for i in range(n)))
 
 
 def mat_omega_accepting(m: RtefMatrix, k: int) -> dict[int, OmegaVal]:
@@ -183,7 +249,8 @@ def mat_omega_accepting(m: RtefMatrix, k: int) -> dict[int, OmegaVal]:
     n = m.dim()
     if not 0 <= k <= n:
         raise ValueError("accepting count out of range")
-    return _solve(_factor(m, [p < k for p in range(n)], k), {}, range(n))
+    m, back = _integer_units(m)
+    return {i: back(v) for i, v in _solve(_factor(m, [p < k for p in range(n)], k), {}, range(n)).items()}
 
 
 class AutomatonRep(checked_tuple("AutomatonRep", "alpha matrix accepting_count state_names")):
@@ -211,8 +278,9 @@ def _initial_sup(rep: AutomatonRep, late: Sequence[bool], k: int, w: dict[int, O
     the ``late`` states held to the end, one solve back-substituted only at
     the initial states, where ``_solve`` is exact."""
     initial = [i for i, start in enumerate(rep.alpha) if start]
-    z = _solve(_factor(rep.matrix, late, k), w, initial)
-    return reduce(OmegaVal.sup, [z[i] for i in initial if i in z] or [OmegaVal.false()])
+    m, back = _integer_units(rep.matrix)
+    z = _solve(_factor(m, late, k), w, initial)
+    return back(reduce(OmegaVal.sup, [z[i] for i in initial if i in z] or [OmegaVal.false()]))
 
 
 def finite_behavior(rep: AutomatonRep) -> Rtef:

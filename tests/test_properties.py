@@ -12,11 +12,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rtenergy import Atom, BOTTOM, Energy, Rtef, TIME_INF, Time, normalize
+from rtenergy import Atom, BOTTOM, Energy, LinearRtef, OmegaVal, Rtef, TIME_INF, Time, normalize
 from rtenergy.algebra import leq_linear
 from rtenergy.omega import act, omega_of
 
-from helpers import precedes
+from helpers import precedes, rand_coprime_linear, rand_rtef, sample_points
 from references import exact_schedule_value
 
 RATES = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 2)]
@@ -189,3 +189,43 @@ def test_prune_and_dedup_preserve_values(comps):
     pruned = raw.prune()
     for x, t in GRID + [(Energy.of(5), TIME_INF), (BOTTOM, Time(Fraction(1)))]:
         assert raw.eval(x, t) == pruned.eval(x, t)
+
+
+# energy scaled by e and time by 1/l: (1, 1) is the identity, the integer
+# pairs are units the matrix layer may pick, the last pair shrinks energy
+UNIT_SCALES = [(1, 1), (2, 1), (1, 3), (4, 8), (6, 35), (97, 11), (Fraction(1, 2), Fraction(3, 7))]
+
+
+def in_units(f: Rtef, e, l) -> Rtef:
+    """Each atom (r, p, b) of ``f`` as (r*e*l, p*e, b*e), in Fraction
+    arithmetic, apart from the matrix layer's integer scaling."""
+    return Rtef.of(LinearRtef(tuple(Atom(r * e * l, p * e, b * e) for r, p, b in c.atoms)) for c in f.components)
+
+
+def omega_in_units(v: OmegaVal, e, l) -> OmegaVal:
+    return OmegaVal(in_units(v.support, e, l), None if v.threshold is None else v.threshold * e)
+
+
+def test_unit_scaling_commutes_with_the_algebra():
+    # the premise of solving in integer units: scaling is an isomorphism,
+    # so every operation commutes with it exactly, as a representation, and
+    # the scaled function at (e*x, t/l) is e times the value at (x, t)
+    rng = random.Random(41)
+    points = sample_points(with_inf=True)
+    for case in range(240):
+        e, l = UNIT_SCALES[case % len(UNIT_SCALES)]
+        if case % 2:
+            f, g = (Rtef.of(rand_coprime_linear(rng) for _ in range(rng.randint(0, 3))).prune() for _ in range(2))
+        else:
+            f, g = rand_rtef(rng), rand_rtef(rng)
+        sf, sg = in_units(f, e, l), in_units(g, e, l)
+        assert in_units(f.compose(g), e, l) == sf.compose(sg), (f, g, e, l)
+        assert in_units(f.sup(g), e, l) == sf.sup(sg), (f, g, e, l)
+        assert in_units(f.star(), e, l) == sf.star(), (f, e, l)
+        v = omega_of(g)
+        assert omega_in_units(v, e, l) == omega_of(sg), (g, e, l)
+        assert omega_in_units(act(f, v), e, l) == act(sf, omega_in_units(v, e, l)), (f, g, e, l)
+        for x, t in points:
+            got = sf.eval(Energy.of(x.value * e), t if t.is_infinite else Time(t.value / l))
+            want = f.eval(x, t)
+            assert got == (Energy.of(want.value * e) if want.is_finite else want), (f, x, t, e, l)
