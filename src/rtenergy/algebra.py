@@ -15,6 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .linear2d import Constraint, Elimination
@@ -208,8 +209,8 @@ class LinearRtef:
         return self.__class__, (self.atoms,)
 
     def __hash__(self):
-        # cached: most calls repeat (the sets in Rtef.of, the leq_linear
-        # keys), while an Atom is hashed about once
+        # cached: most calls repeat (the leq_linear keys), while an Atom is
+        # hashed about once; building a value hashes nothing
         try:
             return self._hash
         except AttributeError:
@@ -308,7 +309,7 @@ class Rtef:
 
     @staticmethod
     def of(components: Iterable[LinearRtef]) -> "Rtef":
-        return Rtef(tuple(sorted(set(components), key=lambda c: c.atoms)))
+        return Rtef(_sorted_unique(components))
 
     @staticmethod
     def bottom() -> "Rtef":
@@ -326,12 +327,11 @@ class Rtef:
         if len(self.components) == len(other.components) == 1:
             # one component is already sorted, unique and pruned
             return Rtef((_splice(self.components[0], other.components[0]),))
-        comps = [_splice(a, b) for a in self.components for b in other.components]
-        return Rtef.of(comps).prune()
+        return _pruned([_splice(a, b) for a in self.components for b in other.components])
 
     def sup(self, other: "Rtef") -> "Rtef":
         """Pointwise maximum: the union of both component lists, pruned."""
-        return Rtef.of(self.components + other.components).prune()
+        return _pruned(self.components + other.components)
 
     def prune(self) -> "Rtef":
         """Drop every component pointwise dominated by another: c goes when
@@ -366,6 +366,24 @@ class Rtef:
 
 _BOTTOM_RTEF = Rtef()
 _ONE_RTEF = Rtef((LinearRtef(),))
+_atoms = attrgetter("atoms")
+
+
+def _sorted_unique(components: Iterable[LinearRtef]) -> tuple[LinearRtef, ...]:
+    """``components`` sorted by their atoms, each run of equal ones cut to
+    its first: a stable sort puts equal components side by side, so no
+    hashing is needed."""
+    comps = sorted(components, key=_atoms)
+    return tuple([c for i, c in enumerate(comps) if not i or c.atoms != comps[i - 1].atoms])
+
+
+def _pruned(components) -> Rtef:
+    """``Rtef.of(components).prune()`` built as one value: bottom, shared,
+    when there is nothing; else sorted, deduplicated and pruned."""
+    if not components:
+        return _BOTTOM_RTEF
+    comps = _sorted_unique(components)
+    return Rtef(_undominated(comps) if len(comps) > 1 else comps)
 
 
 def _tail(c: LinearRtef) -> tuple[Rational, Rational]:

@@ -135,8 +135,8 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
     times its out-degree.  When p goes, its self-loop l holds its loops
     through the states gone before it, and each live predecessor i folds
     m[i][p] . l* . m[p][j] into m[i][j].  Step p records l* (None without a
-    loop), l^omega off that l* when p < k (None when it is false), p's row
-    scaled by l*, and the pairs (i, m[i][p]).
+    loop), l^omega off that l* when p < k (None when it is false, as it is
+    without a loop), p's row scaled by l*, and the pairs (i, m[i][p]).
 
     Each pivot is the live state with the least key (late[p], in-degree
     times out-degree, p), self-loops excluded from both degrees: the
@@ -168,11 +168,11 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
             continue
         gone[p] = True
         row = succ[p]
-        loop = row.pop(p, Rtef.bottom())
+        loop = row.pop(p, None)
         pred[p].discard(p)
         for j in row:
             pred[j].discard(p)
-        s = loop.star() if loop.components else None
+        s = None if loop is None else loop.star()
         row = row if s is None else {j: s.compose(g) for j, g in row.items()}
         folds = [(i, succ[i].pop(p)) for i in pred[p]]
         for i, f in folds:
@@ -180,7 +180,7 @@ def _factor(m: RtefMatrix, late: Sequence, k: int) -> list[tuple]:
                 h = f.compose(g)
                 succ[i][j] = succ[i][j].sup(h) if j in succ[i] else h
                 pred[j].add(i)
-        omega = omega_of(loop, s) if p < k else None
+        omega = omega_of(loop, s) if p < k and loop is not None else None
         steps.append((p, s, None if omega == OmegaVal.false() else omega, row, folds))
         for q in pred[p] | row.keys():
             heappush(heap, key(q))

@@ -28,6 +28,7 @@ from rtenergy.algebra import (
     Rtef,
     Time,
     _leq,
+    _splice,
     _violation_point,
     component_cells,
 )
@@ -337,6 +338,27 @@ def undominated_all_pairs(comps) -> tuple[LinearRtef, ...]:
         else:
             keep.append(c)
     return tuple(keep)
+
+
+def rtef_of_hashed(components) -> Rtef:
+    """The former ``Rtef.of``: a set drops equal components, then a sort by
+    atoms orders the rest.  It, ``sup_two_step`` and ``compose_two_step``
+    are the former kernel, which built each result twice; the one-step
+    builder is checked against them."""
+    return Rtef(tuple(sorted(set(components), key=lambda c: c.atoms)))
+
+
+def sup_two_step(f: Rtef, g: Rtef) -> Rtef:
+    """The former ``Rtef.sup``: one value for the union, one for its prune."""
+    return rtef_of_hashed(f.components + g.components).prune()
+
+
+def compose_two_step(f: Rtef, g: Rtef) -> Rtef:
+    """The former ``Rtef.compose``: every splice, then the two steps of
+    ``sup_two_step``; one component on each side is taken as it is."""
+    if len(f.components) == len(g.components) == 1:
+        return Rtef((_splice(f.components[0], g.components[0]),))
+    return rtef_of_hashed([_splice(a, b) for a in f.components for b in g.components]).prune()
 
 
 def feasible_point_fractions(constraints: Sequence[Constraint]) -> Optional[tuple[Fraction, Fraction]]:

@@ -55,11 +55,14 @@ from references import (
     coefficients,
     component_cells_fractions,
     compose_split_oracle,
+    compose_two_step,
     exact_schedule_value,
     greedy_eval,
     greedy_wait,
     normalize_two_pass,
+    rtef_of_hashed,
     star_subsets,
+    sup_two_step,
     undominated_all_pairs,
 )
 
@@ -582,6 +585,90 @@ class TestMergeSup:
             assert a.sup(b).sup(c) == a.sup(b.sup(c)), (a, b, c)
             assert a.sup(a) == a.prune(), a
         assert unpruned > 80
+
+
+def _retyped(c: LinearRtef) -> LinearRtef:
+    """A distinct copy of ``c`` with equal atoms, each integral field
+    flipped between ``int`` and ``Fraction``: ``Fraction(3) == 3``."""
+
+    def flip(v):
+        if type(v) is int:
+            return Fraction(v)
+        return v.numerator if v.denominator == 1 else v
+
+    return LinearRtef(tuple(Atom(*map(flip, a)) for a in c.atoms))
+
+
+class TestBuildOnce:
+    """``Rtef.of``, ``sup`` and ``compose`` sort, deduplicate and prune in
+    one step: the same components as the former kernel (a set, a sort,
+    then a second value for the prune), down to which of equal components
+    is kept, the first given."""
+
+    @staticmethod
+    def _lists(seed, count):
+        # components of random suprema, some given again as retyped copies,
+        # some twice over, and the identity now and then
+        rng = random.Random(seed)
+        for case in range(count):
+            comps = [c for _ in range(rng.randint(0, 3)) for c in rand_rtef(rng, max_comps=4).components]
+            comps += [_retyped(c) for c in comps if rng.random() < 0.5]
+            comps += rng.sample(comps, len(comps) // 3)
+            if case % 4 == 0:
+                comps.append(LinearRtef())
+            rng.shuffle(comps)
+            yield comps
+
+    def test_of_keeps_the_first_of_equal_components(self):
+        retyped = 0
+        for comps in self._lists(2042, 600):
+            got, want = Rtef.of(comps), rtef_of_hashed(comps)
+            assert got.components == want.components, comps
+            firsts = {}
+            for c in comps:
+                firsts.setdefault(c.atoms, c)
+            assert all(firsts[c.atoms] is c for c in got.components)
+            retyped += any(
+                any(type(u) is not type(v) for a, b in zip(c.atoms, d.atoms) for u, v in zip(a, b))
+                for c in comps for d in comps if c == d and c is not d
+            )
+        assert retyped > 300
+
+    def test_sup_and_compose_equal_the_two_step_kernel(self):
+        values = [Rtef.bottom(), Rtef.one(), Rtef((_retyped(LinearRtef()),))]
+        for comps in self._lists(2043, 300):
+            f = Rtef.of(comps)
+            values += [f, f.prune(), Rtef.of(map(_retyped, comps))]
+        rng = random.Random(2044)
+        for _ in range(1500):
+            f, g = rng.choice(values), rng.choice(values)
+            assert f.compose(g).components == compose_two_step(f, g).components, (f, g)
+            # each splice is a fresh object, but sup keeps its operands' own
+            got, want = f.sup(g), sup_two_step(f, g)
+            assert got.components == want.components, (f, g)
+            assert all(a is b for a, b in zip(got.components, want.components)), (f, g)
+
+    def test_bottom_absorbs_without_building(self, monkeypatch):
+        built, init = [], Rtef.__init__
+
+        def counting(self, components=()):
+            built.append(components)
+            init(self, components)
+
+        f, g = rtef(F1, F2), rtef(lin((1, -1, 1)))
+        monkeypatch.setattr(Rtef, "__init__", counting)
+        bottom = Rtef.bottom()
+        for h in (f, g, bottom):
+            assert h.compose(bottom) is bottom and bottom.compose(h) is bottom
+        assert bottom.sup(bottom) is bottom
+        assert built == []
+        # any other result is one value, not one before and one after the prune
+        for a, b in ((f, g), (g, f), (f, f)):
+            for op in (Rtef.sup, Rtef.compose):
+                h = op(a, b)
+                assert built == [h.components]
+                built.clear()
+        assert f.sup(bottom) == f and len(built) == 1
 
 
 class TestTailRejection:

@@ -14,6 +14,7 @@ from rtenergy import (
     AutomatonRep,
     BOTTOM,
     Energy,
+    LinearRtef,
     OmegaVal,
     Rtef,
     RtefMatrix,
@@ -47,6 +48,7 @@ from helpers import (
     sample_points,
 )
 from references import (
+    compose_two_step,
     dense,
     identity,
     mat_mul_dense,
@@ -54,6 +56,8 @@ from references import (
     mat_star_blocks,
     mat_sup,
     min_degree_order,
+    rtef_of_hashed,
+    sup_two_step,
     truncated_path_sum,
     zeros,
 )
@@ -248,22 +252,54 @@ class TestMatOmega:
         assert vec[1].eval(Energy.of(4), Time.of(0)) is False
 
 
+def counting_omega_and_star(monkeypatch) -> dict:
+    """Counts ``omega_of`` calls from the matrix layer and ``Rtef.star``
+    calls, as they happen."""
+    calls = {"omega_of": 0, "star": 0}
+    star = Rtef.star
+
+    def counting_omega(f, s=None):
+        calls["omega_of"] += 1
+        return omega_of(f, s)
+
+    def counting_star(f):
+        calls["star"] += 1
+        return star(f)
+
+    monkeypatch.setattr(rtenergy.matrix, "omega_of", counting_omega)
+    monkeypatch.setattr(Rtef, "star", counting_star)
+    return calls
+
+
 class TestLassoOmega:
-    """One omega_of per accepting state, one star per loop."""
+    """One omega_of per accepting pivot with a loop, one star per loop."""
 
     def test_one_omega_of_per_accepting_state(self, monkeypatch):
+        # every state accepts, so every star is an accepting pivot's, and
+        # omega_of runs once for each: a pivot without a loop has none
         n = 10
-        calls = []
-
-        def counting(f, star=None):
-            calls.append(f)
-            return omega_of(f, star)
-
-        monkeypatch.setattr(rtenergy.matrix, "omega_of", counting)
+        calls = counting_omega_and_star(monkeypatch)
         rep = to_matrix_rep(parse_model(rand_model_text(random.Random(10), n, accepting=range(n))))
         assert rep.accepting_count == n
         mat_omega_accepting(rep.matrix, n)
-        assert len(calls) == n
+        assert calls["omega_of"] == calls["star"] == 4
+
+    def test_loopless_accepting_pivot_records_no_omega(self, monkeypatch):
+        # a accepts and never comes back: it goes last with no self-loop,
+        # and its omega is false without an omega_of call; b's free loop
+        # is the only one, and b does not accept
+        rep = to_matrix_rep(parse_model("""rtea {
+          state a rate 0 initial accepting;
+          state b rate 0;
+          trans a -> b price 0 bound 0;
+          trans b -> b price 0 bound 0;
+        }"""))
+        calls = counting_omega_and_star(monkeypatch)
+        steps = rtenergy.matrix._factor(rep.matrix, [True, False], 1)
+        assert [(p, s is None, omega) for p, s, omega, *_ in steps] == [(1, False, None), (0, True, None)]
+        assert calls == {"omega_of": 0, "star": 1}
+        # the run a -> b -> b ... never visits a again
+        assert buchi_behavior(rep) == OmegaVal.false()
 
     def test_one_star_per_loop(self, monkeypatch):
         # the omega step of an accepting pivot reuses the loop's star
@@ -395,25 +431,22 @@ class TestBuchiElimination:
 
     def test_one_pass_without_closure(self, monkeypatch):
         n = 10
-        omegas, stars, composes = [], [], []
+        closures, composes = [], []
         real_compose = Rtef.compose
-
-        def counting_omega(f, star=None):
-            omegas.append(1)
-            return omega_of(f, star)
 
         def counting_compose(f, g):
             composes.append(1)
             return real_compose(f, g)
 
         rep = to_matrix_rep(parse_model(rand_model_text(random.Random(10), n, accepting=range(n))))
-        monkeypatch.setattr(rtenergy.matrix, "omega_of", counting_omega)
-        monkeypatch.setattr(rtenergy.matrix, "mat_star", lambda m: stars.append(m))
+        calls = counting_omega_and_star(monkeypatch)
+        monkeypatch.setattr(rtenergy.matrix, "mat_star", lambda m: closures.append(m))
         monkeypatch.setattr(Rtef, "compose", counting_compose)
         buchi_behavior(rep)
         print(f"buchi_behavior at n = {n}: {len(composes)} compose calls")
-        assert len(omegas) == n
-        assert stars == []
+        # one omega_of per star of an accepting pivot, and every state accepts
+        assert calls["omega_of"] == calls["star"] == 4
+        assert closures == []
         assert len(composes) <= n**3
 
 
@@ -793,6 +826,42 @@ class TestGrowthCounted:
             walks, all_pairs, tail = buchi_walks
             assert leq_linear.cache_info().misses == walks <= all_pairs < tail
 
+    def test_values_built_pinned(self, monkeypatch):
+        # Rtef constructions of one query, the scaling into integer units
+        # and back included: each sup and general compose builds one value
+        # and bottom none (80 / 78 and 236 / 218 when each built two)
+        built = []
+        init = Rtef.__init__
+
+        def counting(f, components=()):
+            built.append(1)
+            init(f, components)
+
+        rng = random.Random(2045)
+        flower = to_matrix_rep(load_model("flower.rtea"))
+        wide = to_matrix_rep(parse_model(rand_model_text(rng, 50, accepting=rng.sample(range(50), 5))))
+        monkeypatch.setattr(Rtef, "__init__", counting)
+        for rep, pins in ((flower, (58, 57)), (wide, (171, 148))):
+            for behavior, pin in zip((finite_behavior, buchi_behavior), pins):
+                built.clear()
+                behavior(rep)
+                assert len(built) == pin, (behavior.__name__, len(built))
+
+    def test_of_hashes_nothing(self, monkeypatch):
+        # the components are sorted and equal neighbours dropped: no set
+        rng = random.Random(2046)
+        comps = [rand_linear(rng) for _ in range(40)]
+        comps += [LinearRtef(c.atoms) for c in comps[:20]]
+
+        def no_hash(c):
+            raise AssertionError("LinearRtef hashed")
+
+        monkeypatch.setattr(LinearRtef, "__hash__", no_hash)
+        f = Rtef.of(comps)
+        assert len(f.components) == len({c.atoms for c in comps}) < len(comps)
+        bottom = Rtef.bottom()
+        assert f.compose(bottom) is bottom.compose(f) is bottom.sup(bottom) is bottom
+
 
 def per_scc_order(rng: random.Random, comp, k: int, accepting_first=False) -> list[int]:
     """A random order in which, within each strongly connected component,
@@ -1097,6 +1166,25 @@ class TestIntegerUnits:
         seen.clear()
         solved(rep)
         assert len(seen) == 4 and all(m is rep.matrix for m in seen)
+
+
+class TestFormerKernel:
+    """The behaviors and the closure on the one-step kernel are the values
+    the former kernel built, which sorted a set and pruned as a second
+    value (``references``), patched back in: equal component tuples."""
+
+    def test_behaviors_and_closure_equal(self):
+        rng = random.Random(2047)
+        reps = [to_matrix_rep(load_model(path.name)) for path in sorted(MODELS.glob("*.rtea"))]
+        reps += [to_matrix_rep(parse_model(rand_mixed_model_text(rng, rng.randint(2, 9)))) for _ in range(120)]
+        for rep in reps:
+            got = finite_behavior(rep), buchi_behavior(rep), mat_star(rep.matrix)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Rtef, "of", staticmethod(rtef_of_hashed))
+                mp.setattr(Rtef, "sup", sup_two_step)
+                mp.setattr(Rtef, "compose", compose_two_step)
+                want = finite_behavior(rep), buchi_behavior(rep), mat_star(rep.matrix)
+            assert got == want, rep
 
 
 def reverse_index_order(rep: AutomatonRep) -> list[int]:

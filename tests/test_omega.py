@@ -57,7 +57,7 @@ class TestOmegaOf:
         assert v.threshold is None
         assert v.eval(Energy.of(100), TIME_INF) is False
 
-    def test_zero_rate_keeper_threshold_is_its_bound(self):
+    def test_zero_rate_keeper_is_support_only(self):
         # a free zero-rate loop needs no time: the support holds from its
         # bound at every horizon, and no waiting loop gives a threshold
         v = omega_of(KEEPER)
