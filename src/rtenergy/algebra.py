@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
-from .linear2d import Constraint, Elimination
+from .linear2d import Elimination
 from .rational import Rational, fraction, rational
 
 # Entry bounds of the process-lifetime memo caches, well above the largest
@@ -672,7 +672,11 @@ def _strips(fcomps, gcomps):
 # cursors in ``leq_linear``, one per component in ``_strips`` for
 # ``order_witness``.  The endpoint checks that settle most strips without a
 # linear system (``_covers``) are integer sign tests: each cell carries its
-# affine data as numerators over a common denominator (``Cell.ints``).
+# affine data as numerators over a common denominator (``Cell.ints``).  The
+# strips left go to the line sweep (``_violation_point``), which cuts a strip
+# where two feasibility lines of g cross inside it; ``_crossings`` sees from
+# the lines' order at the strip's two ends whether any do, and tests pairs
+# of lines only then.
 
 def _covers(g: Cell, f: Cell, lo: Rational, hi: Optional[Rational]) -> bool:
     """Whether g alone dominates f on this whole strip (exact for affine
@@ -734,72 +738,113 @@ def _violation_point(
     """A point of the strip where f is defined and beats every g, or None.
 
     Each g is undefined below its feasibility line t = wait_g(x).  The strip
-    is cut further where two of these lines cross; on each piece they are
-    totally ordered, so the cells defined at height t are a prefix of that
-    order.  One system per prefix length k then decides the piece: the first
-    k cells lie strictly below f and t stays below the (k+1)-th line, where
-    every later cell is still undefined.  The systems of a piece share all
-    but their last row, so one ``Elimination`` grows by a "below" row per
-    k and each system folds in its one "undefined" row on top: O(m) per
-    system, O(m^2) per piece for m cells of g, where solving each system
-    afresh took O(m^3).  Once the shared rows have no point, no later
-    system of the piece has one, and the sweep goes to the next piece.
+    is cut further where two of these lines cross; ``_crossings`` reads from
+    the lines' order at the strip's two ends whether any two do, and tests
+    the O(m^2) pairs only then.  On each piece the lines are totally
+    ordered, so the cells defined at height t are a prefix of that order.  One system per prefix length k then decides the
+    piece: the first k cells lie strictly below f and t stays below the
+    (k+1)-th line, where every later cell is still undefined.  The systems
+    of a piece share all but their last row, so one ``Elimination`` grows by
+    a "below" row per k and each system folds in its one "undefined" row on
+    top: O(m) per system, O(m^2) per piece for m cells of g, where solving
+    each system afresh took O(m^3).  Once the shared rows have no point, no
+    later system of the piece has one, and the sweep goes to the next piece.
 
     The strip's right edge is excluded: a violation exactly there reappears
     in the next strip with that strip's (correct) cell data, while here the
     edge may sit on a feasibility jump of some g.  Inner cuts are closed on
     both sides, where the order of the lines still holds by continuity.
 
-    Everything runs in integers: each constraint is built from the cells'
-    ``ints`` multiplied through by their positive denominators, and a cut
-    p/q enters as q*x - p.  The crossings are tested against the strip in
-    integers; only those inside it become ``Fraction`` cuts, and only the
-    point returned is built from quotients.
+    Everything runs in integers: each row is built once per call from the
+    cells' ``ints`` multiplied through by their positive denominators, and a
+    cut p/q enters as q*x - p.  Each line is written once over the common
+    denominator of the g cells, which orders the lines at any x = p/q by
+    integer products alone; only the crossings inside the strip become
+    ``Fraction`` cuts, and only the point returned is built from quotients.
     """
     df, fwx, fwc, fvt, fvx, fvc = fc.ints
-    gs = [gc.ints for gc in gcells]
-    lo_p, lo_q = lo.numerator, lo.denominator
-    if hi is not None:
-        hi_p, hi_q = hi.numerator, hi.denominator
-    crossings = set()  # x = num/den where two feasibility lines cross, inside the strip
-    for u, v in itertools.combinations(gs, 2):
-        du, uwx, uwc = u[0], u[1], u[2]
-        dv, vwx, vwc = v[0], v[1], v[2]
-        num, den = vwc * du - uwc * dv, uwx * dv - vwx * du
-        if den < 0:
-            num, den = -num, -den
-        if den and lo_p * den < num * lo_q and (hi is None or num * hi_q < hi_p * den):
-            crossings.add(Fraction(num, den))
-    cuts = [lo, *sorted(crossings), hi]
-    common = math.lcm(*(g[0] for g in gs))
-    f_cons = [
-        Constraint(0, 1, 0),
-        Constraint(-fwx, df, -fwc),  # t >= wait_f(x)
-    ]
-    for a, b in zip(cuts, cuts[1:]):
-        elim = Elimination(f_cons)
-        elim.add(Constraint(a.denominator, 0, -a.numerator))
+    common = math.lcm(*(gc.ints[0] for gc in gcells))
+    lines, rows = [], []
+    for gc in gcells:
+        dg, gwx, gwc, gvt, gvx, gvc = gc.ints
+        k = common // dg
+        lines.append((gwx * k, gwc * k))
+        rows.append(
+            (
+                (gwx, -dg, gwc, True),  # t < wait_g(x): this cell and every later one undefined
+                # this cell defined but strictly below f: value_g < value_f
+                (fvx * dg - gvx * df, fvt * dg - gvt * df, fvc * dg - gvc * df, True),
+            )
+        )
+    order = range(len(rows))
+    cuts = [lo, *_crossings(lines, lo, hi), hi]
+    last = len(cuts) - 2
+    for i in range(last + 1):
+        a, b = cuts[i], cuts[i + 1]
+        # t >= 0, t >= wait_f(x), x >= a
+        elim = Elimination(((0, 1, 0, False), (-fwx, df, -fwc, False), (a.denominator, 0, -a.numerator, False)))
         # a point mp/mq inside the piece: one past a, or the midpoint
         if b is None:
             mp, mq = a.numerator + a.denominator, a.denominator
         else:
-            elim.add(Constraint(-b.denominator, 0, b.numerator, strict=b == hi))
+            elim.add((-b.denominator, 0, b.numerator, i == last))  # x <= b, x < hi
             mp, mq = a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator
         # wait_g there, over the common denominator common * mq
-        for dg, gwx, gwc, gvt, gvx, gvc in sorted(gs, key=lambda g: (g[1] * mp + g[2] * mq) * (common // g[0])):
+        keys = [wx * mp + wc * mq for wx, wc in lines]
+        for j in sorted(order, key=keys.__getitem__):
             if elim.empty():
                 break
-            # t < wait_g(x): this cell and every later one undefined
-            point = elim.point(Constraint(gwx, -dg, gwc, True))
+            undefined, below = rows[j]
+            point = elim.point(undefined)
             if point is not None:
                 return point
-            # this cell defined but strictly below f: value_g < value_f
-            elim.add(Constraint(fvx * dg - gvx * df, fvt * dg - gvt * df, fvc * dg - gvc * df, True))
+            elim.add(below)
         else:
             point = elim.point()
             if point is not None:
                 return point
     return None
+
+
+def _crossings(lines: list[tuple[int, int]], lo: Rational, hi: Optional[Rational]) -> list[Fraction]:
+    """The x strictly inside the strip (lo, hi) where two of ``lines`` cross,
+    in order; a line (w, c) is t = (w*x + c)/d over one common d > 0.
+
+    Two lines cross strictly inside the strip exactly when their order at
+    lo and their order at hi are strictly opposite (the slab rule of
+    Bentley and Ottmann).  So sorted by (value at lo, value at hi), the
+    lines cross nowhere inside when their values at hi never fall, and then
+    no pair is tested; otherwise some adjacent two fall, which is a
+    crossing, and every pair is tested.  At x = p/q a line's value times
+    d*q is w*p + c*q; on the unbounded strip its value at hi is its
+    (slope, intercept)."""
+    lo_p, lo_q = lo.numerator, lo.denominator
+    if hi is None:
+        ends = sorted([(w * lo_p + c * lo_q, w, c) for w, c in lines])
+        his = [(w, c) for _, w, c in ends]
+    else:
+        hi_p, hi_q = hi.numerator, hi.denominator
+        ends = sorted([(w * lo_p + c * lo_q, w * hi_p + c * hi_q) for w, c in lines])
+        his = [v for _, v in ends]
+    if his == sorted(his):
+        return []
+    return _pair_crossings(lines, lo, hi)
+
+
+def _pair_crossings(lines: list[tuple[int, int]], lo: Rational, hi: Optional[Rational]) -> list[Fraction]:
+    """``_crossings`` by testing every pair of lines against the strip in
+    integers: O(m^2) for m lines."""
+    lo_p, lo_q = lo.numerator, lo.denominator
+    if hi is not None:
+        hi_p, hi_q = hi.numerator, hi.denominator
+    crossings = set()
+    for (uw, uc), (vw, vc) in itertools.combinations(lines, 2):
+        num, den = vc - uc, uw - vw
+        if den < 0:
+            num, den = -num, -den
+        if den and lo_p * den < num * lo_q and (hi is None or num * hi_q < hi_p * den):
+            crossings.add(Fraction(num, den))
+    return sorted(crossings)
 
 
 def order_witness(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:

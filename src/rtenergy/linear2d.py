@@ -3,10 +3,11 @@
 Used to decide emptiness of candidate violation regions when comparing
 piecewise-affine functions.  One Fourier-Motzkin elimination of t serves
 every caller, and it grows: ``Elimination.add`` pairs a new row only with
-the rows of the opposite sign seen so far and folds the products into the
-running tightest bounds on x, so a system of k rows costs O(k) per row and
-``Elimination.point(extra)`` tests one more row in O(k) without re-solving.
-``feasible_point`` is the one-shot use of it.
+the rows of the opposite sign seen so far and folds each product straight
+into the running tightest bounds on x, so a system of k rows costs O(k) per
+row and ``Elimination.point(extra)`` tests one more row the same way, on a
+copy of the bounds, in O(k) without re-solving.  ``feasible_point`` is the
+one-shot use of it.
 
 The solver divides nowhere: Fourier-Motzkin products, bound comparisons
 (cross-multiplied, each bound kept as a numerator over a positive
@@ -30,8 +31,10 @@ ZERO = Fraction(0)
 class Constraint(NamedTuple):
     """a*x + b*t + c >= 0, or strictly > 0 when ``strict`` is set.
 
-    The order test builds every constraint with integer coefficients,
-    cleared of denominators; the solver takes ``Fraction``s as well."""
+    The solver reads a row by position, so a plain tuple of the four fields
+    serves as well: the order test passes such tuples, with integer
+    coefficients cleared of denominators.  The solver takes ``Fraction``s
+    too."""
 
     a: Rational
     b: Rational
@@ -68,9 +71,10 @@ class Elimination:
     def add(self, row: Constraint) -> None:
         """Add a row, pairing it with the rows of the opposite sign."""
         _pair(row, self.lows, self.highs, self.x)
-        if row.b > 0:
+        b = row[1]
+        if b > 0:
             self.lows.append(row)
-        elif row.b < 0:
+        elif b < 0:
             self.highs.append(row)
 
     def empty(self) -> bool:
@@ -103,18 +107,37 @@ class Elimination:
 
 def _pair(row: Constraint, lows: list, highs: list, x: "_Bounds") -> None:
     """Fold into ``x`` the bound on x of ``row`` (b = 0) or of its pairs
-    with the rows of the opposite sign.  A lower row t >= (-la x - lc)/lb
-    and an upper row t <= (ha x + hc)/(-hb) are compatible where
-    (lb*ha - hb*la) x + (lb*hc - hb*lc) >= 0, strict if either is."""
+    with the rows of the opposite sign, each product straight into the
+    bounds.  A lower row t >= (-la x - lc)/lb and an upper row
+    t <= (ha x + hc)/(-hb) are compatible where
+    (lb*ha - hb*la) x + (lb*hc - hb*lc) >= 0, strict if either is: with the
+    partner (oa, ob, oc), the product |b|*(oa, oc) + |ob|*(a, c), which
+    cancels t.  The signs are settled once per row (a lower row's partners
+    have ob < 0, so its own a and c are negated instead), and a row without
+    t is its own bound, the same sum with the partner ``_UNIT``.  The bound
+    update is ``_Bounds.fold``'s, written out in the loop."""
     a, b, c, strict = row
     if b > 0:
-        if highs:
-            x.fold([(b * ha - hb * a, b * hc - hb * c, strict or hs) for ha, hb, hc, hs in highs])
+        others, a, c = highs, -a, -c
     elif b < 0:
-        if lows:
-            x.fold([(lb * a - b * la, lb * c - b * lc, ls or strict) for la, lb, lc, ls in lows])
+        others, b = lows, -b
     else:
-        x.fold(((a, c, strict),))
+        others = _UNIT
+    low, high = x.low, x.high
+    for oa, ob, oc, os in others:
+        pa, pc, ps = b * oa + ob * a, b * oc + ob * c, strict or os
+        if pa > 0:  # x >= -pc/pa
+            if low is None or -pc * low[1] > low[0] * pa or (ps and not low[2] and -pc * low[1] == low[0] * pa):
+                low = (-pc, pa, ps)
+        elif pa < 0:  # x <= pc/(-pa)
+            if high is None or pc * high[1] < high[0] * -pa or (ps and not high[2] and pc * high[1] == high[0] * -pa):
+                high = (pc, -pa, ps)
+        elif pc < 0 or (ps and pc == 0):
+            x.dead = True
+    x.low, x.high = low, high
+
+
+_UNIT = ((0, 1, 0, False),)  # with b = 0 the product is the row itself
 
 
 class _Bounds:

@@ -457,6 +457,31 @@ def violation_point_subsets(
     return None
 
 
+def crossings_all_pairs(lines: Sequence[tuple[int, ...]], lo: Fraction, hi: Optional[Fraction]) -> set[Fraction]:
+    """The x strictly inside the strip (lo, hi) where two feasibility lines
+    cross; a line is a cell's ``ints`` or their first three, (d, wx, wc):
+    t = (wx*x + wc)/d.
+
+    Tests every pair, with no look at the lines' order at the strip ends:
+    the loop ``algebra._violation_point`` ran on every strip before
+    ``algebra._crossings`` read that order, kept as it was.
+    """
+    gs = lines
+    lo_p, lo_q = lo.numerator, lo.denominator
+    if hi is not None:
+        hi_p, hi_q = hi.numerator, hi.denominator
+    crossings = set()  # x = num/den where two feasibility lines cross, inside the strip
+    for u, v in itertools.combinations(gs, 2):
+        du, uwx, uwc = u[0], u[1], u[2]
+        dv, vwx, vwc = v[0], v[1], v[2]
+        num, den = vwc * du - uwc * dv, uwx * dv - vwx * du
+        if den < 0:
+            num, den = -num, -den
+        if den and lo_p * den < num * lo_q and (hi is None or num * hi_q < hi_p * den):
+            crossings.add(Fraction(num, den))
+    return crossings
+
+
 def _active_cell(cells: tuple[Cell, ...], x: Fraction) -> Cell:
     for c in cells:
         if c.lo <= x and (c.hi is None or x < c.hi):

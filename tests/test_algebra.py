@@ -24,7 +24,7 @@ from rtenergy import (
     parse_model,
     to_matrix_rep,
 )
-from rtenergy import algebra
+from rtenergy import algebra, linear2d
 from rtenergy.oracles import DpConfig
 from rtenergy.regions import component_json, extract_regions
 
@@ -215,7 +215,7 @@ class TestRecords:
         assert coefficients(cell)[:2] == (Fraction(-1, 2), 3)
         lo, hi, feasible, ints = cell._replace(hi=None)
         assert (lo, hi, feasible, ints) == (0, None, True, cell.ints)
-        assert algebra.Constraint(1, 2, 3) == (1, 2, 3, False)
+        assert linear2d.Constraint(1, 2, 3) == (1, 2, 3, False)
 
     def test_component_order_is_field_order(self):
         # seeded functions with Fraction atoms, int atoms as the parser gives

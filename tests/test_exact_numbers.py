@@ -96,11 +96,19 @@ def exact_only(monkeypatch):
             _exact(c.lo) and (c.hi is None or _exact(c.hi)) and all(type(v) is int for v in c.ints), "cell", c
         ),
     )
-    # the order test clears every denominator: its constraints are ints
+    # the order test clears every denominator: its constraints are ints, and
+    # so is every row the solver pairs, plain tuples from the line sweep too
     built(
         linear2d.Constraint,
         lambda cn: _check(all(type(v) is int for v in (cn.a, cn.b, cn.c)), "constraint", cn),
     )
+    pair = linear2d._pair
+
+    def checked_pair(row, lows, highs, x):
+        _check(all(type(v) is int for v in row[:3]), "paired row", row)
+        return pair(row, lows, highs, x)
+
+    monkeypatch.setattr(linear2d, "_pair", checked_pair)
     built(algebra.Energy, lambda e: _check(e.value is None or type(e.value) is Fraction, "energy", e.value))
     built(omega.OmegaVal, lambda v: _check(v.threshold is None or _exact(v.threshold), "threshold", v))
     built(algebra.Time, lambda t: _check(t.value is None or type(t.value) is Fraction, "time", t.value))
@@ -186,6 +194,7 @@ class TestNoFloat:
             ("constraint", lambda: linear2d.Constraint(1.0, -2, 3)),
             ("constraint", lambda: linear2d.Constraint(1, -2.0, 3)),
             ("constraint", lambda: linear2d.Constraint(1, -2, 3.0)),
+            ("paired row", lambda: linear2d._pair((1, 2.0, 3, False), [], [], linear2d._Bounds())),
             ("energy from a float", lambda: algebra.Energy(1, 0.5)),
             ("time from a float", lambda: algebra.Time(0.5)),
             ("threshold", lambda: omega.OmegaVal(Rtef.bottom(), 0.5)),
@@ -214,23 +223,23 @@ class TestNoFloat:
 
     def test_order_constraints_are_ints(self, exact_only, monkeypatch):
         # the same corpus as given, with Fraction atoms where the generators
-        # make them: every constraint the line sweep builds passes the int
-        # check of the fixture, and there are many
-        built = 0
-        new = linear2d.Constraint.__new__
+        # make them: every row the line sweep hands the solver passes the
+        # int check of the fixture, and there are many
+        paired = 0
+        pair = linear2d._pair
 
-        def counted(cls, *args, **kwargs):
-            nonlocal built
-            built += 1
-            return new(cls, *args, **kwargs)
+        def counted(row, lows, highs, x):
+            nonlocal paired
+            paired += 1
+            return pair(row, lows, highs, x)
 
-        monkeypatch.setattr(linear2d.Constraint, "__new__", counted)
+        monkeypatch.setattr(linear2d, "_pair", counted)
         rng = random.Random(41)
         for case in range(300):
             f, g = order_pair(rng, case)
             algebra.order_witness(f, g)
             algebra.order_witness(g, f)
-        assert built > 1000
+        assert paired > 1000
 
     def test_seeded_models(self, exact_only):
         rng = random.Random(41)

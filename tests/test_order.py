@@ -1,7 +1,12 @@
 """The pointwise order: worked counterexamples and exactness checks."""
 
+import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
+
+import pytest
 
 from rtenergy import BOTTOM, Energy, Rtef, finite_behavior, to_matrix_rep
 import rtenergy.algebra
@@ -22,7 +27,7 @@ from helpers import (
     rtef,
     sample_points,
 )
-from references import leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
+from references import crossings_all_pairs, leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
 
 
 class TestOrderCounterexample:
@@ -170,6 +175,20 @@ def tangent_family(m):
     return rtef(line(rate, price)), g
 
 
+@pytest.fixture
+def pair_tests(monkeypatch):
+    """A one-item list counting the line pairs the crossing fallback tests."""
+    count = [0]
+    fallback = rtenergy.algebra._pair_crossings
+
+    def counted(lines, lo, hi):
+        count[0] += len(lines) * (len(lines) - 1) // 2
+        return fallback(lines, lo, hi)
+
+    monkeypatch.setattr(rtenergy.algebra, "_pair_crossings", counted)
+    return count
+
+
 class TestLineSweep:
     """``_violation_point`` sweeps the ordered feasibility lines; the old
     search over every subset of undefined cells is the oracle."""
@@ -192,7 +211,7 @@ class TestLineSweep:
                 holding += w is None
         assert 0 < holding < 1200
 
-    def test_crossing_inside_strip(self):
+    def test_crossing_inside_strip(self, pair_tests):
         f = rtef(lin((Fraction(11, 3), -14, 18)))
         g = rtef(
             lin((Fraction(9, 4), -5, 16)),
@@ -200,6 +219,28 @@ class TestLineSweep:
             lin((11, -20, 27)),
         )
         assert order_witness(f, g) is None
+        assert pair_tests[0] > 0
+
+    def test_tangent_families_test_no_pair(self, pair_tests):
+        # every pair of tangents crosses, but each strip ends at the kinks,
+        # so no two cross inside one and the lines' end order shows it
+        for m in (12, 24, 48):
+            assert order_witness(*tangent_family(m)) is None
+        assert pair_tests[0] == 0
+
+    def test_witnesses_pinned(self):
+        # every witness of the oracle corpus both ways and of the tangent
+        # families, as the sweep found them when it tested every pair of
+        # lines on every strip: reading the end order changes none
+        rng = random.Random(41)
+        witnesses = []
+        for case in range(600):
+            f, g = order_pair(rng, case)
+            witnesses += [order_witness(f, g), order_witness(g, f)]
+        witnesses += [order_witness(g, f) for f, g in map(tangent_family, range(3, 20))]
+        texts = [None if w is None else (w[0].text(), w[1].text()) for w in witnesses]
+        assert sum(w is None for w in texts) == 394
+        assert hashlib.sha256(repr(texts).encode()).hexdigest()[:16] == "91f3298d7cb4b6ba"
 
     def test_elimination_pairs_grow_polynomially(self, monkeypatch):
         # Fourier-Motzkin pairs formed by the sweep: each doubling of m may
@@ -210,7 +251,7 @@ class TestLineSweep:
 
         def counted(row, lows, highs, x):
             nonlocal pairs
-            pairs += len(highs) if row.b > 0 else len(lows) if row.b < 0 else 0
+            pairs += len(highs) if row[1] > 0 else len(lows) if row[1] < 0 else 0
             return pair(row, lows, highs, x)
 
         monkeypatch.setattr(rtenergy.linear2d, "_pair", counted)
@@ -221,6 +262,73 @@ class TestLineSweep:
             counts.append(pairs)
         assert counts[0] == 742, counts
         assert counts[1] <= 8 * counts[0] and counts[2] <= 8 * counts[1], counts
+
+
+def crossing_case(rng):
+    """A strip (lo, hi) and 1-7 feasibility lines as (d, wx, wc), drawn by
+    their values at the two ends from small pools, so that lines tie at lo,
+    at hi (a crossing exactly on an edge) or at both (identical lines); some
+    are copies or parallel shifts of an earlier line.  One strip in four is
+    unbounded, its lines drawn by value at lo and slope."""
+    lo = rng.choice((0, Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))))
+    hi = None if rng.random() < 0.25 else lo + Fraction(rng.randint(1, 9), rng.choice((1, 2, 5)))
+    lines = []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if lines and kind < 0.1:
+            lines.append(rng.choice(lines))
+            continue
+        if lines and kind < 0.2:
+            d, wx, wc = rng.choice(lines)
+            lines.append((d, wx, wc + rng.choice((-2, -1, 1, 3))))
+            continue
+        at_lo = Fraction(rng.randint(-4, 4), rng.choice((1, 3)))
+        if hi is None:
+            slope = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+        else:
+            slope = (Fraction(rng.randint(-4, 4), rng.choice((1, 3))) - at_lo) / (hi - lo)
+        intercept = at_lo - slope * lo
+        d = math.lcm(slope.denominator, intercept.denominator) * rng.choice((1, 2))
+        lines.append((d, int(slope * d), int(intercept * d)))
+    return lo, hi, lines
+
+
+def wait_at(line, x):
+    d, wx, wc = line
+    return Fraction(wx * x + wc, d)
+
+
+class TestCrossings:
+    """``_crossings`` reads the lines' order at the strip ends and tests
+    pairs only when two lines cross inside; the former loop over every pair
+    is the oracle."""
+
+    def test_against_all_pairs(self, pair_tests):
+        rng = random.Random(43)
+        ran = edge = unbounded = 0
+        for _ in range(3000):
+            lo, hi, lines = crossing_case(rng)
+            common = math.lcm(*(d for d, _, _ in lines))
+            over_common = [(wx * (common // d), wc * (common // d)) for d, wx, wc in lines]
+            tested = pair_tests[0]
+            got = rtenergy.algebra._crossings(over_common, lo, hi)
+            want = crossings_all_pairs(lines, lo, hi)
+            assert got == sorted(want), (lo, hi, lines)
+            # the pair loop runs exactly when two lines cross inside
+            assert (pair_tests[0] > tested) == bool(want), (lo, hi, lines)
+            ran += bool(want)
+            unbounded += hi is None and bool(want)
+            # a crossing exactly on an edge: two lines of unequal slope that
+            # meet at lo or hi
+            edge += any(
+                wait_at(u, x) == wait_at(v, x) and Fraction(u[1], u[0]) != Fraction(v[1], v[0])
+                for u, v in itertools.combinations(lines, 2)
+                for x in (lo, hi)
+                if x is not None
+            )
+        # both paths, the unbounded strip and edge crossings all occur
+        assert 300 < ran < 2700, ran
+        assert unbounded > 100 and edge > 300, (unbounded, edge)
 
 
 def coprime_pool(rng, n):
