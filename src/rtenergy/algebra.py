@@ -741,14 +741,15 @@ def _violation_point(
     is cut further where two of these lines cross; ``_crossings`` reads from
     the lines' order at the strip's two ends whether any two do, and tests
     the O(m^2) pairs only then.  On each piece the lines are totally
-    ordered, so the cells defined at height t are a prefix of that order.  One system per prefix length k then decides the
-    piece: the first k cells lie strictly below f and t stays below the
-    (k+1)-th line, where every later cell is still undefined.  The systems
-    of a piece share all but their last row, so one ``Elimination`` grows by
-    a "below" row per k and each system folds in its one "undefined" row on
-    top: O(m) per system, O(m^2) per piece for m cells of g, where solving
-    each system afresh took O(m^3).  Once the shared rows have no point, no
-    later system of the piece has one, and the sweep goes to the next piece.
+    ordered, so the cells defined at height t are a prefix of that order.
+    One system per prefix length k then decides the piece: the first k
+    cells lie strictly below f and t stays below the (k+1)-th line, where
+    every later cell is still undefined.  The systems of a piece share all
+    but their last row, so one ``Elimination`` grows by a "below" row per k
+    and each system folds in its one "undefined" row on top: O(m) per
+    system, O(m^2) per piece for m cells of g, where solving each system
+    afresh took O(m^3).  Once the shared rows have no point, no later
+    system of the piece has one, and the sweep goes to the next piece.
 
     The strip's right edge is excluded: a violation exactly there reappears
     in the next strip with that strip's (correct) cell data, while here the
