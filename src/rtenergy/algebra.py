@@ -227,8 +227,8 @@ class LinearRtef:
         A zero-rate step above the current level is never met: bottom.
 
         On the strip of ``component_cells`` holding x those waits add up to
-        the affine boundary wait_x*x + wait_c, and the greedy value is the
-        cell's affine form, so the schedule is read off that cell
+        the affine boundary wait_x*x + wait_c clamped at 0, and the greedy
+        value is the cell's affine form, so the schedule is read off that cell
         (``_eval_cells``); the step-by-step loop is a test oracle.
         """
         return _eval_cells((component_cells(self),), x, t)
@@ -512,7 +512,9 @@ class Cell(NamedTuple):
 
     For x in [lo, hi): defined where t >= max(0, wait_x*x + wait_c), there
     evaluating to value_t*t + value_x*x + value_c.  Strips below an
-    unreachable first threshold are marked infeasible.
+    unreachable first threshold are marked infeasible.  The clamp at 0
+    acts only on a component's last cell, whose wait falls below 0 past
+    the last bound when that cell starts below it (``component_cells``).
 
     The affine data is held once, in integers: ``ints`` is a common
     denominator d > 0, then the numerators over d of wait_x, wait_c,
@@ -533,7 +535,12 @@ def _reduced(*ints: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=COMPONENT_CELLS_CACHE_SIZE)
 def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
-    """The strips of ``l`` from x = 0 up, one per bound, built in integers.
+    """The strips of ``l`` from x = 0 up, built in integers, cut only where
+    the affine data changes: at each bound but the last when the last step
+    has a strip of its own and a positive rate.  That strip then runs to
+    inf, as the value there is x + rn*t + price on both sides of b_n and
+    the wait (b_n - x)/rn, clamped at 0, is 0 above b_n; else a cell from
+    b_n up waits 0.
 
     Below bound j a feasible cell waits (b_j - x)/r_j + climb_j, where
     climb_j is the sum of (b_k - b_(k-1))/r_k over the later steps k, and
@@ -550,12 +557,14 @@ def component_cells(l: LinearRtef) -> tuple[Cell, ...]:
     bs = [a.bound.numerator * (s // a.bound.denominator) for a in atoms]
     price = last.price.numerator * (s // last.price.denominator)
     pn, qn = last.rate.numerator, last.rate.denominator
-    cells = [Cell(last.bound, None, True, _reduced(s * qn, 0, 0, pn * s, s * qn, price * qn))]
+    # the last step's strip, when it has one and a positive rate, runs to inf
+    merged = pn and (atoms[-2].bound if len(atoms) > 1 else 0) != last.bound
+    cells = [] if merged else [Cell(last.bound, None, True, _reduced(s * qn, 0, 0, pn * s, s * qn, price * qn))]
     scale = math.lcm(*(a.rate.numerator for a in atoms if a.rate))
     climb = 0  # s * scale * climb_j
     for j in range(len(atoms) - 1, -1, -1):
         lo = atoms[j - 1].bound if j else 0
-        hi = atoms[j].bound
+        hi = atoms[j].bound if cells else None  # merged: the first cell built
         p, q = atoms[j].rate.numerator, atoms[j].rate.denominator
         if p == 0:  # only a first step can earn nothing: unreachable from below
             if lo != hi:
@@ -633,10 +642,10 @@ def _strips(fcomps, gcomps):
     """Every strip where a component of ``fcomps`` is defined, as
     (f cell, feasible g cells, lo, hi), one component of f after another.
 
-    The strips cut [0, inf) at every bound of both sides, so each component
-    of either side is one affine cell on each of them.  They come from a
-    merge of the cell lists of all components: one cursor per list, and a
-    strip ends at the nearest right edge among the current cells.
+    The strips cut [0, inf) at every cell edge of both sides, so each
+    component of either side is one affine cell on each of them.  They come
+    from a merge of the cell lists of all components: one cursor per list,
+    and a strip ends at the nearest right edge among the current cells.
     """
     lists = [component_cells(l) for l in (*fcomps, *gcomps)]
     nf = len(fcomps)
@@ -670,25 +679,33 @@ def _strips(fcomps, gcomps):
 #
 # The strips come from a merged walk over the cell lists of both sides: two
 # cursors in ``leq_linear``, one per component in ``_strips`` for
-# ``order_witness``.  The endpoint checks that settle most strips without a
-# linear system (``_covers``) are integer sign tests: each cell carries its
-# affine data as numerators over a common denominator (``Cell.ints``).  The
-# strips left go to the line sweep (``_violation_point``), which cuts a strip
-# where two feasibility lines of g cross inside it; ``_crossings`` sees from
-# the lines' order at the strip's two ends whether any do, and tests pairs
-# of lines only then.
+# ``order_witness``.  The point checks that settle most strips without a
+# linear system (``_covers``) are integer sign tests at up to three points,
+# the strip's ends and the point inside where f's wait reaches 0: each cell
+# carries its affine data as numerators over a common denominator
+# (``Cell.ints``).  The strips left go to the line sweep
+# (``_violation_point``), which cuts a strip where two feasibility lines of
+# g cross inside it; ``_crossings`` sees from the lines' order at the
+# strip's two ends whether any do, and tests pairs of lines only then.
 
 def _covers(g: Cell, f: Cell, lo: Rational, hi: Optional[Rational]) -> bool:
-    """Whether g alone dominates f on this whole strip (exact for affine
-    data: endpoint checks suffice, the unbounded strip is slope-free).
+    """Whether g alone dominates f on this whole strip, exactly.
 
-    At an endpoint x = p/q, f is first defined at tf/(d_f*q) and g at
+    g covers f iff, at f's first time tf = max(0, wait_f) at each x of the
+    strip, g is defined (wait_g <= tf) and g - f >= 0; past tf, g - f
+    cannot fall when g's t-slope is at least f's.  Both tests are convex
+    in x, with one kink at f's clamp point x0 = -wait_c/wait_x, so they
+    hold on the strip iff they hold at its ends and at x0 when x0 lies
+    strictly inside.  Every wait slope is <= 0, so on the unbounded strip
+    wait_g only falls past x0, and both cells there are last ones, whose
+    values share the x coefficient 1: the test at lo, or at x0, settles
+    the rest.
+
+    At a point x = p/q, f is first defined at tf/(d_f*q) and g at
     tg/(d_g*q), and g - f at f's first time is
     (dt*tf + (dx*p + dc*q)*d_f) / (d_f^2*d_g*q), where dt, dx, dc are the
     numerators of g - f over d_f*d_g.  Every test is the sign of an
-    integer, with no ``Fraction`` built.  tf and tg need no clamp at 0: a
-    strip lies inside one cell of each component, and a feasible cell's
-    wait is >= 0 at both of its ends, hence on all of it.
+    integer, with no ``Fraction`` built.
     """
     dg, gwx, gwc, gvt, gvx, gvc = g.ints
     df, fwx, fwc, fvt, fvx, fvc = f.ints
@@ -697,9 +714,16 @@ def _covers(g: Cell, f: Cell, lo: Rational, hi: Optional[Rational]) -> bool:
         return False
     dx = gvx * df - fvx * dg
     dc = gvc * df - fvc * dg
-    for x in (lo,) if hi is None else (lo, hi):
-        p, q = x.numerator, x.denominator
-        tf = fwx * p + fwc * q
+    points = [(lo.numerator, lo.denominator)]
+    if hi is not None:
+        points.append((hi.numerator, hi.denominator))
+    if fwx:
+        # x0 = fwc / -fwx, kept if lo < x0 < hi
+        p, q = fwc, -fwx
+        if lo.numerator * q < p * lo.denominator and (hi is None or p * hi.denominator < hi.numerator * q):
+            points.append((p, q))
+    for p, q in points:
+        tf = max(0, fwx * p + fwc * q)
         tg = gwx * p + gwc * q
         if tg * df > tf * dg:
             return False
@@ -711,7 +735,8 @@ def _covers(g: Cell, f: Cell, lo: Rational, hi: Optional[Rational]) -> bool:
 @lru_cache(maxsize=LEQ_LINEAR_CACHE_SIZE)
 def leq_linear(lhs: LinearRtef, rhs: LinearRtef) -> bool:
     """Pointwise comparison of two single components: a lone g cell that
-    does not cover f on a strip loses to it somewhere there.
+    does not cover f on a strip loses to it somewhere there, as ``_covers``
+    is exact, the clamp of f's wait at 0 included.
 
     One cursor walks each cell list; a strip ends at the nearer right edge
     of the two current cells, and the first strip where f is defined and

@@ -30,7 +30,6 @@ from rtenergy.algebra import (
     _leq,
     _splice,
     _violation_point,
-    component_cells,
 )
 from rtenergy.linear2d import Constraint, feasible_point
 from rtenergy.matrix import RtefMatrix, mat_mul
@@ -213,20 +212,15 @@ def piece_json_fractions(c: Cell) -> dict:
 
 
 def function_json_fractions(f: Rtef) -> dict:
-    """``regions.function_json`` read through the ``Fraction`` coefficients
-    of the cells: the last two strips of a component merge when their values
-    are equal as ``Fraction``s, and each piece is ``piece_json_fractions``."""
+    """``regions.function_json`` printed from the ``Fraction`` strip tables
+    of ``component_cells_fractions``, each piece by
+    ``piece_json_fractions``."""
     comps = []
     for l in f.components:
-        cells = component_cells(l)
-        if len(cells) >= 2:
-            a, b = cells[-2:]
-            if a.feasible and b.feasible and coefficients(a)[2:] == coefficients(b)[2:]:
-                cells = cells[:-2] + (a._replace(hi=None),)
         comps.append(
             {
                 "atoms": [[str(a.rate), str(a.price), str(a.bound)] for a in l.atoms],
-                "pieces": [piece_json_fractions(c) for c in cells],
+                "pieces": [piece_json_fractions(c) for c in fraction_cells(component_cells_fractions(l))],
             }
         )
     return {"components": comps}
@@ -509,30 +503,28 @@ def cells_eval_fractions(cells: tuple[Cell, ...], x: Energy, t: Time) -> Energy:
     return Energy.of(k.value_t * t.value + k.value_x * x.value + k.value_c)
 
 
-def _strips_cut_set(fcomps, gcomps):
-    """The strips of ``algebra._strips``, from a sorted cut set of every
-    bound of both sides, each cell found by a scan of its component's list."""
-    cuts = {ZERO}
-    for l in (*fcomps, *gcomps):
-        cuts.update(a.bound for a in l.atoms)
-    cuts = sorted(cuts)
+def _cut_set_strips(table, fcomps, gcomps):
+    """Strips from a sorted cut set of every cell edge of both sides, as
+    (f cell, feasible g cells, lo, hi), one component of f after another;
+    each component's cells are ``table``'s, and each cell is found by a
+    scan of them."""
+    ftables, gtables = ([fraction_cells(table(c)) for c in comps] for comps in (fcomps, gcomps))
+    cuts = sorted({ZERO, *(c.lo for cells in (*ftables, *gtables) for c in cells)})
     spans = [*zip(cuts, cuts[1:]), (cuts[-1], None)]
-    gcells = [component_cells(g) for g in gcomps]
-    for f in fcomps:
-        fcells = component_cells(f)
+    for fcells in ftables:
         for lo, hi in spans:
             fc = _active_cell(fcells, lo)
             if fc.feasible:
-                active = [c for c in (_active_cell(cells, lo) for cells in gcells) if c.feasible]
+                active = [c for c in (_active_cell(cells, lo) for cells in gtables) if c.feasible]
                 yield fc, active, lo, hi
 
 
-def component_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
-    """The strips of ``algebra.component_cells`` computed in ``Fraction``s,
-    each as (lo, hi, feasible, coefficients, ints): the five coefficients
-    wait_x, wait_c, value_t, value_x, value_c, and from them ``Cell.ints``
-    over the lcm of their denominators.  The reference the integer walk is
-    checked against."""
+def bound_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
+    """One strip per bound of ``l``, the last from its last bound up to
+    infinity, computed in ``Fraction``s, each as (lo, hi, feasible,
+    coefficients, ints): the five coefficients wait_x, wait_c, value_t,
+    value_x, value_c, and from them ``Cell.ints`` over the lcm of their
+    denominators.  Every feasible wait is >= 0 on its whole strip."""
     if not l.atoms:
         cells = [(ZERO, None, True, (ZERO, ZERO, ZERO, ONE, ZERO))]
     else:
@@ -565,14 +557,38 @@ def component_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
     return tuple(out)
 
 
+def component_cells_fractions(l: LinearRtef) -> tuple[tuple, ...]:
+    """The strips of ``algebra.component_cells`` in ``Fraction``s:
+    ``bound_cells_fractions`` with its last two strips merged into the
+    lower one, run up to infinity, when both are feasible and their values
+    are equal.  The reference the integer walk is checked against."""
+    cells = bound_cells_fractions(l)
+    if len(cells) >= 2:
+        (lo, _, feasible, coeffs, ints), (_, _, top_feasible, top_coeffs, _) = cells[-2:]
+        if feasible and top_feasible and coeffs[2:] == top_coeffs[2:]:
+            cells = (*cells[:-2], (lo, None, feasible, coeffs, ints))
+    return cells
+
+
+def fraction_cells(table: tuple[tuple, ...]) -> tuple[Cell, ...]:
+    """A ``Fraction`` strip table as ``Cell``s."""
+    return tuple(Cell(lo, hi, feasible, ints) for lo, hi, feasible, _, ints in table)
+
+
 def _covers_fractions(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) -> bool:
-    """``algebra._covers`` evaluated in ``Fraction``s at each endpoint."""
+    """``algebra._covers`` in ``Fraction``s: at each end of the strip and
+    at f's clamp point when it lies strictly inside, f's wait clamped at 0."""
     if not g.feasible:
         return False
     fk, gk = coefficients(f), coefficients(g)
     if gk.value_t < fk.value_t:
         return False
-    for x in (lo,) if hi is None else (lo, hi):
+    points = [lo] if hi is None else [lo, hi]
+    if fk.wait_x:
+        x0 = -fk.wait_c / fk.wait_x
+        if lo < x0 and (hi is None or x0 < hi):
+            points.append(x0)
+    for x in points:
         tf = max(ZERO, fk.wait_x * x + fk.wait_c)
         tg = max(ZERO, gk.wait_x * x + gk.wait_c)
         if tg > tf:
@@ -587,28 +603,53 @@ def _covers_fractions(g: Cell, f: Cell, lo: Fraction, hi: Optional[Fraction]) ->
     return True
 
 
-def leq_linear_cut_set(lhs: LinearRtef, rhs: LinearRtef) -> bool:
-    """``algebra.leq_linear`` on cut-set strips with ``Fraction`` endpoint
-    checks, uncached; the reference the integer strip kernel is checked
-    against."""
-    return lhs == rhs or all(
+def _covered_strips(table, lhs: LinearRtef, rhs: LinearRtef) -> bool:
+    """Whether the one g cell covers f on every cut-set strip."""
+    return all(
         any(_covers_fractions(gc, fc, lo, hi) for gc in gcs)
-        for fc, gcs, lo, hi in _strips_cut_set((lhs,), (rhs,))
+        for fc, gcs, lo, hi in _cut_set_strips(table, (lhs,), (rhs,))
     )
 
 
+def leq_linear_cut_set(lhs: LinearRtef, rhs: LinearRtef) -> bool:
+    """``algebra.leq_linear`` on cut-set strips of the ``Fraction`` tables
+    with ``Fraction`` checks, uncached; the reference the integer strip
+    kernel is checked against."""
+    return lhs == rhs or _covered_strips(component_cells_fractions, lhs, rhs)
+
+
 def order_witness_cut_set(f: Rtef, g: Rtef) -> Optional[tuple[Energy, Time]]:
-    """``algebra.order_witness`` on cut-set strips with ``Fraction``
-    endpoint checks; same strips in the same order, so the same witness."""
+    """``algebra.order_witness`` on cut-set strips of the ``Fraction``
+    tables with ``Fraction`` checks; same strips in the same order, so the
+    same witness."""
     shared = set(g.components)
     fcomps = [c for c in f.components if c not in shared]
-    for fc, gcs, lo, hi in _strips_cut_set(fcomps, g.components):
+    for fc, gcs, lo, hi in _cut_set_strips(component_cells_fractions, fcomps, g.components):
         if any(_covers_fractions(gc, fc, lo, hi) for gc in gcs):
             continue
         point = _violation_point(fc, gcs, lo, hi)
         if point is not None:
             return (Energy.of(point[0]), Time(point[1]))
     return None
+
+
+def leq_linear_every_bound(lhs: LinearRtef, rhs: LinearRtef) -> bool:
+    """Whether lhs <= rhs, decided on strips cut at every bound of both
+    sides, with one unmerged cell per bound (``bound_cells_fractions``):
+    every feasible wait is >= 0 on such a strip, so the ends decide it."""
+    return _covered_strips(bound_cells_fractions, lhs, rhs)
+
+
+def order_holds_every_bound(f: Rtef, g: Rtef) -> bool:
+    """Whether f <= g, decided on strips cut at every bound of both sides
+    with unmerged cells, each strip no single g cell covers searched over
+    every subset of undefined g cells (``violation_point_subsets``)."""
+    for fc, gcs, lo, hi in _cut_set_strips(bound_cells_fractions, f.components, g.components):
+        if any(_covers_fractions(gc, fc, lo, hi) for gc in gcs):
+            continue
+        if violation_point_subsets(fc, gcs, lo, hi) is not None:
+            return False
+    return True
 
 
 def _blocks(m: RtefMatrix, k: int):

@@ -23,9 +23,9 @@ from rtenergy import (
     parse_model,
     to_matrix_rep,
 )
+from rtenergy.algebra import component_cells
 from rtenergy.omega import act, omega_of
 from rtenergy.oracles import DpConfig, buchi_unroll, dp_lower_bound
-from rtenergy.regions import extract_regions
 
 from helpers import (
     A,
@@ -78,7 +78,7 @@ def test_criterion_3_star_golden():
     assert star.leq(want) and want.leq(star)
     comp = normalize(F1.atoms + F2.atoms)
     assert comp == lin((0, 0, 30), (4, 0, 50), (5, -60, 60))
-    pieces = [p for p in extract_regions(comp) if p.feasible]
+    pieces = [p for p in component_cells(comp) if p.feasible]
     assert [coefficients(p)[2:] for p in pieces] == [
         (Fraction(5), Fraction(5, 4), Fraction(-145, 2)),
         (Fraction(5), Fraction(1), Fraction(-60)),

@@ -26,7 +26,7 @@ from rtenergy import (
 )
 from rtenergy import algebra, linear2d
 from rtenergy.oracles import DpConfig
-from rtenergy.regions import component_json, extract_regions
+from rtenergy.regions import component_json
 
 from helpers import (
     A,
@@ -52,6 +52,7 @@ from helpers import (
     rtef,
 )
 from references import (
+    bound_cells_fractions,
     coefficients,
     component_cells_fractions,
     compose_split_oracle,
@@ -989,19 +990,26 @@ class TestCellIntegers:
         assert min(reduced.values()) > 300
 
     def test_matches_fraction_fields(self):
-        # the exported cells, whose last two strips may be merged into the
-        # first of them, against the Fraction construction
+        # the merged table against the unmerged one, one strip per bound:
+        # the last two strips merge into the lower one, run up to inf,
+        # exactly when the last rate is positive and the last step's strip
+        # is non-empty; every other cell is the unmerged one
         rng = random.Random(61)
         merged = 0
         for i in range(1000):
             l = rand_coprime_linear(rng) if i % 2 else rand_linear(rng)
-            want = component_cells_fractions(l)
-            exported = extract_regions(l)
-            merged += len(exported) < len(want)
-            assert len(exported) in (len(want), len(want) - 1), l
-            for c, (lo, hi, feasible, coeffs, ints) in zip(exported, want):
-                if c is exported[-1]:
-                    hi = None
+            unmerged = bound_cells_fractions(l)
+            cells = algebra.component_cells(l)
+            atoms = l.atoms or algebra.FREE_STEP
+            below = atoms[-2].bound if len(atoms) > 1 else 0
+            merges = atoms[-1].rate > 0 and below != atoms[-1].bound
+            merged += merges
+            assert len(cells) == len(unmerged) - merges, l
+            if merges:
+                lo, hi, feasible, coeffs, ints = unmerged[-2]
+                assert (lo, hi) == (below, atoms[-1].bound), l
+                unmerged = (*unmerged[:-2], (lo, None, feasible, coeffs, ints))
+            for c, (lo, hi, feasible, coeffs, ints) in zip(cells, unmerged):
                 assert c.ints[0] > 0
                 assert (c.lo, c.hi, c.feasible, c.ints) == (lo, hi, feasible, ints), c
                 assert coefficients(c) == coeffs, c
@@ -1018,15 +1026,24 @@ class TestCellIntegers:
         assert [p["value"] for p in pieces] == [{"t": "8", "x": "8/7", "c": "-3"}, {"t": "8", "x": "1", "c": "-2"}]
 
     def test_feasible_waits_are_non_negative(self):
-        # the same 1,000 components; this is why _covers needs no clamp at 0
+        # the same 1,000 components: a feasible wait is >= 0 on every
+        # bounded cell and at the foot of the last; a merged last cell's
+        # wait reaches 0 at the last bound and falls below it past there,
+        # which is why _covers clamps it and tests its clamp point
         rng = random.Random(61)
+        below_zero = 0
         for i in range(1000):
             l = rand_coprime_linear(rng) if i % 2 else rand_linear(rng)
             for c in algebra.component_cells(l):
                 if c.feasible:
+                    k = coefficients(c)
                     for x in (c.lo,) if c.hi is None else (c.lo, c.hi):
-                        k = coefficients(c)
                         assert k.wait_x * x + k.wait_c >= 0, c
+                    if c.hi is None and k.wait_x:
+                        bound = l.atoms[-1].bound
+                        assert k.wait_x * bound + k.wait_c == 0 and c.lo < bound, c
+                        below_zero += 1
+        assert below_zero > 300
 
 
 class TestPrecedes:

@@ -11,7 +11,7 @@ import pytest
 from rtenergy import BOTTOM, Energy, Rtef, finite_behavior, to_matrix_rep
 import rtenergy.algebra
 import rtenergy.linear2d
-from rtenergy.algebra import leq_linear, order_witness
+from rtenergy.algebra import _covers, component_cells, leq_linear, order_witness
 
 from helpers import (
     A,
@@ -27,7 +27,14 @@ from helpers import (
     rtef,
     sample_points,
 )
-from references import crossings_all_pairs, leq_linear_cut_set, order_witness_cut_set, violation_point_subsets
+from references import (
+    crossings_all_pairs,
+    leq_linear_cut_set,
+    leq_linear_every_bound,
+    order_holds_every_bound,
+    order_witness_cut_set,
+    violation_point_subsets,
+)
 
 
 class TestOrderCounterexample:
@@ -222,16 +229,19 @@ class TestLineSweep:
         assert pair_tests[0] > 0
 
     def test_tangent_families_test_no_pair(self, pair_tests):
-        # every pair of tangents crosses, but each strip ends at the kinks,
-        # so no two cross inside one and the lines' end order shows it
+        # every pair of tangents crosses, but their feasibility lines meet
+        # only at negative x, so no two cross inside the one strip [0, inf)
+        # and the lines' end order shows it
         for m in (12, 24, 48):
             assert order_witness(*tangent_family(m)) is None
         assert pair_tests[0] == 0
 
     def test_witnesses_pinned(self):
         # every witness of the oracle corpus both ways and of the tangent
-        # families, as the sweep found them when it tested every pair of
-        # lines on every strip: reading the end order changes none
+        # families; re-recorded once each staircase's last step became one
+        # cell up to inf (the holding count did not move), after the
+        # witnesses matched the Fraction cut-set oracle and the decisions
+        # the walk that cuts at every bound
         rng = random.Random(41)
         witnesses = []
         for case in range(600):
@@ -240,12 +250,13 @@ class TestLineSweep:
         witnesses += [order_witness(g, f) for f, g in map(tangent_family, range(3, 20))]
         texts = [None if w is None else (w[0].text(), w[1].text()) for w in witnesses]
         assert sum(w is None for w in texts) == 394
-        assert hashlib.sha256(repr(texts).encode()).hexdigest()[:16] == "91f3298d7cb4b6ba"
+        assert hashlib.sha256(repr(texts).encode()).hexdigest()[:16] == "e0dcfa09652c21ff"
 
     def test_elimination_pairs_grow_polynomially(self, monkeypatch):
         # Fourier-Motzkin pairs formed by the sweep: each doubling of m may
         # grow them at most 8x (solving each system afresh grew them 10.9x
-        # and 12.9x, from 3,010 at m = 12); m = 12 is pinned exactly
+        # and 12.9x, from 3,010 at m = 12); m = 12 is pinned exactly (742
+        # while every bound cut x, one sweep per strip)
         pairs = 0
         pair = rtenergy.linear2d._pair
 
@@ -260,8 +271,36 @@ class TestLineSweep:
             pairs = 0
             assert order_witness(*tangent_family(m)) is None
             counts.append(pairs)
-        assert counts[0] == 742, counts
+        assert counts[0] == 53, counts
         assert counts[1] <= 8 * counts[0] and counts[2] <= 8 * counts[1], counts
+
+    def test_tangent_family_counts_pinned(self, monkeypatch):
+        # sweeps (_violation_point calls) and Fourier-Motzkin pairings
+        # (_pair calls) on holding tangent families: each tangent is one
+        # cell from x = 0 up, so the family is one strip and one sweep
+        # whatever m (18 / 34 / 66 / 130 sweeps and 431 / 1,359 / 4,751 /
+        # 17,679 pairings while every bound cut x)
+        sweeps = pairings = 0
+        sweep, pair = rtenergy.algebra._violation_point, rtenergy.linear2d._pair
+
+        def counted_sweep(fc, gcells, lo, hi):
+            nonlocal sweeps
+            sweeps += 1
+            return sweep(fc, gcells, lo, hi)
+
+        def counted_pair(row, lows, highs, x):
+            nonlocal pairings
+            pairings += 1
+            return pair(row, lows, highs, x)
+
+        monkeypatch.setattr(rtenergy.algebra, "_violation_point", counted_sweep)
+        monkeypatch.setattr(rtenergy.linear2d, "_pair", counted_pair)
+        counts = []
+        for m in (16, 32, 64, 128):
+            sweeps = pairings = 0
+            assert order_witness(*tangent_family(m)) is None
+            counts.append((sweeps, pairings))
+        assert counts == [(1, 23), (1, 39), (1, 71), (1, 135)], counts
 
 
 def crossing_case(rng):
@@ -401,3 +440,115 @@ class TestIntegerStripKernel:
         g = lin((4, -3, Fraction(292, 97)))
         assert leq_linear(f, g) is True
         assert order_witness(rtef(f), rtef(g)) is None
+
+
+def decision_pair(rng, case):
+    """Four generators in turn: random suprema, suprema over coprime
+    denominators, one-atom line sets and a component against a supremum."""
+    kind = case % 4
+    if kind == 0:
+        return rand_rtef(rng), rand_rtef(rng)
+    if kind == 1:
+        return tuple(Rtef.of(rand_coprime_linear(rng) for _ in range(rng.randint(1, 3))) for _ in range(2))
+    if kind == 2:
+        return line_set(rng, rng.randint(1, 3)), line_set(rng, rng.randint(1, 4))
+    return rtef(rand_linear(rng)), Rtef.of(rand_linear(rng) for _ in range(rng.randint(2, 4)))
+
+
+def clamp_point(c):
+    """Where the cell's wait crosses 0, or None for a flat wait."""
+    _, wx, wc = c.ints[:3]
+    return Fraction(wc, -wx) if wx else None
+
+
+class TestMergedStrips:
+    """Each staircase's last step is one cell from its strip's foot up to
+    inf, so x is cut only where some cell's data changes.  The walk that
+    cuts at every bound, with one unmerged cell per bound on which every
+    wait is >= 0, decides the order for the check."""
+
+    def test_decisions_against_every_bound_oracle(self):
+        rng = random.Random(44)
+        holding = components_holding = components = 0
+        for case in range(3000):
+            pair = decision_pair(rng, case)
+            for f, g in (pair, pair[::-1]):
+                w = order_witness(f, g)
+                assert (w is None) == order_holds_every_bound(f, g), (f, g, w)
+                if w is None:
+                    holding += 1
+                else:
+                    assert not w[1].is_infinite
+                    assert f.eval(*w) > g.eval(*w), (f, g, w)
+            for a in pair[0].components:
+                for b in pair[1].components:
+                    for lhs, rhs in ((a, b), (b, a)):
+                        got = leq_linear.__wrapped__(lhs, rhs)
+                        assert got == leq_linear_every_bound(lhs, rhs), (lhs, rhs)
+                        components += 1
+                        components_holding += got
+        # 6,000 ordered pairs of suprema and their component pairs
+        assert 1000 < holding < 5000, holding
+        assert components > 20000 and 3000 < components_holding < components - 3000
+
+    def test_covers_against_violation_search(self):
+        # _covers on strips inside a feasible cell of each side, the ends
+        # drawn from the cells' edges, both clamp points and points between,
+        # against an exact search for a point where f is defined and beats g
+        rng = random.Random(45)
+        covered = inside = negative = 0
+        for i in range(3000):
+            a, b = (rand_coprime_linear(rng) if i % 2 else rand_linear(rng) for _ in range(2))
+            fc = rng.choice([c for c in component_cells(a) if c.feasible])
+            gc = rng.choice([c for c in component_cells(b) if c.feasible])
+            lo = max(fc.lo, gc.lo)
+            his = [c.hi for c in (fc, gc) if c.hi is not None]
+            hi = min(his, default=None)
+            if hi is not None and lo >= hi:
+                continue
+            top = lo + 8 if hi is None else hi
+            points = {lo, top, *(lo + (top - lo) * Fraction(rng.randint(1, 7), 8) for _ in range(2))}
+            points.update(x for x in map(clamp_point, (fc, gc)) if x is not None and lo <= x <= top)
+            points = sorted(points)
+            x1, x2 = sorted(rng.sample(points, 2))
+            if hi is None and rng.random() < 0.5:
+                x1, x2 = rng.choice(points), None
+            got = _covers(gc, fc, x1, x2)
+            assert got == (violation_point_subsets(fc, [gc], x1, x2) is None), (fc, gc, x1, x2)
+            covered += got
+            x0 = clamp_point(fc)
+            inside += x0 is not None and x1 < x0 and (x2 is None or x0 < x2)
+            negative += x0 is not None and x0 < (x1 if x2 is None else x2)
+        assert covered > 300 and inside > 300 and negative > 300, (covered, inside, negative)
+
+    def test_clamp_point_inside_the_strip(self):
+        # f waits 2 - x, zero at x0 = 2; below its bound 4, g waits 1 - x/4.
+        # At both ends of the strip [0, 4) g is defined by f's first time
+        # and at least f there, but at x0 f is 2 at t = 0 and g is bottom.
+        # The second g has the same cell from 0 up to inf
+        f = rtef(lin((1, 0, 2)))
+        for g in (rtef(lin((4, 0, 4), (5, 0, 4))), rtef(lin((4, 0, 4)))):
+            assert ev(g, 0, 2) >= ev(f, 0, 2) == Energy.of(2)
+            assert ev(g, 4, 0) >= ev(f, 4, 0) == Energy.of(4)
+            assert ev(f, 2, 0) == Energy.of(2) and ev(g, 2, 0) == BOTTOM
+            (lhs,), (rhs,) = f.components, g.components
+            assert leq_linear.__wrapped__(lhs, rhs) is False
+            assert leq_linear_every_bound(lhs, rhs) is False
+            x, t = order_witness(f, g)
+            assert f.eval(x, t) > g.eval(x, t)
+
+    def test_wait_below_zero_at_a_strip_end(self, monkeypatch):
+        # g's cell edges cut f's one cell at 1 and 3, and f's wait 2 - x is
+        # -1 at 3; the top cell of x + 2t covers f on every strip only with
+        # f's wait clamped at 0 there, so no strip goes to the sweep
+        f = lin((1, 0, 2))
+        steps = lin((1, 0, 1), (2, 0, 3), (3, 0, 5))
+        assert [c.lo for c in component_cells(steps)] == [0, 1, 3]
+        assert leq_linear.__wrapped__(f, steps) is False
+        assert leq_linear_every_bound(f, steps) is False
+        sweeps = []
+        sweep = rtenergy.algebra._violation_point
+        monkeypatch.setattr(rtenergy.algebra, "_violation_point", lambda *args: sweeps.append(args) or sweep(*args))
+        g = rtef(steps, lin((2, 0, 0)))
+        assert order_witness(rtef(f), g) is None and order_holds_every_bound(rtef(f), g)
+        assert sweeps == []

@@ -41,7 +41,6 @@ INTERNAL = {
     "leq_linear": "algebra",
     "mat_mul": "matrix",
     "mat_omega_accepting": "matrix",
-    "extract_regions": "regions",
 }
 
 
@@ -56,7 +55,8 @@ def test_internals_live_in_their_modules():
     for name, module in INTERNAL.items():
         assert not hasattr(rtenergy, name), name
         assert callable(getattr(importlib.import_module(f"rtenergy.{module}"), name)), name
-    assert not hasattr(importlib.import_module("rtenergy.regions"), "region_eval")
+    for gone in ("region_eval", "extract_regions"):
+        assert not hasattr(importlib.import_module("rtenergy.regions"), gone), gone
 
 
 def test_one_export_list():
